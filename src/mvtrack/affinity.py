@@ -81,7 +81,6 @@ def affinity(params: AffinityHeadParams, fi: FeaturePatch, fj: FeaturePatch) -> 
 class AffinityFitHyper:
     lr: float = 1.0
     epochs: int = 2000
-    seed: int = 0
 
 
 def fit_affinity_head(pairs, hyper: AffinityFitHyper = AffinityFitHyper(), mode: str = "withps"):

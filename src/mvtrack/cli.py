@@ -15,7 +15,7 @@ import numpy as np
 from .affinity import AffinityFitHyper, affinity_accuracy, fit_affinity_head
 from .engine import FileDetector, OracleDetector, TrackerModels, speedup_model, track, write_timing_report
 from .metrics import clear_mot, idf1
-from .model import ConfigError, TrackerConfig
+from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig
 from .modelio import read_models, write_models
 from .motion import FitHyper, fit_regressor
 from .stream import (
@@ -62,16 +62,15 @@ def _affinity_pairs(scenarios, noise: float, per_id: int, rng) -> list:
         ids = sorted(sc.feature_seeds)
         if len(ids) < 2:
             raise ValueError("affinity fitting needs at least two identities per scenario")
-        boxes = {r.id: r.bbox for r in sc.gt}
         for obj_id in ids:
             for _ in range(per_id):
-                a = sc.feature_of(obj_id, boxes[obj_id], noise, rng)
-                b = sc.feature_of(obj_id, boxes[obj_id], noise, rng)
+                a = sc.feature_of(obj_id, noise, rng)
+                b = sc.feature_of(obj_id, noise, rng)
                 pairs.append((a, b, 1))
                 other = ids[rng.integers(len(ids))]
                 while other == obj_id:
                     other = ids[rng.integers(len(ids))]
-                c = sc.feature_of(other, boxes[other], noise, rng)
+                c = sc.feature_of(other, noise, rng)
                 pairs.append((a, c, 0))
     return pairs
 
@@ -83,7 +82,7 @@ def _cmd_fit(args) -> int:
     except FileNotFoundError:
         models = TrackerModels()
     if args.target == "regressor":
-        params, loss = fit_regressor(scenarios, FitHyper(lr=args.lr, epochs=args.epochs, seed=args.seed))
+        params, loss = fit_regressor(scenarios, FitHyper(lr=args.lr, epochs=args.epochs))
         models.regressor = params
         print(f"regressor fitted: final loss {loss:.6g} over {args.epochs} epochs")
     else:
@@ -93,9 +92,7 @@ def _cmd_fit(args) -> int:
         n_hold = max(1, int(len(pairs) * args.holdout))
         hold = [pairs[i] for i in order[:n_hold]]
         train = [pairs[i] for i in order[n_hold:]]
-        params, ce = fit_affinity_head(
-            train, AffinityFitHyper(lr=args.lr, epochs=args.epochs, seed=args.seed), mode=args.mode
-        )
+        params, ce = fit_affinity_head(train, AffinityFitHyper(lr=args.lr, epochs=args.epochs), mode=args.mode)
         models.affinity = params
         acc = affinity_accuracy(params, hold)
         print(f"affinity head fitted ({args.mode}): cross-entropy {ce:.6g}, held-out accuracy {acc:.3f}")
@@ -103,33 +100,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# TrackerConfig fields with a flag of the same name (--tau-iou for tau_iou),
+# and DetectorConfig fields with a --det- flag (--det-miss-rate).
+TRACKER_FLAGS = ("K", "alpha", "tau_iou", "tau_app", "conf_min", "c_confirm", "l_confirm", "l_demote", "l_delete", "l_f")
+DETECTOR_FLAGS = ("noise_center", "noise_size", "miss_rate", "fp_rate", "feature_noise")
+
+
 def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig(
-        K=args.K,
-        tau_iou=args.tau_iou,
-        tau_app=args.tau_app,
-        conf_min=args.conf_min,
-        c_confirm=args.c_confirm,
-        l_confirm=args.l_confirm,
-        l_demote=args.l_demote,
-        l_delete=args.l_delete,
-        l_f=args.l_f,
         m=args.bins,
         association_mode=args.assoc,
-        alpha=args.alpha,
         propagator=args.propagator,
+        **{name: getattr(args, name) for name in TRACKER_FLAGS},
     )
 
 
 def _detector_config(args) -> DetectorConfig:
     return DetectorConfig(
-        noise_center=args.det_noise_center,
-        noise_size=args.det_noise_size,
-        miss_rate=args.det_miss_rate,
-        fp_rate=args.det_fp_rate,
-        feature_noise=args.det_feature_noise,
         conf_min=args.conf_min,
         rng_seed=args.det_seed,
+        **{name: getattr(args, "det_" + name) for name in DETECTOR_FLAGS},
     )
 
 
@@ -272,26 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_track_flags(p):
         p.add_argument("--models", default=None)
-        p.add_argument("--K", type=int, default=3)
-        p.add_argument("--propagator", choices=["bboxavg", "pixelshift", "regressor"], default="regressor")
-        p.add_argument("--assoc", choices=["twostep", "onestep"], default="twostep")
-        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--propagator", choices=PROPAGATORS, default=TrackerConfig.propagator)
+        p.add_argument("--assoc", choices=ASSOCIATION_MODES, default=TrackerConfig.association_mode)
+        p.add_argument("--bins", type=int, default=TrackerConfig.m)
+        for name in TRACKER_FLAGS:
+            default = getattr(TrackerConfig, name)
+            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
         p.add_argument("--detections", default=None, help="external MOTChallenge det file")
-        p.add_argument("--tau-iou", type=float, default=0.3)
-        p.add_argument("--tau-app", type=float, default=0.25)
-        p.add_argument("--conf-min", type=float, default=0.95)
-        p.add_argument("--c-confirm", type=float, default=0.99)
-        p.add_argument("--l-confirm", type=int, default=3)
-        p.add_argument("--l-demote", type=int, default=2)
-        p.add_argument("--l-delete", type=int, default=10)
-        p.add_argument("--l-f", type=int, default=24)
-        p.add_argument("--bins", type=int, default=7)
-        p.add_argument("--det-seed", type=int, default=0)
-        p.add_argument("--det-noise-center", type=float, default=0.0)
-        p.add_argument("--det-noise-size", type=float, default=0.0)
-        p.add_argument("--det-miss-rate", type=float, default=0.0)
-        p.add_argument("--det-fp-rate", type=float, default=0.0)
-        p.add_argument("--det-feature-noise", type=float, default=0.0)
+        p.add_argument("--det-seed", type=int, default=DetectorConfig.rng_seed)
+        for name in DETECTOR_FLAGS:
+            p.add_argument("--det-" + name.replace("_", "-"), type=float, default=getattr(DetectorConfig, name))
         p.add_argument("--detect-delay", type=float, default=0.0)
         p.add_argument("--propagate-delay", type=float, default=0.0)
 

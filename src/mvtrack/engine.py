@@ -192,8 +192,9 @@ def track(
             tm.nonkey_frames += 1
             t0 = time.perf_counter()
             if cfg.propagator == "bboxavg":
-                for obj in objects:
-                    obj.bbox = propagate_bbox_avg(obj.bbox, frame_data, block)
+                boxes = propagate_bbox_avg([obj.bbox for obj in objects], frame_data, block)
+                for obj, box in zip(objects, boxes):
+                    obj.bbox = box
             elif cfg.propagator == "pixelshift":
                 for obj in objects:
                     obj.bbox = propagate_pixel_shift(obj.bbox, frame_data, block)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import hungarian
+from .association import gated_assign, hungarian
 from .model import bbox_iou
 
 
@@ -97,9 +97,8 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
             cost = np.array(
                 [[1.0 - bbox_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
             )
-            for r, c in hungarian(np.where(cost > 1.0 - iou_min, 1e9, cost)):
-                if cost[r, c] <= 1.0 - iou_min:
-                    pairs[free_gt[r]] = free_hyp[c]
+            for r, c in gated_assign(cost, 1.0 - iou_min).matches:
+                pairs[free_gt[r]] = free_hyp[c]
 
         tp += len(pairs)
         fp += len(hyp_ids) - len(pairs)

@@ -203,6 +203,19 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarray:
+    """Grid cells whose centers lie in each box, as half-open index ranges.
+
+    `corners` is an (n, 4) array of left, top, right, bottom in pixels; row
+    i of the (n, 4) integer result is x0, y0, x1, y1 with cells
+    [x0, x1) x [y0, y1) covered, clipped to the gw x gh grid. A cell center
+    on a box's left/top edge is inside, one on its right/bottom edge is not.
+    A box covering no center gets x0 >= x1 or y0 >= y1.
+    """
+    edges = np.ceil(np.asarray(corners, dtype=float).reshape(-1, 4) / block - 0.5)
+    return np.clip(edges, 0, (gw, gh, gw, gh)).astype(int)
+
+
 def predict_bbox(v: Velocity, prev: BBox) -> BBox:
     """Advance a box by one step of normalized velocity.
 

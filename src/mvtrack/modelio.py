@@ -11,10 +11,7 @@ import numpy as np
 from .affinity import AffinityHeadParams
 from .engine import TrackerModels
 from .motion import F_IN, RegressorParams
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+from .stream import _fmt
 
 
 def write_models(models: TrackerModels, path) -> None:

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, MotionFrame, Velocity, predict_bbox, inverse_velocity
+from .model import BBox, MotionFrame, Velocity, center_cells, inverse_velocity
 
 # Per-cell motion statistics fed to the regressor: mean dx, mean dy, residual
 # energy, and the four finite-difference Jacobian entries of the MV field
 # (per cell index). The Jacobian terms make scale changes linearly
 # recoverable, which plain MV averaging cannot do.
 F_IN = 7
-
-VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
 
 
 @dataclass
@@ -49,29 +47,67 @@ class RegressorParams:
         return cls(np.zeros((4 * m * m, F_IN)), np.zeros(4 * m * m), m)
 
 
-def _center_cells(bbox: BBox, block: int, gw: int, gh: int):
-    """Inclusive index ranges of grid cells whose centers lie in the box."""
-    bx0 = max(0, math.ceil(bbox.left / block - 0.5))
-    bx1 = min(gw - 1, math.ceil(bbox.right / block - 0.5) - 1)
-    by0 = max(0, math.ceil(bbox.top / block - 0.5))
-    by1 = min(gh - 1, math.ceil(bbox.bottom / block - 0.5) - 1)
-    return bx0, bx1, by0, by1
+def _corners(boxes) -> np.ndarray:
+    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def propagate_bbox_avg(prev: BBox, frame: MotionFrame, block: int) -> BBox:
-    """Shift the box by the mean MV over covered cells; size is unchanged.
+def _integral(stats: np.ndarray) -> np.ndarray:
+    """Summed-area table over the grid axes of (F, gw, gh) statistics,
+    zero-padded at the origin: shape (F, gw + 1, gh + 1)."""
+    f, gw, gh = stats.shape
+    S = np.zeros((f, gw + 1, gh + 1))
+    S[:, 1:, 1:] = stats.cumsum(axis=1).cumsum(axis=2)
+    return S
+
+
+def pool(S: np.ndarray, corners: np.ndarray, block: int, m: int):
+    """Position-sensitive pooling of many boxes out of one summed-area table.
+
+    Each box's covered cells (see `center_cells`) are split into m x m bins:
+    the cut between bins is the first cell whose center reaches the bin
+    boundary. Returns A (n, m*m, F), the per-bin mean statistics divided by
+    m*m, and e (n, m*m), 1/(m*m) for non-empty bins; empty bins are all-zero.
+    Sum A[i] over bins and it is the mean over bins of box i's per-bin means.
+    """
+    n = len(corners)
+    gw, gh = S.shape[1] - 1, S.shape[2] - 1
+    x0, y0, x1, y1 = center_cells(corners, block, gw, gh).T
+    valid = (x0 < x1) & (y0 < y1)
+    scaled = corners / block
+    steps = np.arange(m + 1)
+
+    def cuts(lo, hi, left, width):
+        c = np.ceil(left[:, None] + steps * (width / m)[:, None] - 0.5).astype(int)
+        c[:, 0] = lo
+        c[:, m] = hi
+        np.clip(c, lo[:, None], hi[:, None], out=c)
+        np.maximum.accumulate(c, axis=1, out=c)
+        c[~valid] = 0
+        return c
+
+    cx = cuts(x0, x1, scaled[:, 0], scaled[:, 2] - scaled[:, 0])
+    cy = cuts(y0, y1, scaled[:, 1], scaled[:, 3] - scaled[:, 1])
+    counts = (np.diff(cx, axis=1)[:, :, None] * np.diff(cy, axis=1)[:, None, :]).reshape(n, m * m)
+    cols = S[:, cx[:, :, None], cy[:, None, :]]  # (F, n, m+1, m+1)
+    sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:] - cols[:, :, 1:, :-1] + cols[:, :, :-1, :-1]
+    A = np.transpose(sums.reshape(len(S), n, m * m), (1, 2, 0))  # (n, m*m, F)
+    nonempty = counts > 0
+    A = np.divide(A, counts[:, :, None] * (m * m), out=np.zeros_like(A), where=nonempty[:, :, None])
+    return A, nonempty / (m * m)
+
+
+def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
+    """Shift each box by the mean MV over its covered cells; sizes are unchanged.
 
     This is the averaging baseline: antisymmetric fields (zooms) cancel out,
-    so scale changes are invisible to it.
+    so scale changes are invisible to it. A box covering no cell center
+    stays where it is.
     """
-    gw, gh = frame.mv.shape[1:]
-    bx0, bx1, by0, by1 = _center_cells(prev, block, gw, gh)
-    if bx0 > bx1 or by0 > by1:
-        return prev
-    patch = frame.mv[:, bx0 : bx1 + 1, by0 : by1 + 1]
-    dx = float(patch[0].mean())
-    dy = float(patch[1].mean())
-    return BBox(prev.x + dx, prev.y + dy, prev.w, prev.h)
+    A, e = pool(_integral(frame.mv), _corners(boxes), block, 1)
+    return [
+        BBox(b.x + float(dx), b.y + float(dy), b.w, b.h) if covered else b
+        for b, (dx, dy), covered in zip(boxes, A[:, 0], e[:, 0])
+    ]
 
 
 def propagate_pixel_shift(prev: BBox, frame: MotionFrame, block: int) -> BBox:
@@ -129,94 +165,11 @@ def encode_motion(frame: MotionFrame) -> np.ndarray:
     )
 
 
-def velocity_field(params: RegressorParams, encoding: np.ndarray) -> VelocityField:
-    """Apply the affine head to every grid cell: (4*m*m, gw, gh) output."""
-    if encoding.ndim != 3 or encoding.shape[0] != F_IN:
-        raise ValueError(f"encoding must have shape ({F_IN}, gw, gh), got {encoding.shape}")
-    return np.einsum("kf,fxy->kxy", params.W, encoding) + params.bias[:, None, None]
-
-
-def _bin_cells(bbox: BBox, block: int, gw: int, gh: int, m: int):
-    """Cells whose centers lie in the box and their (u, v) bin indices."""
-    bx0, bx1, by0, by1 = _center_cells(bbox, block, gw, gh)
-    if bx0 > bx1 or by0 > by1:
-        return None
-    bx, by = np.meshgrid(np.arange(bx0, bx1 + 1), np.arange(by0, by1 + 1), indexing="ij")
-    bx = bx.ravel()
-    by = by.ravel()
-    left, top, right, bottom = (c / block for c in bbox.corners())
-    u = np.floor((bx + 0.5 - left) / ((right - left) / m)).astype(int)
-    v = np.floor((by + 0.5 - top) / ((bottom - top) / m)).astype(int)
-    np.clip(u, 0, m - 1, out=u)
-    np.clip(v, 0, m - 1, out=v)
-    return bx, by, u, v
-
-
-def psroi_readout(field: VelocityField, bbox: BBox, block: int) -> Velocity:
-    """Pool a box out of the field into a 4-component velocity.
-
-    The box is divided into m x m bins; channel k*m*m + u*m + v is averaged
-    over cells whose centers fall in bin (u, v); empty bins contribute 0;
-    each component is the mean over all m*m bins.
-    """
-    channels, gw, gh = field.shape
-    m = math.isqrt(channels // 4)
-    if 4 * m * m != channels:
-        raise ValueError(f"field channel count {channels} is not 4*m*m")
-    cells = _bin_cells(bbox, block, gw, gh, m)
-    if cells is None:
-        return Velocity(0.0, 0.0, 0.0, 0.0)
-    bx, by, u, v = cells
-    sums = np.zeros((4, m, m))
-    counts = np.zeros((m, m))
-    np.add.at(counts, (u, v), 1.0)
-    for k in range(4):
-        np.add.at(sums[k], (u, v), field[k * m * m + u * m + v, bx, by])
-    nonempty = counts > 0
-    pooled = np.zeros((4, m, m))
-    pooled[:, nonempty] = sums[:, nonempty] / counts[nonempty]
-    comp = pooled.reshape(4, -1).sum(axis=1) / (m * m)
-    return Velocity(*(float(c) for c in comp))
-
-
-def propagate_regressor(prev: BBox, frame: MotionFrame, params: RegressorParams, block: int) -> BBox:
-    """Full propagation: encode the frame, apply the head, pool, predict."""
-    field = velocity_field(params, encode_motion(frame))
-    return predict_bbox(psroi_readout(field, prev, block), prev)
-
-
-def readout_from_encoding(params: RegressorParams, encoding: np.ndarray, bbox: BBox, block: int) -> Velocity:
-    """Pool the raw statistics first, then apply the affine head.
-
-    Identical to psroi_readout(velocity_field(params, encoding), ...) because
-    the head is affine per cell and pooling is a mean, but it never
-    materializes the 4*m*m-channel field.
-    """
-    return FieldReadout(params, encoding).velocity(bbox, block)
-
-
 def smooth_l1(x):
     """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise; elementwise on arrays."""
     ax = np.abs(x)
     out = np.where(ax < 1.0, 0.5 * np.square(x), ax - 0.5)
     return out.item() if np.ndim(x) == 0 else out
-
-
-def regressor_loss(params: RegressorParams, batch, block: int) -> float:
-    """Mean over samples of the summed smooth-L1 velocity error.
-
-    Each sample is (MotionFrame, previous box, ground-truth next box); the
-    target velocity is the one that carries the previous box onto the next.
-    """
-    if not batch:
-        raise ValueError("empty training batch")
-    total = 0.0
-    for frame, prev, nxt in batch:
-        v = inverse_velocity(prev, nxt)
-        v_hat = psroi_readout(velocity_field(params, encode_motion(frame)), prev, block)
-        for a, b in ((v.vx, v_hat.vx), (v.vy, v_hat.vy), (v.vw, v_hat.vw), (v.vh, v_hat.vh)):
-            total += smooth_l1(a - b)
-    return total / len(batch)
 
 
 def propagation_samples(scenario) -> list:
@@ -245,82 +198,47 @@ def propagation_samples(scenario) -> list:
 class FitHyper:
     lr: float = 1e-2
     epochs: int = 200
-    seed: int = 0
+
+
+def _design(batch, block: int, m: int):
+    """Training matrices of (MotionFrame, prev box, next box) samples: the
+    pooled statistics A (n, m*m, F_IN) and e (n, m*m) of each previous box,
+    and the target velocities V (n, 4) that carry it onto the next box."""
+    n = len(batch)
+    A = np.zeros((n, m * m, F_IN))
+    E = np.zeros((n, m * m))
+    V = np.zeros((n, 4))
+    for i, (frame, prev, nxt) in enumerate(batch):
+        (A[i],), (E[i],) = pool(_integral(encode_motion(frame)), _corners([prev]), block, m)
+        v = inverse_velocity(prev, nxt)
+        V[i] = (v.vx, v.vy, v.vw, v.vh)
+    return A, E, V
 
 
 def regressor_grad(params: RegressorParams, batch, block: int):
-    """Closed-form gradient of regressor_loss in (W, bias); exact because the
+    """Closed-form gradient in (W, bias) of the mean summed smooth-L1 error
+    between the read-out and the target velocities; exact because the
     readout is affine in the parameters."""
     if not batch:
         raise ValueError("empty training batch")
     m = params.m
-    n = len(batch)
-    A = np.empty((n, m * m, F_IN))
-    E = np.empty((n, m * m))
-    V = np.empty((n, 4))
-    for i, (frame, prev, nxt) in enumerate(batch):
-        A[i], E[i] = _pooled_sample(encode_motion(frame), prev, block, m)
-        v = inverse_velocity(prev, nxt)
-        V[i] = (v.vx, v.vy, v.vw, v.vh)
+    A, E, V = _design(batch, block, m)
     W4 = params.W.reshape(4, m * m, F_IN)
     b4 = params.bias.reshape(4, m * m)
     v_hat = np.einsum("nuf,kuf->nk", A, W4) + np.einsum("nu,ku->nk", E, b4)
-    g = np.clip(v_hat - V, -1.0, 1.0) / n
+    g = np.clip(v_hat - V, -1.0, 1.0) / len(batch)
     dW = np.einsum("nk,nuf->kuf", g, A).reshape(4 * m * m, F_IN)
     db = np.einsum("nk,nu->ku", g, E).reshape(4 * m * m)
     return dW, db
 
 
-def _integral(encoding: np.ndarray) -> np.ndarray:
-    """Summed-area table over the grid axes, zero-padded at the origin."""
-    f, gw, gh = encoding.shape
-    S = np.zeros((f, gw + 1, gh + 1))
-    S[:, 1:, 1:] = encoding.cumsum(axis=1).cumsum(axis=2)
-    return S
-
-
-def _bin_cuts(lo: int, hi: int, left: float, width: float, m: int) -> np.ndarray:
-    """Cell-index cut points splitting covered cells [lo, hi) into m bins.
-
-    Cut i is the first cell whose center reaches bin boundary left + i*w/m;
-    identical partition to assigning each cell center by floor division.
-    """
-    cuts = np.ceil(left + np.arange(m + 1) * (width / m) - 0.5).astype(int)
-    cuts[0] = lo
-    cuts[m] = hi
-    np.clip(cuts, lo, hi, out=cuts)
-    np.maximum.accumulate(cuts, out=cuts)
-    return cuts
-
-
-def _pooled_from_integral(S: np.ndarray, bbox: BBox, block: int, m: int):
-    gw, gh = S.shape[1] - 1, S.shape[2] - 1
-    A = np.zeros((m * m, F_IN))
-    e = np.zeros(m * m)
-    bx0, bx1, by0, by1 = _center_cells(bbox, block, gw, gh)
-    if bx0 > bx1 or by0 > by1:
-        return A, e
-    left, top, right, bottom = (c / block for c in bbox.corners())
-    cx = _bin_cuts(bx0, bx1 + 1, left, right - left, m)
-    cy = _bin_cuts(by0, by1 + 1, top, bottom - top, m)
-    counts = (cx[1:] - cx[:-1])[:, None] * (cy[1:] - cy[:-1])[None, :]  # (m, m)
-    cols = S[:, cx, :][:, :, cy]  # (F_IN, m+1, m+1)
-    sums = cols[:, 1:, 1:] - cols[:, :-1, 1:] - cols[:, 1:, :-1] + cols[:, :-1, :-1]
-    counts_flat = counts.reshape(-1)
-    nonempty = counts_flat > 0
-    A[nonempty] = sums.reshape(F_IN, -1).T[nonempty] / counts_flat[nonempty, None] / (m * m)
-    e[nonempty] = 1.0 / (m * m)
-    return A, e
-
-
-def _pooled_sample(encoding: np.ndarray, bbox: BBox, block: int, m: int):
-    """Per-sample pooled statistics (A, e) such that the readout of the
-    affine field is exactly sum_uv W[k,uv] @ A[uv] + bias[k,uv] * e[uv]."""
-    return _pooled_from_integral(_integral(encoding), bbox, block, m)
-
-
 class FieldReadout:
-    """Shared per-frame state for reading many boxes out of one frame."""
+    """Reads boxes out of the affine velocity field of one frame.
+
+    The head is affine per cell and pooling is a mean, so pooling the raw
+    statistics first and applying the head to the pooled values gives the
+    same readout without materializing the 4*m*m-channel field.
+    """
 
     def __init__(self, params: RegressorParams, encoding: np.ndarray):
         self.W4 = params.W.reshape(4, params.m * params.m, F_IN)
@@ -328,44 +246,9 @@ class FieldReadout:
         self.m = params.m
         self.S = _integral(encoding)
 
-    def velocity(self, bbox: BBox, block: int) -> Velocity:
-        A, e = _pooled_from_integral(self.S, bbox, block, self.m)
-        comp = np.einsum("kuf,uf->k", self.W4, A) + self.b4 @ e
-        return Velocity(*(float(c) for c in comp))
-
     def velocities(self, boxes, block: int) -> list:
-        """Batched readout of many boxes from the shared frame state."""
-        n = len(boxes)
-        if n == 0:
-            return []
-        m = self.m
-        gw, gh = self.S.shape[1] - 1, self.S.shape[2] - 1
-        corners = np.array([b.corners() for b in boxes]) / block  # (n, 4) l,t,r,b
-        bx0 = np.maximum(0, np.ceil(corners[:, 0] - 0.5).astype(int))
-        bx1 = np.minimum(gw - 1, np.ceil(corners[:, 2] - 0.5).astype(int) - 1)
-        by0 = np.maximum(0, np.ceil(corners[:, 1] - 0.5).astype(int))
-        by1 = np.minimum(gh - 1, np.ceil(corners[:, 3] - 0.5).astype(int) - 1)
-        valid = (bx0 <= bx1) & (by0 <= by1)
-        steps = np.arange(m + 1)
-
-        def cuts(lo, hi, left, width):
-            c = np.ceil(left[:, None] + steps * (width / m)[:, None] - 0.5).astype(int)
-            c[:, 0] = lo
-            c[:, m] = hi
-            np.clip(c, lo[:, None], hi[:, None], out=c)
-            np.maximum.accumulate(c, axis=1, out=c)
-            c[~valid] = 0
-            return c
-
-        cx = cuts(bx0, bx1 + 1, corners[:, 0], corners[:, 2] - corners[:, 0])
-        cy = cuts(by0, by1 + 1, corners[:, 1], corners[:, 3] - corners[:, 1])
-        counts = (np.diff(cx, axis=1)[:, :, None] * np.diff(cy, axis=1)[:, None, :]).reshape(n, m * m)
-        cols = self.S[:, cx[:, :, None], cy[:, None, :]]  # (F_IN, n, m+1, m+1)
-        sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:] - cols[:, :, 1:, :-1] + cols[:, :, :-1, :-1]
-        A = np.transpose(sums.reshape(F_IN, n, m * m), (1, 2, 0))  # (n, m*m, F_IN)
-        nonempty = counts > 0
-        A = np.divide(A, counts[:, :, None] * (m * m), out=np.zeros_like(A), where=nonempty[:, :, None])
-        e = nonempty / (m * m)
+        """One Velocity per box, in order."""
+        A, e = pool(self.S, _corners(boxes), block, self.m)
         v_hat = np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
         return [Velocity(*(float(c) for c in row)) for row in v_hat]
 
@@ -382,23 +265,14 @@ def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None)
         raise ValueError("no training scenarios")
     if m is None:
         m = scenarios[0].header.feature_bins
-    samples = []
-    targets = []
-    for sc in scenarios:
-        block = sc.header.block
-        for fr, prev, nxt in propagation_samples(sc):
-            enc = encode_motion(fr)
-            samples.append(_pooled_sample(enc, prev, block, m))
-            v = inverse_velocity(prev, nxt)
-            targets.append([v.vx, v.vy, v.vw, v.vh])
-    if not samples:
+    A, E, V = (
+        np.concatenate(parts)
+        for parts in zip(*(_design(propagation_samples(sc), sc.header.block, m) for sc in scenarios))
+    )
+    n = len(V)
+    if not n:
         raise ValueError("training scenarios contain no propagation samples")
-    n = len(samples)
-    X = np.concatenate(
-        [np.stack([s[0] for s in samples]).reshape(n, m * m * F_IN), np.stack([s[1] for s in samples])],
-        axis=1,
-    )  # (N, m*m*F_IN + m*m)
-    V = np.array(targets)  # (N, 4)
+    X = np.concatenate([A.reshape(n, m * m * F_IN), E], axis=1)  # (N, m*m*F_IN + m*m)
 
     # Whiten the pooled statistics (exact linear reparametrization, folded
     # back into the returned weights) so the quadratic branch has unit

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, Detection, FeaturePatch, MotionFrame
+from .model import BBox, Detection, FeaturePatch, MotionFrame, center_cells
 
 
 class ScenarioFormatError(ValueError):
@@ -81,12 +81,10 @@ class Scenario:
             out.setdefault(row.frame, []).append(row)
         return out
 
-    def feature_of(self, obj_id: int, bbox: BBox, noise: float, rng=None) -> FeaturePatch:
+    def feature_of(self, obj_id: int, noise: float, rng=None) -> FeaturePatch:
         """Appearance patch for an identity: a seeded base pattern plus noise.
 
         Two calls with the same id correlate strongly, different ids weakly.
-        The box is part of the detector-facing signature; the synthetic
-        pattern depends only on the identity seed.
         """
         try:
             seed = self.feature_seeds[obj_id]
@@ -198,15 +196,6 @@ def _validate_script(script: MotionScript, header: StreamHeader) -> None:
                 raise ValueError(f"object {obj.id}: larger than the frame at frame {t}")
 
 
-def _covered_blocks(box: BBox, block: int, gw: int, gh: int):
-    """Index ranges of blocks whose centers lie in the box (half-open edges)."""
-    bx0 = max(0, math.ceil(box.left / block - 0.5))
-    bx1 = min(gw - 1, math.ceil(box.right / block - 0.5) - 1)
-    by0 = max(0, math.ceil(box.top / block - 0.5))
-    by1 = min(gh - 1, math.ceil(box.bottom / block - 0.5) - 1)
-    return bx0, bx1, by0, by1
-
-
 def generate_scenario(script: MotionScript, header: StreamHeader, seed: int) -> Scenario:
     """Build a scenario whose ground truth follows the script exactly.
 
@@ -240,22 +229,21 @@ def generate_scenario(script: MotionScript, header: StreamHeader, seed: int) -> 
         mv[0].fill(cam_x)
         mv[1].fill(cam_y)
         residual = np.zeros((gw, gh))
-        for obj in paint_order:
-            if not (obj.alive_at(t_prev) and obj.alive_at(t_cur)):
+        moving = [obj for obj in paint_order if obj.alive_at(t_prev) and obj.alive_at(t_cur)]
+        prevs = [obj.box_at(t_prev) for obj in moving]
+        cells = center_cells([b.corners() for b in prevs], block, gw, gh)
+        for obj, prev, (x0, y0, x1, y1) in zip(moving, prevs, cells):
+            if x0 >= x1 or y0 >= y1:
                 continue
-            prev = obj.box_at(t_prev)
-            bx0, bx1, by0, by1 = _covered_blocks(prev, block, gw, gh)
-            if bx0 > bx1 or by0 > by1:
-                continue
-            sel = np.s_[bx0 : bx1 + 1, by0 : by1 + 1]
+            sel = np.s_[x0:x1, y0:y1]
             if obj.visible_at(t_prev) and obj.visible_at(t_cur):
                 cur = obj.box_at(t_cur)
                 sx = cur.w / prev.w
                 sy = cur.h / prev.h
-                dx = (cur.x - prev.x) + (xs[bx0 : bx1 + 1, None] - prev.x) * (sx - 1)
-                dy = (cur.y - prev.y) + (ys[None, by0 : by1 + 1] - prev.y) * (sy - 1)
-                dx = np.broadcast_to(dx, (bx1 - bx0 + 1, by1 - by0 + 1))
-                dy = np.broadcast_to(dy, (bx1 - bx0 + 1, by1 - by0 + 1))
+                dx = (cur.x - prev.x) + (xs[x0:x1, None] - prev.x) * (sx - 1)
+                dy = (cur.y - prev.y) + (ys[None, y0:y1] - prev.y) * (sy - 1)
+                dx = np.broadcast_to(dx, (x1 - x0, y1 - y0))
+                dy = np.broadcast_to(dy, (x1 - x0, y1 - y0))
                 rx = np.rint(dx)
                 ry = np.rint(dy)
                 mv[0][sel] = rx.astype(np.int32)
@@ -326,7 +314,7 @@ def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig, rows=None
             b.h * math.exp(cfg.noise_size * g[3]),
         )
         conf = float(rng.uniform(cfg.conf_min, 1.0))
-        feat = scenario.feature_of(row.id, bbox, cfg.feature_noise, rng)
+        feat = scenario.feature_of(row.id, cfg.feature_noise, rng)
         out.append(Detection(bbox, conf, feat))
     m, c = header.feature_bins, header.feature_channels
     for _ in range(rng.poisson(cfg.fp_rate)):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mvtrack.engine import (
@@ -12,6 +14,7 @@ from mvtrack.engine import (
 )
 from mvtrack.metrics import clear_mot
 from mvtrack.model import ConfigError, Detection, TrackerConfig
+from mvtrack.motion import FitHyper, fit_regressor
 from mvtrack.stream import (
     DetectorConfig,
     MotionScript,
@@ -100,7 +103,7 @@ def test_tentative_objects_never_emitted(head7):
 
     def detector(frame):
         gtf = {r.id: r.bbox for r in sc.gt if r.frame == frame}
-        return [Detection(b, 0.96, sc.feature_of(i, b, 0.0)) for i, b in sorted(gtf.items())]
+        return [Detection(b, 0.96, sc.feature_of(i, 0.0)) for i, b in sorted(gtf.items())]
 
     cfg = TrackerConfig(K=1, propagator="bboxavg")
     rows, _ = track(sc, detector, cfg, TrackerModels(affinity=head7))
@@ -190,6 +193,41 @@ def test_file_detector(tmp_path, head7):
     assert rows
     scores = clear_mot(sc.gt, rows)
     assert scores.ids == 0 and scores.fp == 0
+
+
+# sha256 of the MOTChallenge bytes of `golden_scenario` under each propagator;
+# any change to propagation, association or lifecycle that moves an emitted
+# box by 0.01 px or an id shows up here.
+GOLDEN_SHA256 = {
+    "bboxavg": "01b138fc89ac8bbe299435bbec05d19be87b4ec183176216fe36efb9dcca4ed8",
+    "pixelshift": "b8db4e2d267c93102c34338fab09ee9defd7f2d9e74e05588407ac37a141e298",
+    "regressor": "106207f4c060f4fd67d42e981c68dbb5a4d45e79be47d16999f38c0433473a15",
+}
+
+
+def golden_scenario():
+    script = MotionScript(
+        frames=36,
+        objects=(
+            ObjectScript(id=1, enter=1, exit=36, x=80, y=100, w=32, h=48, vx=3, vy=1),
+            ObjectScript(id=2, enter=1, exit=36, x=300, y=200, w=40, h=40, vx=-2),
+            ObjectScript(id=3, enter=4, exit=30, x=200, y=80, w=56, h=48, vx=1, vy=2, zoom=1.01),
+            ObjectScript(id=4, enter=1, exit=36, x=380, y=300, w=36, h=36, vx=-1.5, vy=-1.25, occlusions=((14, 17),)),
+        ),
+    )
+    return generate_scenario(script, HEADER, seed=13)
+
+
+@pytest.mark.parametrize("propagator", sorted(GOLDEN_SHA256))
+def test_golden_output_digest(tmp_path, head7, propagator):
+    sc = golden_scenario()
+    regressor, _ = fit_regressor([sc], FitHyper(lr=1.0, epochs=200))
+    det_cfg = DetectorConfig(noise_center=0.02, noise_size=0.02, miss_rate=0.1, fp_rate=0.3, feature_noise=0.1, rng_seed=4)
+    cfg = TrackerConfig(K=3, propagator=propagator)
+    rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(regressor=regressor, affinity=head7))
+    out = tmp_path / "out.txt"
+    write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[propagator]
 
 
 def test_speedup_model_values():

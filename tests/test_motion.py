@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvtrack.model import BBox, MotionFrame, Velocity
+from mvtrack.model import BBox, MotionFrame, Velocity, predict_bbox
 from mvtrack.motion import (
     F_IN,
     FieldReadout,
@@ -13,16 +13,12 @@ from mvtrack.motion import (
     fit_regressor,
     propagate_bbox_avg,
     propagate_pixel_shift,
-    propagate_regressor,
     propagation_samples,
-    psroi_readout,
-    readout_from_encoding,
     regressor_grad,
-    regressor_loss,
     smooth_l1,
-    velocity_field,
 )
 from mvtrack.stream import MotionScript, ObjectScript, StreamHeader, generate_scenario
+from oracles import psroi_readout, regressor_loss, velocity_field
 
 BLOCK = 16
 
@@ -45,24 +41,24 @@ def split_frame(gw=12, gh=8, split=6):
 
 
 def test_bbox_avg_uniform_field():
-    out = propagate_bbox_avg(BBox(50, 50, 32, 32), uniform_frame(3, -2), BLOCK)
+    (out,) = propagate_bbox_avg([BBox(50, 50, 32, 32)], uniform_frame(3, -2), BLOCK)
     assert (out.x, out.y, out.w, out.h) == (53, 48, 32, 32)
 
 
 def test_bbox_avg_zero_field_identity():
     b = BBox(50, 50, 32, 32)
-    assert propagate_bbox_avg(b, uniform_frame(0, 0), BLOCK) == b
+    assert propagate_bbox_avg([b], uniform_frame(0, 0), BLOCK) == [b]
 
 
 def test_bbox_avg_antisymmetric_field_blind_to_scale():
     # box symmetric about the split: equal counts of -1 and +1 cancel
-    out = propagate_bbox_avg(BBox(96, 64, 32, 32), split_frame(), BLOCK)
+    (out,) = propagate_bbox_avg([BBox(96, 64, 32, 32)], split_frame(), BLOCK)
     assert (out.x, out.y, out.w, out.h) == (96, 64, 32, 32)
 
 
 def test_bbox_avg_no_covered_center_is_identity():
     b = BBox(-100, -100, 8, 8)
-    assert propagate_bbox_avg(b, uniform_frame(3, 3), BLOCK) == b
+    assert propagate_bbox_avg([b], uniform_frame(3, 3), BLOCK) == [b]
 
 
 def test_pixel_shift_uniform_field():
@@ -204,12 +200,21 @@ def test_readout_paths_agree():
         for _ in range(40)
     ] + [BBox(-200, -200, 10, 10)]
     batched = readout.velocities(boxes, BLOCK)
-    for box, vb in zip(boxes, batched):
+    single = [readout.velocities([box], BLOCK)[0] for box in boxes]
+    for box, vb, vc in zip(boxes, batched, single):
         va = psroi_readout(field, box, BLOCK)
-        vc = readout_from_encoding(params, enc, box, BLOCK)
         for a, b, c in zip((va.vx, va.vy, va.vw, va.vh), (vb.vx, vb.vy, vb.vw, vb.vh), (vc.vx, vc.vy, vc.vw, vc.vh)):
             assert a == pytest.approx(b, abs=1e-12)
             assert a == pytest.approx(c, abs=1e-12)
+
+    # m = 1 on the raw MV grid: bboxavg's shift is the mean MV over the
+    # cells whose centers the box covers (empty: no shift)
+    moved = propagate_bbox_avg(boxes, fr, BLOCK)
+    mv_field = np.concatenate([mv, np.zeros((2, gw, gh))]).astype(float)
+    for box, out in zip(boxes, moved):
+        oracle = psroi_readout(mv_field, box, BLOCK)
+        assert (out.x - box.x, out.y - box.y) == pytest.approx((oracle.vx, oracle.vy), abs=1e-12)
+        assert (out.w, out.h) == (box.w, box.h)
 
 
 # --- smooth L1 and loss ---
@@ -348,7 +353,8 @@ def test_fit_translations_reproduces_mean_mv():
         fr = MotionFrame(1, "P", mv, np.zeros((gw, gh)))
         for off in (0.0, 5.3, 11.8):
             b = BBox(200 + off, 170 + off / 2, 128, 128)
-            out = propagate_regressor(b, fr, params, BLOCK)
+            (v,) = FieldReadout(params, encode_motion(fr)).velocities([b], BLOCK)
+            out = predict_bbox(v, b)
             worst = max(worst, abs(out.x - b.x - dx), abs(out.y - b.y - dy), abs(out.w - b.w), abs(out.h - b.h))
     assert worst < 1e-3
 
@@ -358,7 +364,7 @@ def test_fit_zero_motion_degenerate():
     sc = generate_scenario(MotionScript(frames=13, objects=objs), HEADER, seed=0)
     params, loss = fit_regressor([sc], FitHyper(lr=1.0, epochs=200))
     assert loss < 1e-6
-    v = readout_from_encoding(params, encode_motion(sc.frames[1]), BBox(240, 180, 128, 128), BLOCK)
+    (v,) = FieldReadout(params, encode_motion(sc.frames[1])).velocities([BBox(240, 180, 128, 128)], BLOCK)
     assert max(abs(v.vx), abs(v.vy), abs(v.vw), abs(v.vh)) < 1e-3
 
 
@@ -396,9 +402,9 @@ def test_fit_zoom_beats_averaging_on_scale():
     )
     fr = ev.frames[4]
     prev = {r.frame: r.bbox for r in ev.gt}[4]
-    v_reg = readout_from_encoding(params, encode_motion(fr), prev, BLOCK)
+    (v_reg,) = FieldReadout(params, encode_motion(fr)).velocities([prev], BLOCK)
     assert v_reg.vw > 0.02  # sees the scale change
-    avg = propagate_bbox_avg(prev, fr, BLOCK)
+    (avg,) = propagate_bbox_avg([prev], fr, BLOCK)
     assert avg.w == prev.w  # the averaging baseline cannot
 
 

@@ -111,13 +111,12 @@ def test_generator_determinism(tmp_path):
 
 def test_feature_of_determinism_and_shape():
     sc = generate_scenario(one_object(), HEADER, seed=3)
-    b = BBox(96, 64, 32, 32)
-    f1 = sc.feature_of(1, b, 0.0)
-    f2 = sc.feature_of(1, b, 0.0)
+    f1 = sc.feature_of(1, 0.0)
+    f2 = sc.feature_of(1, 0.0)
     assert f1.shape == (7, 7, 16)  # (m, m, c)
     np.testing.assert_array_equal(f1, f2)
     with pytest.raises(ValueError):
-        sc.feature_of(99, b, 0.0)
+        sc.feature_of(99, 0.0)
 
 
 def test_feature_cosine_structure():
@@ -126,14 +125,13 @@ def test_feature_cosine_structure():
     objs = tuple(ObjectScript(id=i, enter=1, exit=2, x=50 + i % 5, y=50, w=16, h=16) for i in range(1, 61))
     sc = generate_scenario(MotionScript(frames=2, objects=objs), header, seed=11)
     rng = np.random.default_rng(0)
-    b = BBox(50, 50, 16, 16)
     same, diff = [], []
     ids = list(range(1, 61))
     for _ in range(1000):
         i, j = rng.choice(ids, size=2, replace=False)
-        a = sc.feature_of(int(i), b, 0.05, rng).ravel()
-        a2 = sc.feature_of(int(i), b, 0.05, rng).ravel()
-        d = sc.feature_of(int(j), b, 0.05, rng).ravel()
+        a = sc.feature_of(int(i), 0.05, rng).ravel()
+        a2 = sc.feature_of(int(i), 0.05, rng).ravel()
+        d = sc.feature_of(int(j), 0.05, rng).ravel()
         same.append(a @ a2 / np.linalg.norm(a) / np.linalg.norm(a2))
         diff.append(a @ d / np.linalg.norm(a) / np.linalg.norm(d))
     assert np.mean(same) > 0.95
