@@ -1,11 +1,17 @@
 """Reference implementations the tests check production code against.
 
-These are the direct, per-box definitions of the regressor readout: apply
-the affine head to every grid cell, then average the box's cells bin by bin.
-The package instead pools summed-area tables of the raw statistics for many
+The regressor readout: the direct, per-box definitions apply the affine
+head to every grid cell, then average the box's cells bin by bin. The
+package instead pools summed-area tables of the raw statistics for many
 boxes at once (`mvtrack.motion.pool`); agreement between the two is what
 the readout and gradient tests assert. The cell rule is restated here on
 purpose, so the oracle does not share code with what it checks.
+
+Appearance affinity: the per-pair definitions score one gallery entry
+against one detection patch at a time, normalizing both on every call. The
+package builds the whole objects x detections matrix at once, scoring all
+gallery entries against one detection per stacked product
+(`mvtrack.affinity.appearance_cost`); the tests require the two to agree.
 """
 from __future__ import annotations
 
@@ -13,7 +19,8 @@ import math
 
 import numpy as np
 
-from mvtrack.model import BBox, Velocity, inverse_velocity
+from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
+from mvtrack.model import BBox, FeaturePatch, Velocity, bbox_iou, inverse_velocity
 from mvtrack.motion import F_IN, RegressorParams, encode_motion, smooth_l1
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
@@ -87,3 +94,47 @@ def regressor_loss(params: RegressorParams, batch, block: int) -> float:
         for a, b in ((v.vx, v_hat.vx), (v.vy, v_hat.vy), (v.vw, v_hat.vw), (v.vh, v_hat.vh)):
             total += smooth_l1(a - b)
     return total / len(batch)
+
+
+def ps_maps(fi: FeaturePatch, fj: FeaturePatch):
+    """Position-sensitive maps: all-pairs inner products of normalized bins.
+
+    Returns two (m, m, m*m) maps; entry [u, v, p] of the first is the inner
+    product of fi's bin (u, v) with fj's p-th bin. The two maps hold the
+    same value multiset arranged differently. Inputs must be normalized.
+    """
+    if fi.shape != fj.shape:
+        raise ValueError(f"patch shapes differ: {fi.shape} vs {fj.shape}")
+    m = fi.shape[0]
+    a = fi.reshape(m * m, -1)
+    b = fj.reshape(m * m, -1)
+    prod = a @ b.T  # (m*m, m*m)
+    return prod.reshape(m, m, m * m), prod.T.reshape(m, m, m * m)
+
+
+def _statistic(fi: FeaturePatch, fj: FeaturePatch, mode: str) -> float:
+    fi = normalize_channels(fi)
+    fj = normalize_channels(fj)
+    if mode == "nops":
+        return float(np.einsum("uvc,uvc->uv", fi, fj).mean())
+    mij, mji = ps_maps(fi, fj)
+    return float((mij.max(axis=-1).mean() + mji.max(axis=-1).mean()) / 2)
+
+
+def affinity(params: AffinityHeadParams, fi: FeaturePatch, fj: FeaturePatch) -> float:
+    """Probability that two patches show the same object, in [0, 1]."""
+    if fi.shape != fj.shape:
+        raise ValueError(f"patch shapes differ: {fi.shape} vs {fj.shape}")
+    return _logistic(params.w * _statistic(fi, fj, params.mode) + params.b)
+
+
+def iou_cost(a: BBox, b: BBox) -> float:
+    """1 - IoU, the geometric association cost."""
+    return 1.0 - bbox_iou(a, b)
+
+
+def appearance_cost(params: AffinityHeadParams, gallery, f: FeaturePatch) -> float:
+    """1 - best affinity between the patch and any gallery entry."""
+    if not gallery:
+        raise ValueError("appearance cost is undefined for an empty gallery")
+    return 1.0 - max(affinity(params, g, f) for g in gallery)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtrack.affinity import (
+    MODES,
     AffinityFitHyper,
     AffinityHeadParams,
-    affinity,
     affinity_accuracy,
-    appearance_cost,
     fit_affinity_head,
-    iou_cost,
     normalize_channels,
-    ps_maps,
 )
-from mvtrack.affinity import _statistic
+from mvtrack.affinity import appearance_cost as appearance_cost_matrix
 from mvtrack.model import BBox
+from oracles import _statistic, affinity, appearance_cost, iou_cost, ps_maps
 
 
 def random_patch(rng, m=7, c=16):
@@ -213,3 +212,46 @@ def test_cost_ranges():
         a = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
         b = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
         assert 0.0 <= iou_cost(a, b) <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    d=st.integers(0, 10),
+    max_gallery=st.integers(1, 24),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 16)),
+    mode=st.sampled_from(MODES),
+    w=st.one_of(st.just(0.0), st.floats(-30.0, -0.01), st.floats(0.01, 30.0)),
+    b=st.floats(-20.0, 20.0),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery, shape, mode, w, b, zero_share):
+    rng = np.random.default_rng(seed)
+    m, c = shape
+
+    def patch():
+        return np.zeros((m, m, c)) if rng.random() < zero_share else rng.standard_normal((m, m, c))
+
+    galleries = [[patch() for _ in range(rng.integers(1, max_gallery + 1))] for _ in range(n)]
+    features = [patch() for _ in range(d)]
+    params = AffinityHeadParams(w, b, mode)
+    cost = appearance_cost_matrix(params, galleries, features)
+    expected = np.array([[appearance_cost(params, g, f) for f in features] for g in galleries]).reshape(n, d)
+    assert cost.shape == (n, d)
+    np.testing.assert_allclose(cost, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_appearance_cost_matrix_rejects_bad_input(mode):
+    rng = np.random.default_rng(13)
+    params = AffinityHeadParams(1.0, 0.0, mode)
+    probe = [random_patch(rng)]
+    with pytest.raises(ValueError):
+        appearance_cost_matrix(params, [[random_patch(rng)], []], probe)
+    with pytest.raises(ValueError):
+        appearance_cost_matrix(params, [[random_patch(rng, 5, 16)]], probe)
+    with pytest.raises(ValueError):
+        appearance_cost_matrix(params, [[random_patch(rng, 7, 8)]], probe)
+    with pytest.raises(ValueError):
+        appearance_cost_matrix(params, [[random_patch(rng), random_patch(rng, 5, 16)]], probe)

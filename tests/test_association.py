@@ -13,8 +13,8 @@ from mvtrack.association import (
     _appearance_matrix,
     _iou_matrix,
 )
-from mvtrack.affinity import appearance_cost, iou_cost
 from mvtrack.model import BBox, Detection, LifecycleState, TrackedObject, TrackerConfig
+from oracles import appearance_cost, iou_cost
 
 
 def brute_force_min_cost(cost):

@@ -230,6 +230,39 @@ def test_golden_output_digest(tmp_path, head7, propagator):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[propagator]
 
 
+# The same digests for association configurations that score appearance on
+# every key frame: blended one-step, appearance-only one-step, and two-step
+# with the aligned-bin head. The features are noisy enough that appearance
+# costs decide matches, so all three outputs differ from each other.
+GOLDEN_ASSOC = {
+    "onestep-0": (
+        dict(propagator="bboxavg", association_mode="onestep", alpha=0.0),
+        "f808f9c1548d280d8fd6b4d2d3f0849627fe265494312ad51fb77f568de962b1",
+    ),
+    "onestep-0.5": (
+        dict(propagator="pixelshift", association_mode="onestep", alpha=0.5),
+        "c890bdd33dbd6899d196190f800e70b773ce0abf1420a279dbb52401580da721",
+    ),
+    "twostep-nops": (
+        dict(propagator="bboxavg"),
+        "f76821ca7c1b298c94e0bbe9fe71987c2fec77e37fc349d0f5b5ad0802827309",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ASSOC))
+def test_golden_association_digest(tmp_path, head7, head7_nops, name):
+    sc = golden_scenario()
+    det_cfg = DetectorConfig(noise_center=0.02, noise_size=0.02, miss_rate=0.1, fp_rate=0.3, feature_noise=0.8, rng_seed=4)
+    overrides, digest = GOLDEN_ASSOC[name]
+    cfg = TrackerConfig(K=3, **overrides)
+    head = head7_nops if name == "twostep-nops" else head7
+    rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(affinity=head))
+    out = tmp_path / "out.txt"
+    write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_speedup_model_values():
     tm = FrameTimings(t_det=1.0, t_ass=0.0, t_man=0.0, t_pro=0.0, key_frames=10, nonkey_frames=0)
     assert speedup_model(tm, 1) == pytest.approx(1.0)
