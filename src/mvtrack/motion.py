@@ -56,7 +56,9 @@ def _integral(stats: np.ndarray) -> np.ndarray:
     zero-padded at the origin: shape (F, gw + 1, gh + 1)."""
     f, gw, gh = stats.shape
     S = np.zeros((f, gw + 1, gh + 1))
-    S[:, 1:, 1:] = stats.cumsum(axis=1).cumsum(axis=2)
+    inner = S[:, 1:, 1:]
+    np.cumsum(stats, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
     return S
 
 
@@ -70,27 +72,25 @@ def pool(S: np.ndarray, corners: np.ndarray, block: int, m: int):
     Sum A[i] over bins and it is the mean over bins of box i's per-bin means.
     """
     n = len(corners)
-    gw, gh = S.shape[1] - 1, S.shape[2] - 1
-    x0, y0, x1, y1 = center_cells(corners, block, gw, gh).T
-    valid = (x0 < x1) & (y0 < y1)
+    f, gw1, gh1 = S.shape
     scaled = corners / block
-    steps = np.arange(m + 1)
-
-    def cuts(lo, hi, left, width):
-        c = np.ceil(left[:, None] + steps * (width / m)[:, None] - 0.5).astype(int)
-        c[:, 0] = lo
-        c[:, m] = hi
-        np.clip(c, lo[:, None], hi[:, None], out=c)
-        np.maximum.accumulate(c, axis=1, out=c)
-        c[~valid] = 0
-        return c
-
-    cx = cuts(x0, x1, scaled[:, 0], scaled[:, 2] - scaled[:, 0])
-    cy = cuts(y0, y1, scaled[:, 1], scaled[:, 3] - scaled[:, 1])
-    counts = (np.diff(cx, axis=1)[:, :, None] * np.diff(cy, axis=1)[:, None, :]).reshape(n, m * m)
-    cols = S[:, cx[:, :, None], cy[:, None, :]]  # (F, n, m+1, m+1)
-    sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:] - cols[:, :, 1:, :-1] + cols[:, :, :-1, :-1]
-    A = np.transpose(sums.reshape(len(S), n, m * m), (1, 2, 0))  # (n, m*m, F)
+    # x and y side by side: lo, hi, left, width are (n, 2) and the cuts (n, 2, m+1)
+    lo, hi = center_cells(corners, block, gw1 - 1, gh1 - 1).reshape(n, 2, 2).transpose(1, 0, 2)
+    left = scaled[:, :2]
+    width = scaled[:, 2:] - left
+    c = np.ceil(left[:, :, None] + np.arange(m + 1) * (width / m)[:, :, None] - 0.5).astype(int)
+    c[:, :, 0] = lo
+    c[:, :, m] = hi
+    np.clip(c, lo[:, :, None], hi[:, :, None], out=c)
+    np.maximum.accumulate(c, axis=2, out=c)
+    c[~(lo < hi).all(axis=1)] = 0
+    d = np.diff(c, axis=2)
+    counts = (d[:, 0, :, None] * d[:, 1, None, :]).reshape(n, m * m)
+    cols = S.reshape(f, -1)[:, c[:, 0, :, None] * gh1 + c[:, 1, None, :]]  # (F, n, m+1, m+1)
+    sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:]
+    sums -= cols[:, :, 1:, :-1]
+    sums += cols[:, :, :-1, :-1]
+    A = np.transpose(sums.reshape(f, n, m * m), (1, 2, 0))  # (n, m*m, F)
     nonempty = counts > 0
     A = np.divide(A, counts[:, :, None] * (m * m), out=np.zeros_like(A), where=nonempty[:, :, None])
     return A, nonempty / (m * m)
@@ -152,17 +152,26 @@ def encode_motion(frame: MotionFrame) -> np.ndarray:
     Derivatives are central differences over neighboring cells (one-sided at
     borders), in displacement-pixels per cell index.
     """
-    dx = frame.mv[0].astype(float)
-    dy = frame.mv[1].astype(float)
-
-    def grad(f: np.ndarray, axis: int) -> np.ndarray:
-        if f.shape[axis] < 2:
-            return np.zeros_like(f)
-        return np.gradient(f, axis=axis)
-
-    return np.stack(
-        [dx, dy, frame.residual, grad(dx, 0), grad(dy, 1), grad(dx, 1), grad(dy, 0)]
-    )
+    gw, gh = frame.residual.shape
+    out = np.zeros((F_IN, gw, gh))
+    out[:2] = frame.mv
+    out[2] = frame.residual
+    dx, dy, _, ddx_dx, ddy_dy, ddx_dy, ddy_dx = out
+    # np.gradient's arithmetic, written into place: (f[i+1] - f[i-1]) / 2 inside,
+    # one-sided differences at the two borders
+    if gw >= 2:
+        for f, g in ((dx, ddx_dx), (dy, ddy_dx)):
+            np.subtract(f[2:], f[:-2], out=g[1:-1])
+            g[1:-1] /= 2.0
+            g[0] = f[1] - f[0]
+            g[-1] = f[-1] - f[-2]
+    if gh >= 2:
+        for f, g in ((dy, ddy_dy), (dx, ddx_dy)):
+            np.subtract(f[:, 2:], f[:, :-2], out=g[:, 1:-1])
+            g[:, 1:-1] /= 2.0
+            g[:, 0] = f[:, 1] - f[:, 0]
+            g[:, -1] = f[:, -1] - f[:, -2]
+    return out
 
 
 def smooth_l1(x):
@@ -250,7 +259,7 @@ class FieldReadout:
         """One Velocity per box, in order."""
         A, e = pool(self.S, _corners(boxes), block, self.m)
         v_hat = np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
-        return [Velocity(*(float(c) for c in row)) for row in v_hat]
+        return [Velocity(*row) for row in v_hat.tolist()]
 
 
 def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None):

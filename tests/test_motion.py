@@ -18,7 +18,7 @@ from mvtrack.motion import (
     smooth_l1,
 )
 from mvtrack.stream import MotionScript, ObjectScript, StreamHeader, generate_scenario
-from oracles import psroi_readout, regressor_loss, velocity_field
+from oracles import encode_motion_gradient, psroi_readout, regressor_loss, velocity_field
 
 BLOCK = 16
 
@@ -101,6 +101,18 @@ def test_encode_linear_ramp_derivative():
     enc = encode_motion(fr)
     np.testing.assert_allclose(enc[3], 2.0)  # d(dx)/dx per cell
     np.testing.assert_allclose(enc[4], 0.0)
+
+
+@pytest.mark.parametrize("gw,gh", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 7), (12, 8)])
+def test_encode_matches_np_gradient(gw, gh):
+    rng = np.random.default_rng(gw * 100 + gh)
+    mv = rng.integers(-40, 41, (2, gw, gh)).astype(np.int32)
+    res = rng.standard_normal((gw, gh)) * 1e3
+    fr = MotionFrame(1, "P", mv, res)
+    enc = encode_motion(fr)
+    ref = encode_motion_gradient(fr)
+    assert enc.shape == ref.shape == (F_IN, gw, gh)
+    assert enc.dtype == ref.dtype and enc.tobytes() == ref.tobytes()
 
 
 def test_encode_carries_residual():
