@@ -14,7 +14,6 @@ from .model import (
     TrackedObject,
     TrackerConfig,
     Velocity,
-    bbox_iou,
     inverse_velocity,
     predict_bbox,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "TrackerConfig",
     "TrackerModels",
     "Velocity",
-    "bbox_iou",
     "clear_mot",
     "generate_scenario",
     "idf1",

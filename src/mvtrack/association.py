@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import AffinityHeadParams, appearance_cost
-from .model import LifecycleState, TrackerConfig
+from .model import LifecycleState, TrackerConfig, box_corners, iou_matrix
 
 FORBIDDEN = 1e9
 
@@ -55,18 +55,8 @@ def gated_assign(cost: np.ndarray, threshold: float) -> AssignmentResult:
     return result
 
 
-def _iou_matrix(objects, detections) -> np.ndarray:
-    """Pairwise 1 - IoU, vectorized; agrees entry by entry with `iou_cost` in tests/oracles.py."""
-    if not objects or not detections:
-        return np.empty((len(objects), len(detections)))
-    a = np.array([o.bbox.corners() for o in objects])  # (n, 4) l,t,r,b
-    b = np.array([d.bbox.corners() for d in detections])
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return 1.0 - inter / (area_a[:, None] + area_b[None, :] - inter)
+def _iou_cost(objects, detections) -> np.ndarray:
+    return 1.0 - iou_matrix(box_corners([o.bbox for o in objects]), box_corners([d.bbox for d in detections]))
 
 
 def _appearance_matrix(params, objects, detections) -> np.ndarray:
@@ -85,7 +75,7 @@ def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: Tra
     tentative = [i for i, o in enumerate(objects) if o.state is LifecycleState.TENTATIVE]
 
     result = AssignmentResult()
-    step1 = gated_assign(_iou_matrix([objects[i] for i in confirmed], detections), cfg.tau_iou)
+    step1 = gated_assign(_iou_cost([objects[i] for i in confirmed], detections), cfg.tau_iou)
     for r, c in step1.matches:
         result.matches.append((confirmed[r], c))
     det_left = step1.unmatched_detections
@@ -111,7 +101,7 @@ def associate_one_step(objects, detections, params: AffinityHeadParams, alpha: f
     appearance-only."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    cost = alpha * _iou_matrix(objects, detections)
+    cost = alpha * _iou_cost(objects, detections)
     if alpha < 1.0:
         cost = cost + (1.0 - alpha) * _appearance_matrix(params, objects, detections)
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app

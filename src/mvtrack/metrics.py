@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import gated_assign, hungarian
-from .model import bbox_iou
+from .model import box_corners, iou_matrix
 
 
 @dataclass
@@ -37,37 +37,39 @@ class MotScores:
     tp: int
 
 
-def _check_unique(rows, what: str) -> None:
+def _by_frame(rows, what: str) -> dict:
+    """{frame: [(id, BBox), ...]} of the counted (frame, id, BBox, counted)
+    rows, in row order; a (frame, id) repeated in any row is an error."""
     seen = set()
-    for frame, obj_id in rows:
+    by_frame = {}
+    for frame, obj_id, bbox, counted in rows:
         if (frame, obj_id) in seen:
             raise ValueError(f"duplicate {what} id {obj_id} in frame {frame}")
         seen.add((frame, obj_id))
-
-
-def _index_gt(gt):
-    by_frame = {}
-    for row in gt:
-        if row.visible:
-            by_frame.setdefault(row.frame, []).append((row.id, row.bbox))
-    _check_unique(((r.frame, r.id) for r in gt), "ground-truth")
+        if counted:
+            by_frame.setdefault(frame, []).append((obj_id, bbox))
     return by_frame
 
 
-def _index_results(results):
-    by_frame = {}
-    for frame, obj_id, bbox in results:
-        by_frame.setdefault(frame, []).append((obj_id, bbox))
-    _check_unique(((frame, obj_id) for frame, obj_id, _ in results), "hypothesis")
-    return by_frame
+def frame_index(gt, results):
+    """Yield (frame, gt ids, hyp ids, IoU matrix) for each frame, in order,
+    that has a visible ground-truth row or a hypothesis row.
+
+    The ids keep their row order and the (gt, hyp) IoU matrix is indexed
+    the same way. Invisible ground-truth rows are left out; a (frame, id)
+    repeated within the ground truth or within the hypotheses is an error.
+    """
+    gt_frames = _by_frame(((r.frame, r.id, r.bbox, r.visible) for r in gt), "ground-truth")
+    hyp_frames = _by_frame(((frame, obj_id, bbox, True) for frame, obj_id, bbox in results), "hypothesis")
+    for frame in sorted(gt_frames.keys() | hyp_frames.keys()):
+        gts = gt_frames.get(frame, [])
+        hyps = hyp_frames.get(frame, [])
+        iou = iou_matrix(box_corners([b for _, b in gts]), box_corners([b for _, b in hyps]))
+        yield frame, [g for g, _ in gts], [h for h, _ in hyps], iou
 
 
 def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
     """CLEAR-MOT scores for hypothesis rows (frame, id, BBox) against GT."""
-    gt_frames = _index_gt(gt)
-    hyp_frames = _index_results(results)
-    frames = sorted(set(gt_frames) | set(hyp_frames))
-
     fp = fn = ids = tp = 0
     iou_sum = 0.0
     prev_pairs = {}  # gt id -> hyp id matched in the previous frame
@@ -77,26 +79,20 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
     was_matched = {}  # gt id -> matched status at its previous visible frame
     frag = {}
 
-    for frame in frames:
-        gts = gt_frames.get(frame, [])
-        hyps = hyp_frames.get(frame, [])
-        gt_ids = [g[0] for g in gts]
-        gt_boxes = {g[0]: g[1] for g in gts}
-        hyp_ids = [h[0] for h in hyps]
-        hyp_boxes = {h[0]: h[1] for h in hyps}
+    for _, gt_ids, hyp_ids, iou in frame_index(gt, results):
+        row = {g: i for i, g in enumerate(gt_ids)}
+        col = {h: j for j, h in enumerate(hyp_ids)}
 
         pairs = {}
         # Keep surviving pairs from the previous frame first.
         for g, h in prev_pairs.items():
-            if g in gt_boxes and h in hyp_boxes and bbox_iou(gt_boxes[g], hyp_boxes[h]) >= iou_min:
+            if g in row and h in col and iou[row[g], col[h]] >= iou_min:
                 pairs[g] = h
         free_gt = [g for g in gt_ids if g not in pairs]
         used_hyp = set(pairs.values())
         free_hyp = [h for h in hyp_ids if h not in used_hyp]
         if free_gt and free_hyp:
-            cost = np.array(
-                [[1.0 - bbox_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
-            )
+            cost = 1.0 - iou[np.ix_([row[g] for g in free_gt], [col[h] for h in free_hyp])]
             for r, c in gated_assign(cost, 1.0 - iou_min).matches:
                 pairs[free_gt[r]] = free_hyp[c]
 
@@ -104,7 +100,7 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
         fp += len(hyp_ids) - len(pairs)
         fn += len(gt_ids) - len(pairs)
         for g, h in pairs.items():
-            iou_sum += bbox_iou(gt_boxes[g], hyp_boxes[h])
+            iou_sum += float(iou[row[g], col[h]])
             if g in last_match and last_match[g] != h:
                 ids += 1
             last_match[g] = h
@@ -156,32 +152,22 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
     maximum-overlap bipartite matching gives IDTP, and
     IDF1 = 2*IDTP / (gt frames + hypothesis frames).
     """
-    gt_tracks = {}
-    for row in gt:
-        if row.visible:
-            gt_tracks.setdefault(row.id, {})[row.frame] = row.bbox
-    hyp_tracks = {}
-    for frame, obj_id, bbox in results:
-        hyp_tracks.setdefault(obj_id, {})[frame] = bbox
+    gt_ids = []  # every visible gt id, once per frame it appears in
+    hyp_ids = []
+    hits = []  # (gt id, hyp id) of every pair reaching iou_min, once per frame
+    for _, gts, hyps, iou in frame_index(gt, results):
+        gt_ids += gts
+        hyp_ids += hyps
+        hits += [(gts[r], hyps[c]) for r, c in zip(*np.nonzero(iou >= iou_min))]
 
-    len_gt = sum(len(t) for t in gt_tracks.values())
-    len_hyp = sum(len(t) for t in hyp_tracks.values())
-    if len_gt + len_hyp == 0:
+    if not gt_ids and not hyp_ids:
         return 1.0
-    if not gt_tracks or not hyp_tracks:
+    if not gt_ids or not hyp_ids:
         return 0.0
-
-    gt_ids = sorted(gt_tracks)
-    hyp_ids = sorted(hyp_tracks)
-    overlap = np.zeros((len(gt_ids), len(hyp_ids)))
-    for i, g in enumerate(gt_ids):
-        for j, h in enumerate(hyp_ids):
-            track_g = gt_tracks[g]
-            track_h = hyp_tracks[h]
-            overlap[i, j] = sum(
-                1
-                for frame, box in track_g.items()
-                if frame in track_h and bbox_iou(box, track_h[frame]) >= iou_min
-            )
+    gt_row = {g: i for i, g in enumerate(sorted(set(gt_ids)))}
+    hyp_col = {h: j for j, h in enumerate(sorted(set(hyp_ids)))}
+    overlap = np.zeros((len(gt_row), len(hyp_col)))
+    for g, h in hits:
+        overlap[gt_row[g], hyp_col[h]] += 1
     idtp = sum(overlap[r, c] for r, c in hungarian(-overlap))
-    return 2.0 * idtp / (len_gt + len_hyp)
+    return 2.0 * idtp / (len(gt_ids) + len(hyp_ids))

@@ -184,23 +184,26 @@ class TrackerConfig:
             raise ConfigError(f"unknown propagator {self.propagator!r}")
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes; 0 for disjoint or touching.
+def box_corners(boxes) -> np.ndarray:
+    """Left, top, right, bottom of each box as an (n, 4) float array."""
+    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection-over-union of every pair of (n, 4) and (k, 4) corner rows
+    as an (n, k) array; 0 for disjoint or touching boxes.
 
     Areas are computed in corner space so the ratio stays in [0, 1] even when
     corner rounding at large coordinates makes w*h inconsistent.
     """
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0 or ih <= 0:
-        return 0.0
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
     inter = iw * ih
-    area_a = (a.right - a.left) * (a.bottom - a.top)
-    area_b = (b.right - b.left) * (b.bottom - b.top)
-    union = area_a + area_b - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    overlap = ~((iw <= 0) | (ih <= 0) | (union <= 0))
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
 def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, MotionFrame, Velocity, center_cells, inverse_velocity
+from .model import BBox, MotionFrame, Velocity, box_corners, center_cells, inverse_velocity
 
 # Per-cell motion statistics fed to the regressor: mean dx, mean dy, residual
 # energy, and the four finite-difference Jacobian entries of the MV field
@@ -45,10 +45,6 @@ class RegressorParams:
     @classmethod
     def zeros(cls, m: int) -> "RegressorParams":
         return cls(np.zeros((4 * m * m, F_IN)), np.zeros(4 * m * m), m)
-
-
-def _corners(boxes) -> np.ndarray:
-    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def _integral(stats: np.ndarray) -> np.ndarray:
@@ -103,7 +99,7 @@ def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
     so scale changes are invisible to it. A box covering no cell center
     stays where it is.
     """
-    A, e = pool(_integral(frame.mv), _corners(boxes), block, 1)
+    A, e = pool(_integral(frame.mv), box_corners(boxes), block, 1)
     return [
         BBox(b.x + float(dx), b.y + float(dy), b.w, b.h) if covered else b
         for b, (dx, dy), covered in zip(boxes, A[:, 0], e[:, 0])
@@ -218,7 +214,7 @@ def _design(batch, block: int, m: int):
     E = np.zeros((n, m * m))
     V = np.zeros((n, 4))
     for i, (frame, prev, nxt) in enumerate(batch):
-        (A[i],), (E[i],) = pool(_integral(encode_motion(frame)), _corners([prev]), block, m)
+        (A[i],), (E[i],) = pool(_integral(encode_motion(frame)), box_corners([prev]), block, m)
         v = inverse_velocity(prev, nxt)
         V[i] = (v.vx, v.vy, v.vw, v.vh)
     return A, E, V
@@ -257,7 +253,7 @@ class FieldReadout:
 
     def velocities(self, boxes, block: int) -> list:
         """One Velocity per box, in order."""
-        A, e = pool(self.S, _corners(boxes), block, self.m)
+        A, e = pool(self.S, box_corners(boxes), block, self.m)
         v_hat = np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
         return [Velocity(*row) for row in v_hat.tolist()]
 

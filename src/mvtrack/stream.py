@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, Detection, FeaturePatch, MotionFrame, center_cells
+from .model import BBox, Detection, FeaturePatch, MotionFrame, box_corners, center_cells
 
 
 class ScenarioFormatError(ValueError):
@@ -231,7 +231,7 @@ def generate_scenario(script: MotionScript, header: StreamHeader, seed: int) -> 
         residual = np.zeros((gw, gh))
         moving = [obj for obj in paint_order if obj.alive_at(t_prev) and obj.alive_at(t_cur)]
         prevs = [obj.box_at(t_prev) for obj in moving]
-        cells = center_cells([b.corners() for b in prevs], block, gw, gh)
+        cells = center_cells(box_corners(prevs), block, gw, gh)
         for obj, prev, (x0, y0, x1, y1) in zip(moving, prevs, cells):
             if x0 >= x1 or y0 >= y1:
                 continue
@@ -373,6 +373,8 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 
 def read_scenario(path) -> Scenario:
+    """Read a scenario file; a malformed file raises ScenarioFormatError, and
+    a bad seed or ground-truth record names its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     pos = 0
@@ -416,23 +418,30 @@ def read_scenario(path) -> Scenario:
         line = next_line()
         if line is None or not line.startswith("seed "):
             raise ScenarioFormatError("truncated file: incomplete seed table")
-        _, obj_id, value = line.split()
-        seeds[int(obj_id)] = int(value)
+        try:
+            _, obj_id, value = line.split()
+            seeds[int(obj_id)] = int(value)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {pos}: malformed seed record: {exc}") from exc
 
     gt = []
     for _ in range(n_gt):
         line = next_line()
         if line is None or not line.startswith("gt "):
             raise ScenarioFormatError("truncated file: incomplete ground-truth table")
-        parts = line.split()
-        gt.append(
-            GroundTruthEntry(
-                frame=int(parts[1]),
-                id=int(parts[2]),
-                bbox=BBox(float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])),
-                visible=parts[7] == "1",
-            )
-        )
+        try:
+            _, frame, obj_id, x, y, w, h, visible = line.split()
+            box = [float(x), float(y), float(w), float(h)]
+            if not all(map(math.isfinite, box)):
+                raise ValueError("non-finite number")
+            row = GroundTruthEntry(int(frame), int(obj_id), BBox(*box), visible == "1")
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {pos}: malformed ground-truth record: {exc}") from exc
+        if not 1 <= row.frame <= n_frames:
+            raise ScenarioFormatError(f"line {pos}: ground-truth frame {row.frame} outside 1..{n_frames}")
+        if row.id not in seeds:
+            raise ScenarioFormatError(f"line {pos}: ground-truth id {row.id} has no feature seed")
+        gt.append(row)
 
     gw, gh = header.grid
     frames = []
@@ -490,7 +499,10 @@ def write_motchallenge(rows, path) -> None:
 
 
 def read_motchallenge(path) -> list:
-    """Read MOTChallenge rows back as (frame, id, BBox, confidence)."""
+    """Read MOTChallenge rows back as (frame, id, BBox, confidence).
+
+    A malformed line, a non-finite number or a box without positive width
+    and height raises ValueError naming the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -503,9 +515,13 @@ def read_motchallenge(path) -> list:
             try:
                 frame = int(parts[0])
                 obj_id = int(parts[1])
-                left, top, w, h, conf = (float(v) for v in parts[2:7])
+                left, top, w, h, conf = values = [float(v) for v in parts[2:7]]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {lineno}: non-finite number in {line!r}")
+            if not (w > 0 and h > 0):
+                raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
             out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
     return out
 

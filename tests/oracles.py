@@ -15,15 +15,30 @@ against one detection patch at a time, normalizing both on every call. The
 package builds the whole objects x detections matrix at once, scoring all
 gallery entries against one detection per stacked product
 (`mvtrack.affinity.appearance_cost`); the tests require the two to agree.
+
+IoU: `bbox_iou` scores one pair of boxes with scalar arithmetic. The
+package scores all pairs of two corner arrays at once
+(`mvtrack.model.iou_matrix`); the tests require the two to agree bit for
+bit.
+
+Metrics: `clear_mot` and `idf1` index the rows their own way and score
+every box pair with `bbox_iou`, IDF1 one (gt track, hypothesis track) pair
+at a time. The package reads both from one per-frame IoU matrix
+(`mvtrack.metrics.frame_index`); the tests require equal scores.
+`exhaustive_idf1` checks IDF1's matching itself by trying every injective
+trajectory pairing.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
-from mvtrack.model import BBox, FeaturePatch, Velocity, bbox_iou, inverse_velocity
+from mvtrack.association import gated_assign, hungarian
+from mvtrack.metrics import MotScores
+from mvtrack.model import BBox, FeaturePatch, Velocity, inverse_velocity
 from mvtrack.motion import F_IN, RegressorParams, encode_motion, smooth_l1
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
@@ -155,3 +170,202 @@ def appearance_cost(params: AffinityHeadParams, gallery, f: FeaturePatch) -> flo
     if not gallery:
         raise ValueError("appearance cost is undefined for an empty gallery")
     return 1.0 - max(affinity(params, g, f) for g in gallery)
+
+
+def bbox_iou(a: BBox, b: BBox) -> float:
+    """Intersection-over-union of two boxes; 0 for disjoint or touching.
+
+    Areas are computed in corner space so the ratio stays in [0, 1] even when
+    corner rounding at large coordinates makes w*h inconsistent.
+    """
+    iw = min(a.right, b.right) - max(a.left, b.left)
+    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    area_a = (a.right - a.left) * (a.bottom - a.top)
+    area_b = (b.right - b.left) * (b.bottom - b.top)
+    union = area_a + area_b - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def _check_unique(rows, what: str) -> None:
+    seen = set()
+    for frame, obj_id in rows:
+        if (frame, obj_id) in seen:
+            raise ValueError(f"duplicate {what} id {obj_id} in frame {frame}")
+        seen.add((frame, obj_id))
+
+
+def _index_gt(gt):
+    by_frame = {}
+    for row in gt:
+        if row.visible:
+            by_frame.setdefault(row.frame, []).append((row.id, row.bbox))
+    _check_unique(((r.frame, r.id) for r in gt), "ground-truth")
+    return by_frame
+
+
+def _index_results(results):
+    by_frame = {}
+    for frame, obj_id, bbox in results:
+        by_frame.setdefault(frame, []).append((obj_id, bbox))
+    _check_unique(((frame, obj_id) for frame, obj_id, _ in results), "hypothesis")
+    return by_frame
+
+
+def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
+    """CLEAR-MOT scores for hypothesis rows (frame, id, BBox) against GT."""
+    gt_frames = _index_gt(gt)
+    hyp_frames = _index_results(results)
+    frames = sorted(set(gt_frames) | set(hyp_frames))
+
+    fp = fn = ids = tp = 0
+    iou_sum = 0.0
+    prev_pairs = {}  # gt id -> hyp id matched in the previous frame
+    last_match = {}  # gt id -> hyp id at its most recent match, any frame
+    gt_present = {}  # gt id -> number of visible frames
+    gt_matched = {}  # gt id -> number of matched frames
+    was_matched = {}  # gt id -> matched status at its previous visible frame
+    frag = {}
+
+    for frame in frames:
+        gts = gt_frames.get(frame, [])
+        hyps = hyp_frames.get(frame, [])
+        gt_ids = [g[0] for g in gts]
+        gt_boxes = {g[0]: g[1] for g in gts}
+        hyp_ids = [h[0] for h in hyps]
+        hyp_boxes = {h[0]: h[1] for h in hyps}
+
+        pairs = {}
+        # Keep surviving pairs from the previous frame first.
+        for g, h in prev_pairs.items():
+            if g in gt_boxes and h in hyp_boxes and bbox_iou(gt_boxes[g], hyp_boxes[h]) >= iou_min:
+                pairs[g] = h
+        free_gt = [g for g in gt_ids if g not in pairs]
+        used_hyp = set(pairs.values())
+        free_hyp = [h for h in hyp_ids if h not in used_hyp]
+        if free_gt and free_hyp:
+            cost = np.array(
+                [[1.0 - bbox_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
+            )
+            for r, c in gated_assign(cost, 1.0 - iou_min).matches:
+                pairs[free_gt[r]] = free_hyp[c]
+
+        tp += len(pairs)
+        fp += len(hyp_ids) - len(pairs)
+        fn += len(gt_ids) - len(pairs)
+        for g, h in pairs.items():
+            iou_sum += bbox_iou(gt_boxes[g], hyp_boxes[h])
+            if g in last_match and last_match[g] != h:
+                ids += 1
+            last_match[g] = h
+        for g in gt_ids:
+            gt_present[g] = gt_present.get(g, 0) + 1
+            matched = g in pairs
+            if matched:
+                gt_matched[g] = gt_matched.get(g, 0) + 1
+                if g in was_matched and not was_matched[g] and gt_matched[g] > 1:
+                    frag[g] = frag.get(g, 0) + 1
+            was_matched[g] = matched
+        prev_pairs = pairs
+
+    gt_total = sum(gt_present.values())
+    mota = 1.0 - (fp + fn + ids) / gt_total if gt_total else 1.0
+    moda = 1.0 - (fp + fn) / gt_total if gt_total else 1.0
+    motp = iou_sum / tp if tp else 0.0
+    rcll = tp / gt_total if gt_total else 0.0
+    prcn = tp / (tp + fp) if tp + fp else 0.0
+    mt = ml = 0
+    for g, present in gt_present.items():
+        ratio = gt_matched.get(g, 0) / present
+        if ratio >= 0.8:
+            mt += 1
+        if ratio <= 0.2:
+            ml += 1
+    return MotScores(
+        mota=mota,
+        motp=motp,
+        fp=fp,
+        fn=fn,
+        ids=ids,
+        frag=sum(frag.values()),
+        mt=mt,
+        ml=ml,
+        rcll=rcll,
+        prcn=prcn,
+        moda=moda,
+        gt_total=gt_total,
+        tp=tp,
+    )
+
+
+def idf1(gt, results, iou_min: float = 0.5) -> float:
+    """Identity F1: the best one-to-one trajectory pairing's frame agreement.
+
+    For each (gt track, hypothesis track) pair the overlap count is the
+    number of frames where both exist and their boxes reach iou_min; a
+    maximum-overlap bipartite matching gives IDTP, and
+    IDF1 = 2*IDTP / (gt frames + hypothesis frames).
+    """
+    gt_tracks = {}
+    for row in gt:
+        if row.visible:
+            gt_tracks.setdefault(row.id, {})[row.frame] = row.bbox
+    hyp_tracks = {}
+    for frame, obj_id, bbox in results:
+        hyp_tracks.setdefault(obj_id, {})[frame] = bbox
+
+    len_gt = sum(len(t) for t in gt_tracks.values())
+    len_hyp = sum(len(t) for t in hyp_tracks.values())
+    if len_gt + len_hyp == 0:
+        return 1.0
+    if not gt_tracks or not hyp_tracks:
+        return 0.0
+
+    gt_ids = sorted(gt_tracks)
+    hyp_ids = sorted(hyp_tracks)
+    overlap = np.zeros((len(gt_ids), len(hyp_ids)))
+    for i, g in enumerate(gt_ids):
+        for j, h in enumerate(hyp_ids):
+            track_g = gt_tracks[g]
+            track_h = hyp_tracks[h]
+            overlap[i, j] = sum(
+                1
+                for frame, box in track_g.items()
+                if frame in track_h and bbox_iou(box, track_h[frame]) >= iou_min
+            )
+    idtp = sum(overlap[r, c] for r, c in hungarian(-overlap))
+    return 2.0 * idtp / (len_gt + len_hyp)
+
+
+def exhaustive_idf1(gt, results, iou_min=0.5):
+    """Try every injective trajectory pairing, keep the best IDTP."""
+    gt_tracks = {}
+    for r in gt:
+        if r.visible:
+            gt_tracks.setdefault(r.id, {})[r.frame] = r.bbox
+    hyp_tracks = {}
+    for frame, obj_id, bbox in results:
+        hyp_tracks.setdefault(obj_id, {})[frame] = bbox
+    len_gt = sum(len(t) for t in gt_tracks.values())
+    len_hyp = sum(len(t) for t in hyp_tracks.values())
+    if len_gt + len_hyp == 0:
+        return 1.0
+    if not gt_tracks or not hyp_tracks:
+        return 0.0
+    g_ids = sorted(gt_tracks)
+    h_ids = sorted(hyp_tracks)
+
+    def overlap(g, h):
+        tg, th = gt_tracks[g], hyp_tracks[h]
+        return sum(1 for f, b in tg.items() if f in th and bbox_iou(b, th[f]) >= iou_min)
+
+    best = 0
+    for size in range(min(len(g_ids), len(h_ids)) + 1):
+        for gsub in itertools.permutations(g_ids, size):
+            for hsub in itertools.combinations(h_ids, size):
+                best = max(best, sum(overlap(g, h) for g, h in zip(gsub, hsub)))
+    return 2.0 * best / (len_gt + len_hyp)

@@ -13,7 +13,7 @@ from mvtrack.affinity import normalize_channels
 from mvtrack.association import hungarian
 from mvtrack.engine import OracleDetector, TrackerModels, speedup_model, track
 from mvtrack.metrics import clear_mot, idf1
-from mvtrack.model import BBox, MotionFrame, TrackerConfig, bbox_iou, inverse_velocity, predict_bbox
+from mvtrack.model import BBox, MotionFrame, TrackerConfig, inverse_velocity, predict_bbox
 from mvtrack.motion import (
     F_IN,
     FitHyper,
@@ -31,7 +31,8 @@ from mvtrack.stream import (
     generate_scenario,
     write_motchallenge,
 )
-from oracles import ps_maps, regressor_loss
+import oracles
+from oracles import bbox_iou, exhaustive_idf1, ps_maps, regressor_loss
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -302,41 +303,12 @@ def brute_force_min_cost(cost):
     return best
 
 
-def exhaustive_idf1(gt, results, iou_min=0.5):
-    gt_tracks = {}
-    for r in gt:
-        if r.visible:
-            gt_tracks.setdefault(r.id, {})[r.frame] = r.bbox
-    hyp_tracks = {}
-    for frame, obj_id, bbox in results:
-        hyp_tracks.setdefault(obj_id, {})[frame] = bbox
-    len_gt = sum(len(t) for t in gt_tracks.values())
-    len_hyp = sum(len(t) for t in hyp_tracks.values())
-    if len_gt + len_hyp == 0:
-        return 1.0
-    if not gt_tracks or not hyp_tracks:
-        return 0.0
-    g_ids = sorted(gt_tracks)
-    h_ids = sorted(hyp_tracks)
-
-    def overlap(g, h):
-        tg, th = gt_tracks[g], hyp_tracks[h]
-        return sum(1 for f, b in tg.items() if f in th and bbox_iou(b, th[f]) >= iou_min)
-
-    best = 0
-    for size in range(min(len(g_ids), len(h_ids)) + 1):
-        for gsub in itertools.permutations(g_ids, size):
-            for hsub in itertools.combinations(h_ids, size):
-                best = max(best, sum(overlap(g, h) for g, h in zip(gsub, hsub)))
-    return 2.0 * best / (len_gt + len_hyp)
-
-
-def test_criterion_5_oracle_equivalences():
+def test_criterion_5_oracle_equivalences(head7):
     with reported(5):
-        _run_criterion_5()
+        _run_criterion_5(head7)
 
 
-def _run_criterion_5():
+def _run_criterion_5(head7):
     rng = np.random.default_rng(77)
     # Hungarian vs exhaustive search, 100 random matrices up to 7x7
     for _ in range(100):
@@ -365,6 +337,22 @@ def _run_criterion_5():
                     seen.add((r.frame, 100 + h))
                     results.append((r.frame, 100 + h, BBox(r.bbox.x + float(rng.uniform(-3, 3)), 50, 20, 20)))
         assert idf1(gt, results) == pytest.approx(exhaustive_idf1(gt, results), abs=1e-12)
+
+    # CLEAR-MOT and IDF1 vs the per-pair loops on tracked crossing scenarios,
+    # with misses and clutter, two-step at K=3 and IoU-only at K=1
+    header = StreamHeader(width=640, height=360, block=16, gop=12)
+    models = TrackerModels(affinity=head7)
+    det_cfg = DetectorConfig(noise_center=0.03, noise_size=0.02, miss_rate=0.1, fp_rate=0.5, feature_noise=0.1, rng_seed=5)
+    configs = (
+        TrackerConfig(K=3, propagator="bboxavg"),
+        TrackerConfig(K=1, propagator="bboxavg", association_mode="onestep", alpha=1.0),
+    )
+    for seed in range(4):
+        sc = crossing_scenario(1000 + seed, header)
+        for cfg in configs:
+            rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, models)
+            assert clear_mot(sc.gt, rows) == oracles.clear_mot(sc.gt, rows)
+            assert idf1(sc.gt, rows) == oracles.idf1(sc.gt, rows)
 
     # PS map value multisets vs double-loop brute force
     for _ in range(5):
@@ -403,7 +391,7 @@ def _run_criterion_5():
             if abs(fd) > 1e-8:
                 worst = max(worst, abs(dW[i, j] - fd) / max(abs(fd), abs(dW[i, j])))
     assert worst < 1e-5
-    report(5, True, f"Hungarian, IDF1, PS-map, and gradient oracles all agree (worst gradient rel err {worst:.2e})")
+    report(5, True, f"Hungarian, IDF1, metric-loop, PS-map, and gradient oracles all agree (worst gradient rel err {worst:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mvtrack.association import (
     gated_assign,
     hungarian,
     _appearance_matrix,
-    _iou_matrix,
+    _iou_cost,
 )
 from mvtrack.model import BBox, Detection, LifecycleState, TrackedObject, TrackerConfig
 from oracles import appearance_cost, iou_cost
@@ -157,7 +157,7 @@ def test_matrix_helpers_agree_with_costs(head):
         Detection(BBox(52, 51, 20, 20), 0.97, make_patch(bases[0])),
         Detection(BBox(150, 150, 20, 20), 0.97, make_patch()),
     ]
-    iou_m = _iou_matrix(objects, detections)
+    iou_m = _iou_cost(objects, detections)
     app_m = _appearance_matrix(head, objects, detections)
     for i, obj in enumerate(objects):
         for j, det in enumerate(detections):
@@ -240,7 +240,7 @@ def test_one_step_alpha_one_is_gated_iou(head):
         Detection(BBox(91, 50, 20, 20), 0.96, make_patch()),
     ]
     res = associate_one_step(objects, detections, head, 1.0, CFG)
-    expected = gated_assign(_iou_matrix(objects, detections), CFG.tau_iou)
+    expected = gated_assign(_iou_cost(objects, detections), CFG.tau_iou)
     assert sorted(res.matches) == sorted(expected.matches)
 
 

@@ -1,11 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtrack.metrics import clear_mot, idf1
 from mvtrack.model import BBox
 from mvtrack.stream import GroundTruthEntry, MotionScript, ObjectScript, StreamHeader, generate_scenario
+import oracles
+from oracles import exhaustive_idf1
 
 
 def gt_row(frame, obj_id, x=50.0, y=50.0, w=20.0, h=20.0, visible=True):
@@ -22,40 +23,6 @@ def track_gt(obj_id, frames, x0=50.0, vx=0.0, y=50.0):
 
 def as_results(gt):
     return [(r.frame, r.id, r.bbox) for r in gt if r.visible]
-
-
-def exhaustive_idf1(gt, results, iou_min=0.5):
-    """Oracle: try every injective trajectory pairing, keep the best IDTP."""
-    from mvtrack.model import bbox_iou
-
-    gt_tracks = {}
-    for r in gt:
-        if r.visible:
-            gt_tracks.setdefault(r.id, {})[r.frame] = r.bbox
-    hyp_tracks = {}
-    for frame, obj_id, bbox in results:
-        hyp_tracks.setdefault(obj_id, {})[frame] = bbox
-    len_gt = sum(len(t) for t in gt_tracks.values())
-    len_hyp = sum(len(t) for t in hyp_tracks.values())
-    if len_gt + len_hyp == 0:
-        return 1.0
-    if not gt_tracks or not hyp_tracks:
-        return 0.0
-    g_ids = sorted(gt_tracks)
-    h_ids = sorted(hyp_tracks)
-
-    def overlap(g, h):
-        tg, th = gt_tracks[g], hyp_tracks[h]
-        return sum(1 for f, b in tg.items() if f in th and bbox_iou(b, th[f]) >= iou_min)
-
-    best = 0
-    k = min(len(g_ids), len(h_ids))
-    for size in range(k + 1):
-        for gsub in itertools.permutations(g_ids, size):
-            for hsub in itertools.combinations(h_ids, size):
-                total = sum(overlap(g, h) for g, h in zip(gsub, hsub))
-                best = max(best, total)
-    return 2.0 * best / (len_gt + len_hyp)
 
 
 def test_perfect_tracker():
@@ -153,6 +120,47 @@ def test_duplicate_ids_rejected():
         clear_mot(gt, [])
     with pytest.raises(ValueError):
         clear_mot([gt_row(1, 1)], [result_row(1, 2), result_row(1, 2, x=80.0)])
+    with pytest.raises(ValueError, match="duplicate ground-truth id 1 in frame 1"):
+        idf1(gt, [])
+    with pytest.raises(ValueError, match="duplicate hypothesis id 2 in frame 1"):
+        idf1([gt_row(1, 1)], [result_row(1, 2), result_row(1, 2, x=80.0)])
+
+
+@st.composite
+def scripts(draw):
+    """Ground-truth and hypothesis rows on a 5-pixel lattice of 20-pixel
+    boxes, so IoUs tie exactly, also with the threshold (0.6 and 1/3 for a
+    shift of 5 and 10): hypotheses that follow a gt track, invisible gt
+    rows, empty frames, a trailing hypothesis-only frame, rows in any order."""
+    n_frames = draw(st.integers(1, 8))
+    lattice = st.integers(0, 3).map(lambda k: 40.0 + 5.0 * k)
+    gt = []
+    for g in range(1, draw(st.integers(0, 4)) + 1):
+        for t in range(1, n_frames + 1):
+            if draw(st.booleans()):
+                visible = draw(st.sampled_from([True, True, False]))
+                gt.append(gt_row(t, g, x=draw(lattice), y=draw(lattice), visible=visible))
+    boxes = {(r.frame, r.id): r.bbox for r in gt}
+    shift = st.sampled_from([0.0, 0.0, 5.0, -5.0, 10.0])
+    results = []
+    for h in range(1, draw(st.integers(0, 4)) + 1):
+        source = draw(st.integers(1, 4))  # the gt track this hypothesis follows, where it exists
+        for t in range(1, n_frames + 2):
+            if draw(st.booleans()):
+                b = boxes.get((t, source))
+                if b is None:
+                    results.append(result_row(t, 100 + h, x=draw(lattice), y=draw(lattice)))
+                else:
+                    results.append(result_row(t, 100 + h, x=b.x + draw(shift), y=b.y))
+    return draw(st.permutations(gt)), draw(st.permutations(results))
+
+
+@settings(max_examples=300)
+@given(scripts(), st.sampled_from([0.5, 0.6, 1 / 3]))
+def test_metrics_equal_loop_oracles(script, iou_min):
+    gt, results = script
+    assert clear_mot(gt, results, iou_min) == oracles.clear_mot(gt, results, iou_min)
+    assert idf1(gt, results, iou_min) == oracles.idf1(gt, results, iou_min)
 
 
 def test_relabeling_invariance():

@@ -9,16 +9,23 @@ from mvtrack.model import (
     MotionFrame,
     TrackerConfig,
     Velocity,
-    bbox_iou,
+    box_corners,
     inverse_velocity,
+    iou_matrix,
     predict_bbox,
 )
+from oracles import bbox_iou
 
 
 def boxes(min_size=0.1, max_size=500.0):
     coord = st.floats(-1e4, 1e4, allow_nan=False)
     size = st.floats(min_size, max_size, allow_nan=False)
     return st.builds(BBox, coord, coord, size, size)
+
+
+def iou(a, b):
+    """IoU of one pair of boxes through the (n, k) matrix."""
+    return float(iou_matrix(box_corners([a]), box_corners([b]))[0, 0])
 
 
 def test_bbox_rejects_degenerate_sizes():
@@ -35,33 +42,71 @@ def test_corner_round_trip_exact():
 
 def test_iou_identical_boxes():
     b = BBox(10, 10, 10, 10)
-    assert bbox_iou(b, b) == 1.0
+    assert iou(b, b) == 1.0
 
 
 def test_iou_disjoint():
-    assert bbox_iou(BBox(0, 0, 4, 4), BBox(100, 100, 4, 4)) == 0.0
+    assert iou(BBox(0, 0, 4, 4), BBox(100, 100, 4, 4)) == 0.0
 
 
 def test_iou_hand_case():
     # overlap 5x10 = 50, union 100 + 100 - 50 = 150
-    assert bbox_iou(BBox(10, 10, 10, 10), BBox(15, 10, 10, 10)) == pytest.approx(1 / 3)
+    assert iou(BBox(10, 10, 10, 10), BBox(15, 10, 10, 10)) == pytest.approx(1 / 3)
 
 
 def test_iou_touching_boxes_is_zero():
-    assert bbox_iou(BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)) == 0.0
+    assert iou(BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)) == 0.0
 
 
 @given(boxes(), boxes())
 def test_iou_symmetric_and_bounded(a, b):
-    v = bbox_iou(a, b)
+    v = iou(a, b)
     assert 0.0 <= v <= 1.0
-    assert v == bbox_iou(b, a)
+    assert v == iou(b, a)
 
 
 @given(boxes(), boxes(), st.floats(-100, 100), st.floats(-100, 100))
 def test_iou_translation_invariant(a, b, dx, dy):
-    shifted = bbox_iou(BBox(a.x + dx, a.y + dy, a.w, a.h), BBox(b.x + dx, b.y + dy, b.w, b.h))
-    assert shifted == pytest.approx(bbox_iou(a, b), abs=1e-9)
+    shifted = iou(BBox(a.x + dx, a.y + dy, a.w, a.h), BBox(b.x + dx, b.y + dy, b.w, b.h))
+    assert shifted == pytest.approx(iou(a, b), abs=1e-9)
+
+
+@st.composite
+def related_boxes(draw):
+    """Boxes around one offset (0 or near 1e8), each free, copied from an
+    earlier box, touching its right or bottom edge, or nested inside it."""
+    offset = draw(st.sampled_from([0.0, 1e8 - 512.0, 1e8]))
+    coord = st.floats(-1e3, 1e3)
+    size = st.one_of(st.just(1e-9), st.floats(1e-9, 500.0))  # 1e-9 has no width near 1e8
+    out = [BBox(offset + draw(coord), offset + draw(coord), 1.0 + draw(size), 1.0 + draw(size))]
+    for _ in range(draw(st.integers(0, 5))):
+        p = draw(st.sampled_from(out))
+        kind = draw(st.sampled_from(["free", "copy", "right", "below", "nested"]))
+        if kind == "free":  # corners may coincide near 1e8: a zero-area box
+            out.append(BBox(offset + draw(coord), offset + draw(coord), draw(size), draw(size)))
+            continue
+        if kind == "copy":
+            corners = p.corners()
+        elif kind == "right":
+            corners = (p.right, p.top + draw(coord), p.right + draw(size), p.bottom + draw(size))
+        elif kind == "below":
+            corners = (p.left + draw(coord), p.bottom, p.right + draw(size), p.bottom + draw(size))
+        else:
+            f = draw(st.floats(1e-3, 1.0))
+            corners = (p.x - p.w * f / 2, p.y - p.h * f / 2, p.x + p.w * f / 2, p.y + p.h * f / 2)
+        left, top, right, bottom = corners
+        if right > left and bottom > top:  # tiny sizes can round away near 1e8
+            out.append(BBox.from_corners(left, top, right, bottom))
+    return out
+
+
+@given(related_boxes(), st.data())
+def test_iou_matrix_equals_scalar_oracle_bit_for_bit(boxes, data):
+    others = data.draw(st.permutations(boxes))[: data.draw(st.integers(0, len(boxes)))]
+    got = iou_matrix(box_corners(boxes), box_corners(others))
+    want = np.array([[bbox_iou(a, b) for b in others] for a in boxes]).reshape(len(boxes), len(others))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_predict_zero_velocity_is_identity():

@@ -218,6 +218,28 @@ def test_truncated_file_names_last_complete_frame(tmp_path):
         read_scenario(tmp_path / "cut.txt")
 
 
+@pytest.mark.parametrize(
+    "lineno, record, message",
+    [
+        (5, "gt 1 1 96.0 64.0 32.0", "line 5: malformed ground-truth record"),
+        (4, "seed 1", "line 4: malformed seed record"),
+        (6, "gt 2 1 96.0 64.0 0.0 32.0 1", "line 6: malformed ground-truth record: box size must be positive"),
+        (6, "gt 2 1 nan 64.0 32.0 32.0 1", "line 6: malformed ground-truth record: non-finite number"),
+        (7, "gt 99 1 96.0 64.0 32.0 32.0 1", "line 7: ground-truth frame 99 outside 1..12"),
+        (8, "gt 4 7 96.0 64.0 32.0 32.0 1", "line 8: ground-truth id 7 has no feature seed"),
+    ],
+)
+def test_bad_seed_or_gt_record_names_line(tmp_path, lineno, record, message):
+    p = tmp_path / "s.txt"
+    write_scenario(generate_scenario(one_object(), HEADER, seed=4), p)
+    lines = p.read_text().splitlines()
+    assert lines[lineno - 1].split()[0] == record.split()[0]
+    lines[lineno - 1] = record
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioFormatError, match=message):
+        read_scenario(tmp_path / "bad.txt")
+
+
 def test_gop_rule_enforced_on_read(tmp_path):
     sc = generate_scenario(one_object(frames=13), HEADER, seed=4)
     p = tmp_path / "s.txt"
@@ -293,6 +315,22 @@ def test_motchallenge_malformed_line_number(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1,1,8.00,6.00,4.00,8.00,1.00,-1,-1,-1\n1,2,oops\n")
     with pytest.raises(ValueError, match="line 2"):
+        read_motchallenge(p)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2,nan,6.00,4.00,8.00,1.00,-1,-1,-1", "line 2: non-finite"),
+        ("1,2,8.00,6.00,inf,8.00,1.00,-1,-1,-1", "line 2: non-finite"),
+        ("1,2,8.00,6.00,0.00,8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
+        ("1,2,8.00,6.00,4.00,-8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
+    ],
+)
+def test_motchallenge_rejects_bad_numbers(tmp_path, row, message):
+    p = tmp_path / "bad.txt"
+    p.write_text("1,1,8.00,6.00,4.00,8.00,1.00,-1,-1,-1\n" + row + "\n")
+    with pytest.raises(ValueError, match=message):
         read_motchallenge(p)
 
 
