@@ -11,7 +11,7 @@ import numpy as np
 from .affinity import AffinityHeadParams
 from .engine import TrackerModels
 from .motion import F_IN, RegressorParams
-from .stream import _fmt
+from .stream import _fields, _fmt
 
 
 def write_models(models: TrackerModels, path) -> None:
@@ -30,37 +30,50 @@ def write_models(models: TrackerModels, path) -> None:
 
 
 def read_models(path) -> TrackerModels:
+    """Read a model file; a malformed record raises ValueError naming its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
+
+    def fail(pos, why) -> ValueError:
+        return ValueError(f"line {pos + 1}: malformed model file: {why}")
+
+    def record(pos, tag, n, parse=float) -> list:
+        """The n fields of the `tag` record on line pos + 1, read by `parse`."""
+        try:
+            return [parse(v) for v in _fields(lines, pos, tag, n)]
+        except ValueError as exc:
+            raise fail(pos, exc) from None
+
     if not lines or lines[0] != "mvmodels 1":
-        raise ValueError("malformed model file: missing 'mvmodels 1' magic")
+        raise fail(0, "missing 'mvmodels 1' magic")
     models = TrackerModels()
     pos = 1
     while pos < len(lines):
-        line = lines[pos]
-        if line.startswith("regressor "):
-            _, m_s, fin_s = line.split()
-            m, fin = int(m_s), int(fin_s)
+        tag = lines[pos].split()[0] if lines[pos].strip() else None
+        start = pos
+        if tag == "regressor":
+            m, fin = record(pos, tag, 2, int)
+            if m < 1:
+                raise fail(pos, f"regressor bins must be >= 1, got {m}")
             if fin != F_IN:
-                raise ValueError(f"model file expects {fin} input statistics, this build uses {F_IN}")
-            rows = []
+                raise fail(pos, f"model file expects {fin} input statistics, this build uses {F_IN}")
+            n = 4 * m * m
+            W = [record(pos + 1 + r, "w", F_IN) for r in range(n)]
+            bias = record(pos + 1 + n, "b", n)
+            pos += n + 2
+            try:
+                models.regressor = RegressorParams(np.array(W), np.array(bias), m)
+            except ValueError as exc:
+                raise fail(start, exc) from None
+        elif tag == "affinity":
+            mode, w, b = record(pos, tag, 3, str)
             pos += 1
-            for _ in range(4 * m * m):
-                if pos >= len(lines) or not lines[pos].startswith("w "):
-                    raise ValueError("malformed model file: truncated regressor weights")
-                rows.append([float(v) for v in lines[pos].split()[1:]])
-                pos += 1
-            if pos >= len(lines) or not lines[pos].startswith("b "):
-                raise ValueError("malformed model file: missing regressor bias")
-            bias = np.array([float(v) for v in lines[pos].split()[1:]])
-            pos += 1
-            models.regressor = RegressorParams(np.array(rows), bias, m)
-        elif line.startswith("affinity "):
-            _, mode, w_s, b_s = line.split()
-            models.affinity = AffinityHeadParams(float(w_s), float(b_s), mode)
-            pos += 1
-        elif not line.strip():
+            try:
+                models.affinity = AffinityHeadParams(float(w), float(b), mode)
+            except ValueError as exc:
+                raise fail(start, exc) from None
+        elif tag is None:
             pos += 1
         else:
-            raise ValueError(f"malformed model file: unexpected record {line.split()[0]!r}")
+            raise fail(pos, f"unexpected record {tag!r}")
     return models

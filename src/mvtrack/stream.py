@@ -11,11 +11,19 @@ center (the latest-entering object wins ties), foreground blocks carry the
 object's integer-rounded displacement, background blocks carry the global
 camera displacement. Blocks of an occluded object carry background motion
 plus an elevated residual, so occlusion genuinely interrupts propagation.
+
+The container is line-delimited text. `read_scenario` walks the header and
+frame records in Python but parses the ground-truth, motion-vector and
+residual records each as one numpy table (`_load_table`, one np.loadtxt
+call), as `read_motchallenge` does for result files; a malformed record
+raises an error naming its line. The per-token readers they reproduce bit
+for bit live in `tests/oracles.py`.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,8 @@ class StreamHeader:
             raise ValueError("block size must be >= 1")
         if self.gop < 1:
             raise ValueError("gop must be >= 1")
+        if not 0 < self.fps < math.inf:
+            raise ValueError("fps must be positive and finite")
         if self.feature_bins < 1 or self.feature_channels < 1:
             raise ValueError("feature shape must be positive")
 
@@ -154,7 +164,7 @@ def load_script(path) -> MotionScript:
 def script_from_dict(data: dict) -> MotionScript:
     try:
         frames = int(data["frames"])
-        camera = tuple(int(v) for v in data.get("camera", (0, 0)))
+        camera = tuple(map(int, data.get("camera", (0, 0))))
         objects = []
         for entry in data["objects"]:
             objects.append(
@@ -372,111 +382,177 @@ def write_scenario(scenario: Scenario, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _fields(lines, pos: int, tag: str, n: int) -> list:
+    """The n whitespace-separated fields of the `tag` record on lines[pos]."""
+    parts = lines[pos].split() if pos < len(lines) else []
+    if not parts or parts[0] != tag:
+        raise ValueError(f"missing {tag!r} record")
+    if len(parts) != n + 1:
+        raise ValueError(f"{tag!r} record has {len(parts) - 1} fields, expected {n}")
+    return parts[1:]
+
+
+def _load_table(lines, rows, dtype, check, what: str, skip: int = 0, ndmin: int = 1, **layout) -> np.ndarray:
+    """Parse lines[i][skip:] for i in rows as one numpy table, with a single
+    np.loadtxt call; `layout` passes its delimiter and usecols.
+
+    `check(table)` raises ValueError for a bad row. When the bulk parse fails
+    (a token that does not convert, rows of differing width, a blank row,
+    which loadtxt would skip, or a failed check), the rows are parsed one at
+    a time by the same call, and the ValueError names the first bad line."""
+    if not rows:
+        return np.empty((0,) * ndmin, dtype)
+
+    def load(texts):
+        return np.loadtxt(texts, dtype=dtype, comments=None, ndmin=ndmin, **layout)
+
+    try:
+        table = load(lines[i][skip:] for i in rows)
+        if len(table) == len(rows):
+            check(table)
+            return table
+    except ValueError:
+        pass
+    for i in rows:
+        text = lines[i][skip:]
+        if not text.strip():
+            raise ValueError(f"line {i + 1}: malformed {what}: no values")
+        try:
+            row = load([text])
+        except ValueError as exc:  # drop numpy's row number, which counts from this one row
+            raise ValueError(f"line {i + 1}: malformed {what}: {re.sub(r' at row [0-9]+|;.*', '', str(exc))}") from None
+        try:
+            check(row)
+        except ValueError as exc:
+            raise ValueError(f"line {i + 1}: {exc}") from None
+    raise ValueError(f"lines {rows[0] + 1}..{rows[-1] + 1}: malformed {what}s")
+
+
+_GT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)), ("visible", np.int64)])
+
+
 def read_scenario(path) -> Scenario:
-    """Read a scenario file; a malformed file raises ScenarioFormatError, and
-    a bad seed or ground-truth record names its line."""
+    """Read a scenario file. The gt, mv and res records are each parsed as one
+    numpy table; a malformed file raises ScenarioFormatError naming the bad
+    line, or for a truncated file its last complete frame."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    pos = 0
 
-    def next_line():
-        nonlocal pos
-        if pos >= len(lines):
-            return None
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if next_line() != "mvscene 1":
-        raise ScenarioFormatError("malformed header: missing 'mvscene 1' magic")
-    head = next_line()
-    if head is None or not head.startswith("header "):
-        raise ScenarioFormatError("malformed header: missing 'header' record")
+    if not lines or lines[0] != "mvscene 1":
+        raise ScenarioFormatError("line 1: malformed header: missing 'mvscene 1' magic")
     try:
-        parts = head.split()
-        header = StreamHeader(
-            width=int(parts[1]),
-            height=int(parts[2]),
-            block=int(parts[3]),
-            gop=int(parts[4]),
-            fps=float(parts[5]),
-            feature_channels=int(parts[6]),
-            feature_bins=int(parts[7]),
-        )
-    except (IndexError, ValueError) as exc:
-        raise ScenarioFormatError(f"malformed header: {exc}") from exc
-    counts = next_line()
-    if counts is None or not counts.startswith("counts "):
-        raise ScenarioFormatError("malformed header: missing 'counts' record")
+        width, height, block, gop, fps, channels, bins = _fields(lines, 1, "header", 7)
+        header = StreamHeader(int(width), int(height), int(block), int(gop), float(fps), int(channels), int(bins))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"line 2: malformed header: {exc}") from exc
     try:
-        n_frames, n_seeds, n_gt = (int(v) for v in counts.split()[1:4])
-    except (IndexError, ValueError) as exc:
-        raise ScenarioFormatError(f"malformed header: {exc}") from exc
+        n_frames, n_seeds, n_gt = map(int, _fields(lines, 2, "counts", 3))
+        if min(n_frames, n_seeds, n_gt) < 0:
+            raise ValueError("negative count")
+    except ValueError as exc:
+        raise ScenarioFormatError(f"line 3: malformed header: {exc}") from exc
 
     seeds = {}
-    for _ in range(n_seeds):
-        line = next_line()
-        if line is None or not line.startswith("seed "):
+    for pos in range(3, 3 + n_seeds):
+        if pos >= len(lines):
             raise ScenarioFormatError("truncated file: incomplete seed table")
         try:
-            _, obj_id, value = line.split()
-            seeds[int(obj_id)] = int(value)
+            obj_id, value = map(int, _fields(lines, pos, "seed", 2))
+            if obj_id in seeds:
+                raise ValueError(f"duplicate id {obj_id}")
+            if value < 0:
+                raise ValueError(f"negative seed {value}")
         except ValueError as exc:
-            raise ScenarioFormatError(f"line {pos}: malformed seed record: {exc}") from exc
+            raise ScenarioFormatError(f"line {pos + 1}: malformed seed record: {exc}") from exc
+        seeds[obj_id] = value
 
-    gt = []
-    for _ in range(n_gt):
-        line = next_line()
-        if line is None or not line.startswith("gt "):
-            raise ScenarioFormatError("truncated file: incomplete ground-truth table")
-        try:
-            _, frame, obj_id, x, y, w, h, visible = line.split()
-            box = [float(x), float(y), float(w), float(h)]
-            if not all(map(math.isfinite, box)):
-                raise ValueError("non-finite number")
-            row = GroundTruthEntry(int(frame), int(obj_id), BBox(*box), visible == "1")
-        except ValueError as exc:
-            raise ScenarioFormatError(f"line {pos}: malformed ground-truth record: {exc}") from exc
-        if not 1 <= row.frame <= n_frames:
-            raise ScenarioFormatError(f"line {pos}: ground-truth frame {row.frame} outside 1..{n_frames}")
-        if row.id not in seeds:
-            raise ScenarioFormatError(f"line {pos}: ground-truth id {row.id} has no feature seed")
-        gt.append(row)
+    gt_rows = range(3 + n_seeds, 3 + n_seeds + n_gt)
+    if gt_rows.stop > len(lines):
+        raise ScenarioFormatError("truncated file: incomplete ground-truth table")
+    for i in gt_rows:
+        if not lines[i].startswith("gt "):
+            raise ScenarioFormatError(f"line {i + 1}: expected a ground-truth record, got {lines[i][:40]!r}")
 
+    # One pass over the frame records; the mv and res lines are only located.
     gw, gh = header.grid
-    frames = []
+    mv_rows = []
+    pos = gt_rows.stop
     last_complete = None
-    for _ in range(n_frames):
-        line = next_line()
-        if line is None:
+    for idx in range(n_frames):
+        if pos >= len(lines):
             raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
-        if not line.startswith("frame "):
-            raise ScenarioFormatError(f"expected frame record after frame {last_complete}, got {line!r}")
-        _, idx_s, kind = line.split()
-        idx = int(idx_s)
-        expected = len(frames)
-        if idx != expected:
-            raise ScenarioFormatError(f"non-monotone frame index: expected {expected}, got {idx}")
-        is_intra = idx % header.gop == 0
-        if is_intra and kind != "I":
-            raise ScenarioFormatError(f"frame {idx}: must be I under gop={header.gop}, got {kind}")
-        if not is_intra and kind != "P":
-            raise ScenarioFormatError(f"frame {idx}: must be P under gop={header.gop}, got {kind}")
-        if kind == "I":
-            frames.append(MotionFrame.intra(idx, gw, gh))
-        else:
-            mv_line = next_line()
-            res_line = next_line()
-            if mv_line is None or res_line is None or not mv_line.startswith("mv ") or not res_line.startswith("res "):
+        try:
+            got, kind = _fields(lines, pos, "frame", 2)
+            got = int(got)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {pos + 1}: malformed frame record: {exc}") from exc
+        if got != idx:
+            raise ScenarioFormatError(f"line {pos + 1}: non-monotone frame index: expected {idx}, got {got}")
+        want = "I" if idx % header.gop == 0 else "P"
+        if kind != want:
+            raise ScenarioFormatError(f"line {pos + 1}: frame {idx}: must be {want} under gop={header.gop}, got {kind}")
+        if kind == "P":
+            if pos + 2 >= len(lines):
                 raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
-            mv_vals = np.array([int(v) for v in mv_line.split()[1:]], dtype=np.int32)
-            res_vals = np.array([float(v) for v in res_line.split()[1:]])
-            if mv_vals.size != 2 * gw * gh or res_vals.size != gw * gh:
-                raise ScenarioFormatError(f"frame {idx}: grid size mismatch (header grid {gw}x{gh})")
-            frames.append(MotionFrame(idx, "P", mv_vals.reshape(2, gw, gh), res_vals.reshape(gw, gh)))
+            for i, tag in ((pos + 1, "mv "), (pos + 2, "res ")):
+                if not lines[i].startswith(tag):
+                    raise ScenarioFormatError(f"line {i + 1}: frame {idx}: expected {tag}record, got {lines[i][:40]!r}")
+            mv_rows.append(pos + 1)
+            pos += 2
+        pos += 1
         last_complete = idx
-    if next_line() != "end":
+    if pos >= len(lines):
         raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
+    if lines[pos] != "end":
+        raise ScenarioFormatError(f"line {pos + 1}: expected 'end' after frame {last_complete}, got {lines[pos][:40]!r}")
+
+    known_ids = np.array(list(seeds), dtype=np.int64)
+
+    def check_gt(t):
+        box, frame, ids, visible = t["box"], t["frame"], t["id"], t["visible"]
+        if not np.isfinite(box).all():
+            raise ValueError("malformed ground-truth record: non-finite number")
+        bad = ~((box[:, 2] > 0) & (box[:, 3] > 0))
+        if bad.any():
+            w, h = box[bad][0, 2:]
+            raise ValueError(f"malformed ground-truth record: box size must be positive, got w={w} h={h}")
+        bad = (visible != 0) & (visible != 1)
+        if bad.any():
+            raise ValueError(f"malformed ground-truth record: visibility must be 0 or 1, got {visible[bad][0]}")
+        bad = (frame < 1) | (frame > n_frames)
+        if bad.any():
+            raise ValueError(f"ground-truth frame {frame[bad][0]} outside 1..{n_frames}")
+        bad = ~np.isin(ids, known_ids)
+        if bad.any():
+            raise ValueError(f"ground-truth id {ids[bad][0]} has no feature seed")
+
+    def check_grid(size):
+        def check(t):
+            if t.shape[1] != size:
+                raise ValueError(f"grid size mismatch: {t.shape[1]} values, header grid {gw}x{gh} needs {size}")
+            if not np.isfinite(t).all():
+                raise ValueError("malformed res record: non-finite residual")
+
+        return check
+
+    try:
+        table = _load_table(lines, gt_rows, _GT_ROW, check_gt, "ground-truth record", skip=3)
+        mv = _load_table(lines, mv_rows, np.int32, check_grid(2 * gw * gh), "mv record", skip=3, ndmin=2)
+        res = _load_table(lines, [i + 1 for i in mv_rows], np.float64, check_grid(gw * gh), "res record", skip=4, ndmin=2)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
+
+    gt = [
+        GroundTruthEntry(frame, obj_id, BBox(*box), visible == 1)
+        for frame, obj_id, box, visible in zip(
+            table["frame"].tolist(), table["id"].tolist(), table["box"].tolist(), table["visible"].tolist()
+        )
+    ]
+    p_frames = iter(zip(mv.reshape(-1, 2, gw, gh), res.reshape(-1, gw, gh)))
+    frames = [
+        MotionFrame.intra(idx, gw, gh) if idx % header.gop == 0 else MotionFrame(idx, "P", *next(p_frames))
+        for idx in range(n_frames)
+    ]
     return Scenario(header=header, frames=frames, gt=gt, feature_seeds=seeds)
 
 
@@ -498,32 +574,37 @@ def write_motchallenge(rows, path) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("values", np.float64, (5,))])
+
+
+def _check_mot(t) -> None:
+    values = t["values"]
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number")
+    w, h = values[:, 2], values[:, 3]
+    bad = ~((w > 0) & (h > 0))
+    if bad.any():
+        raise ValueError(f"box size must be positive, got w={w[bad][0]} h={h[bad][0]}")
+
+
 def read_motchallenge(path) -> list:
-    """Read MOTChallenge rows back as (frame, id, BBox, confidence).
+    """Read MOTChallenge rows back as (frame, id, BBox, confidence), parsing
+    the first seven columns of the non-blank lines as one numpy table.
 
     A malformed line, a non-finite number or a box without positive width
     and height raises ValueError naming the line."""
-    out = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 7:
-                raise ValueError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
-            try:
-                frame = int(parts[0])
-                obj_id = int(parts[1])
-                left, top, w, h, conf = values = [float(v) for v in parts[2:7]]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"line {lineno}: non-finite number in {line!r}")
-            if not (w > 0 and h > 0):
-                raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
-            out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
-    return out
+        lines = fh.read().split("\n")
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    t = _load_table(lines, rows, _MOT_ROW, _check_mot, "row", delimiter=",", usecols=range(7))
+    left, top, w, h, conf = t["values"].T
+    return [
+        (frame, obj_id, BBox(x, y, bw, bh), c)
+        for frame, obj_id, x, y, bw, bh, c in zip(
+            t["frame"].tolist(), t["id"].tolist(), (left + w / 2).tolist(), (top + h / 2).tolist(),
+            w.tolist(), h.tolist(), conf.tolist(),
+        )
+    ]
 
 
 def gt_to_rows(gt) -> list:

@@ -27,6 +27,11 @@ at a time. The package reads both from one per-frame IoU matrix
 (`mvtrack.metrics.frame_index`); the tests require equal scores.
 `exhaustive_idf1` checks IDF1's matching itself by trying every injective
 trajectory pairing.
+
+Readers: `read_scenario` and `read_motchallenge` convert one token at a
+time with `int()` and `float()`. The package parses each table of records
+(ground truth, motion vectors, residuals, MOTChallenge rows) with one
+`np.loadtxt` call; the tests require equal results, bit for bit.
 """
 from __future__ import annotations
 
@@ -38,8 +43,9 @@ import numpy as np
 from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
 from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, Velocity, inverse_velocity
+from mvtrack.model import BBox, FeaturePatch, MotionFrame, Velocity, inverse_velocity
 from mvtrack.motion import F_IN, RegressorParams, encode_motion, smooth_l1
+from mvtrack.stream import GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
 
@@ -369,3 +375,139 @@ def exhaustive_idf1(gt, results, iou_min=0.5):
             for hsub in itertools.combinations(h_ids, size):
                 best = max(best, sum(overlap(g, h) for g, h in zip(gsub, hsub)))
     return 2.0 * best / (len_gt + len_hyp)
+
+
+def read_scenario(path) -> Scenario:
+    """Read a scenario file; a malformed file raises ScenarioFormatError, and
+    a bad seed or ground-truth record names its line."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        if pos >= len(lines):
+            return None
+        line = lines[pos]
+        pos += 1
+        return line
+
+    if next_line() != "mvscene 1":
+        raise ScenarioFormatError("malformed header: missing 'mvscene 1' magic")
+    head = next_line()
+    if head is None or not head.startswith("header "):
+        raise ScenarioFormatError("malformed header: missing 'header' record")
+    try:
+        parts = head.split()
+        header = StreamHeader(
+            width=int(parts[1]),
+            height=int(parts[2]),
+            block=int(parts[3]),
+            gop=int(parts[4]),
+            fps=float(parts[5]),
+            feature_channels=int(parts[6]),
+            feature_bins=int(parts[7]),
+        )
+    except (IndexError, ValueError) as exc:
+        raise ScenarioFormatError(f"malformed header: {exc}") from exc
+    counts = next_line()
+    if counts is None or not counts.startswith("counts "):
+        raise ScenarioFormatError("malformed header: missing 'counts' record")
+    try:
+        n_frames, n_seeds, n_gt = (int(v) for v in counts.split()[1:4])
+    except (IndexError, ValueError) as exc:
+        raise ScenarioFormatError(f"malformed header: {exc}") from exc
+
+    seeds = {}
+    for _ in range(n_seeds):
+        line = next_line()
+        if line is None or not line.startswith("seed "):
+            raise ScenarioFormatError("truncated file: incomplete seed table")
+        try:
+            _, obj_id, value = line.split()
+            seeds[int(obj_id)] = int(value)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {pos}: malformed seed record: {exc}") from exc
+
+    gt = []
+    for _ in range(n_gt):
+        line = next_line()
+        if line is None or not line.startswith("gt "):
+            raise ScenarioFormatError("truncated file: incomplete ground-truth table")
+        try:
+            _, frame, obj_id, x, y, w, h, visible = line.split()
+            box = [float(x), float(y), float(w), float(h)]
+            if not all(map(math.isfinite, box)):
+                raise ValueError("non-finite number")
+            row = GroundTruthEntry(int(frame), int(obj_id), BBox(*box), visible == "1")
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {pos}: malformed ground-truth record: {exc}") from exc
+        if not 1 <= row.frame <= n_frames:
+            raise ScenarioFormatError(f"line {pos}: ground-truth frame {row.frame} outside 1..{n_frames}")
+        if row.id not in seeds:
+            raise ScenarioFormatError(f"line {pos}: ground-truth id {row.id} has no feature seed")
+        gt.append(row)
+
+    gw, gh = header.grid
+    frames = []
+    last_complete = None
+    for _ in range(n_frames):
+        line = next_line()
+        if line is None:
+            raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
+        if not line.startswith("frame "):
+            raise ScenarioFormatError(f"expected frame record after frame {last_complete}, got {line!r}")
+        _, idx_s, kind = line.split()
+        idx = int(idx_s)
+        expected = len(frames)
+        if idx != expected:
+            raise ScenarioFormatError(f"non-monotone frame index: expected {expected}, got {idx}")
+        is_intra = idx % header.gop == 0
+        if is_intra and kind != "I":
+            raise ScenarioFormatError(f"frame {idx}: must be I under gop={header.gop}, got {kind}")
+        if not is_intra and kind != "P":
+            raise ScenarioFormatError(f"frame {idx}: must be P under gop={header.gop}, got {kind}")
+        if kind == "I":
+            frames.append(MotionFrame.intra(idx, gw, gh))
+        else:
+            mv_line = next_line()
+            res_line = next_line()
+            if mv_line is None or res_line is None or not mv_line.startswith("mv ") or not res_line.startswith("res "):
+                raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
+            mv_vals = np.array([int(v) for v in mv_line.split()[1:]], dtype=np.int32)
+            res_vals = np.array([float(v) for v in res_line.split()[1:]])
+            if mv_vals.size != 2 * gw * gh or res_vals.size != gw * gh:
+                raise ScenarioFormatError(f"frame {idx}: grid size mismatch (header grid {gw}x{gh})")
+            frames.append(MotionFrame(idx, "P", mv_vals.reshape(2, gw, gh), res_vals.reshape(gw, gh)))
+        last_complete = idx
+    if next_line() != "end":
+        raise ScenarioFormatError(f"truncated file: last complete frame is {last_complete}")
+    return Scenario(header=header, frames=frames, gt=gt, feature_seeds=seeds)
+
+
+def read_motchallenge(path) -> list:
+    """Read MOTChallenge rows back as (frame, id, BBox, confidence).
+
+    A malformed line, a non-finite number or a box without positive width
+    and height raises ValueError naming the line."""
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) < 7:
+                raise ValueError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
+            try:
+                frame = int(parts[0])
+                obj_id = int(parts[1])
+                left, top, w, h, conf = values = [float(v) for v in parts[2:7]]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {lineno}: non-finite number in {line!r}")
+            if not (w > 0 and h > 0):
+                raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
+            out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
+    return out

@@ -54,6 +54,38 @@ def test_models_file_malformed(tmp_path):
         read_models(p)
 
 
+@pytest.mark.parametrize(
+    "lineno, edit, message",
+    [
+        (2, lambda l: "regressor 3", "line 2: malformed model file: 'regressor' record has 1 fields, expected 2"),
+        (2, lambda l: "regressor 0 7", "line 2: malformed model file: regressor bins must be >= 1, got 0"),
+        (2, lambda l: "regressor 1 5", "line 2: malformed model file: model file expects 5 input statistics"),
+        (4, lambda l: l.rsplit(" ", 1)[0], "line 4: malformed model file: 'w' record has 6 fields, expected 7"),
+        (4, lambda l: l.replace(" 1.0", " x", 1), "line 4: malformed model file: could not convert string to float: 'x'"),
+        (4, lambda l: l.replace(" 1.0", " nan", 1), "line 2: malformed model file: regressor parameters must be finite"),
+        (7, lambda l: "w" + l[1:], "line 7: malformed model file: missing 'b' record"),
+        (7, lambda l: l + " 0.0", "line 7: malformed model file: 'b' record has 5 fields, expected 4"),
+        (8, lambda l: "affinity withps 1.0", "line 8: malformed model file: 'affinity' record has 2 fields, expected 3"),
+        (8, lambda l: "affinity other 1.0 2.0", "line 8: malformed model file: unknown affinity mode 'other'"),
+        (8, lambda l: "affinity withps 1.0 y", "line 8: malformed model file: could not convert string to float: 'y'"),
+        (8, lambda l: "bias 1 2", "line 8: malformed model file: unexpected record 'bias'"),
+    ],
+)
+def test_models_file_bad_record_names_line(tmp_path, lineno, edit, message):
+    models = TrackerModels(
+        regressor=RegressorParams(np.ones((4, F_IN)), np.zeros(4), 1),
+        affinity=AffinityHeadParams(3.0, -1.0, "withps"),
+    )
+    p = tmp_path / "models.txt"
+    write_models(models, p)
+    lines = p.read_text().splitlines()
+    assert [l.split()[0] for l in lines] == ["mvmodels", "regressor", "w", "w", "w", "w", "b", "affinity"]
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_models(p)
+
+
 def test_generate_deterministic_and_readable(tmp_path, capsys):
     script = write_script(tmp_path / "script.json")
     out1, out2 = tmp_path / "a.scn", tmp_path / "b.scn"

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mvtrack.model import BBox
+import oracles
+from mvtrack.model import BBox, MotionFrame
 from mvtrack.stream import (
     DetectorConfig,
+    GroundTruthEntry,
     MotionScript,
     ObjectScript,
+    Scenario,
     ScenarioFormatError,
     StreamHeader,
     generate_scenario,
@@ -278,6 +283,187 @@ def test_grid_mismatch(tmp_path):
         read_scenario(tmp_path / "bad.txt")
 
 
+def _first_line(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _set_token(k, value):
+    def edit(line):
+        parts = line.split(" ")
+        parts[k] = value
+        return " ".join(parts)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "prefix, edit, message",
+    [
+        ("header ", _set_token(3, "16 12"), "malformed header: 'header' record has 8 fields, expected 7"),
+        ("header ", _set_token(5, "nan"), "malformed header: fps must be positive and finite"),
+        ("counts ", _set_token(2, "x"), "malformed header: invalid literal"),
+        ("counts ", _set_token(3, "-1"), "malformed header: negative count"),
+        ("seed ", _set_token(2, "-5"), "malformed seed record: negative seed -5"),
+        ("seed ", _set_token(0, "sed"), "malformed seed record: missing 'seed' record"),
+        ("gt ", _set_token(0, "gx"), "expected a ground-truth record, got 'gx 1 1 "),
+        ("frame 1 ", _set_token(1, "x"), "malformed frame record: invalid literal"),
+        ("frame 1 ", lambda line: "frame 1", "malformed frame record: 'frame' record has 1 fields, expected 2"),
+        ("frame 2 ", lambda line: line + " P", "malformed frame record: 'frame' record has 3 fields"),
+        ("gt ", _set_token(7, "2"), "malformed ground-truth record: visibility must be 0 or 1, got 2"),
+        ("gt ", _set_token(7, "yes"), "malformed ground-truth record: could not convert string 'yes' to int64"),
+        ("mv ", _set_token(5, "0.5"), "malformed mv record: could not convert string '0.5' to int32"),
+        ("mv ", _set_token(5, "#"), "malformed mv record: could not convert string '#' to int32"),
+        ("mv ", _set_token(5, "99999999999"), "malformed mv record: could not convert string '99999999999' to int32"),
+        ("mv ", lambda line: "mv ", "malformed mv record: no values"),
+        ("mv ", lambda line: line + " 1 1", "grid size mismatch: 194 values, header grid 12x8 needs 192"),
+        ("res ", _set_token(3, "x"), "malformed res record: could not convert string 'x' to float64"),
+        ("res ", _set_token(3, "nan"), "malformed res record: non-finite residual"),
+        ("res ", _set_token(3, "-inf"), "malformed res record: non-finite residual"),
+        ("res ", _set_token(0, "mv"), "frame 1: expected res record, got 'mv 0.0 0.0 "),
+        ("end", lambda line: "end 1", "expected 'end' after frame 11, got 'end 1'"),
+    ],
+)
+def test_malformed_record_names_line(tmp_path, prefix, edit, message):
+    p = tmp_path / "s.txt"
+    write_scenario(generate_scenario(one_object(), HEADER, seed=4), p)
+    lines = p.read_text().splitlines()
+    i = _first_line(lines, prefix)
+    lines[i] = edit(lines[i])
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioFormatError, match=f"^line {i + 1}: {message}"):
+        read_scenario(tmp_path / "bad.txt")
+
+
+def test_duplicate_seed_id_names_line(tmp_path):
+    script = MotionScript(frames=3, objects=tuple(ObjectScript(id=i, enter=1, exit=3, x=40 * i, y=64, w=32, h=32) for i in (1, 2)))
+    p = tmp_path / "s.txt"
+    write_scenario(generate_scenario(script, HEADER, seed=4), p)
+    (tmp_path / "bad.txt").write_text(p.read_text().replace("seed 2 ", "seed 1 "))
+    with pytest.raises(ScenarioFormatError, match="^line 5: malformed seed record: duplicate id 1"):
+        read_scenario(tmp_path / "bad.txt")
+
+
+def _scenario_bytes(sc, path):
+    write_scenario(sc, path)
+    return path.read_bytes()
+
+
+_SMALL = StreamHeader(width=64, height=48, block=16, gop=3, feature_channels=2, feature_bins=1)
+_TOKENS = ["", "x", "#", "0", "1", "2", "-1", "+1", "0.5", "-0.0", "1e308", "1e309", "nan", "inf", "-inf",
+           "99999999999", "1_0", "0x10", "I", "P", "gt", "mv", "res", "frame", "end", "seed"]
+
+
+def _small_scenario_text(tmp_path_factory):
+    script = MotionScript(frames=5, objects=(
+        ObjectScript(id=1, enter=1, exit=5, x=20, y=20, w=16, h=16, vx=3.5, vy=1),
+        ObjectScript(id=2, enter=2, exit=4, x=44, y=30, w=12, h=14, vx=-2, occlusions=((3, 3),)),
+    ))
+    p = tmp_path_factory.mktemp("small") / "s.txt"
+    write_scenario(generate_scenario(script, _SMALL, seed=3), p)
+    return p.read_text()
+
+
+@st.composite
+def corruptions(draw, text):
+    """The file with one line deleted, cut, replaced or changed in one token."""
+    lines = text.split("\n")[:-1]
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "truncate", "replace", "token", "insert", "drop"]))
+    if op == "delete":
+        lines.pop(i)
+    elif op == "truncate":
+        lines = lines[:i] + [lines[i][: draw(st.integers(0, len(lines[i])))]]
+    elif op == "replace":
+        lines[i] = draw(st.text(alphabet="0123456789 .-+#eginfmvrsadtxIP", max_size=30))
+    else:
+        parts = lines[i].split(" ")
+        k = draw(st.integers(0, len(parts) - 1))
+        token = draw(st.sampled_from(_TOKENS) | st.text(alphabet="0123456789.-e", max_size=6))
+        if op == "token":
+            parts[k] = token
+        elif op == "insert":
+            parts.insert(k, token)
+        else:
+            parts.pop(k)
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def test_single_line_corruption_raises_or_round_trips(tmp_path_factory):
+    text = _small_scenario_text(tmp_path_factory)
+    work = tmp_path_factory.mktemp("corrupt")
+
+    @settings(max_examples=400, deadline=None)
+    @given(corruptions(text))
+    def check(corrupted):
+        src = work / "in.txt"
+        src.write_text(corrupted)
+        try:
+            sc = read_scenario(src)
+        except ScenarioFormatError:
+            return
+        once = _scenario_bytes(sc, work / "once.txt")
+        again = read_scenario(work / "once.txt")
+        assert _scenario_bytes(again, work / "again.txt") == once
+        assert again.header == sc.header and again.feature_seeds == sc.feature_seeds and again.gt == sc.gt
+        for a, b in zip(again.frames, sc.frames, strict=True):
+            assert (a.index, a.kind) == (b.index, b.kind)
+            assert a.mv.tobytes() == b.mv.tobytes() and a.residual.tobytes() == b.residual.tobytes()
+
+    check()
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1]
+
+
+@st.composite
+def hand_built(draw):
+    """A scenario with arbitrary int32 motion vectors, float64 residuals and gt boxes."""
+    gw, gh, gop = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = StreamHeader(width=16 * gw - draw(st.integers(0, 15)), height=16 * gh, block=16, gop=gop)
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL)
+    frames = []
+    for j in range(draw(st.integers(1, 7))):
+        if j % gop == 0:
+            frames.append(MotionFrame.intra(j, gw, gh))
+        else:
+            mv = draw(arrays(np.int32, (2, gw, gh)))
+            res = draw(arrays(np.float64, (gw, gh), elements=floats))
+            frames.append(MotionFrame(j, "P", mv, res))
+    seeds = draw(st.dictionaries(st.integers(-2**62, 2**62), st.integers(0, 2**62), min_size=1, max_size=3))
+    sizes = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    gt = draw(st.lists(st.builds(
+        GroundTruthEntry,
+        st.integers(1, len(frames)),
+        st.sampled_from(sorted(seeds)),
+        st.builds(BBox, floats, floats, sizes, sizes),
+        st.booleans(),
+    ), max_size=6))
+    return Scenario(header, frames, gt, seeds)
+
+
+def test_reader_matches_per_token_oracle_bit_for_bit(tmp_path_factory):
+    work = tmp_path_factory.mktemp("differential")
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built())
+    def check(sc):
+        p = work / "s.txt"
+        write_scenario(sc, p)
+        new, old = read_scenario(p), oracles.read_scenario(p)
+        assert new.header == old.header == sc.header
+        assert new.feature_seeds == old.feature_seeds == sc.feature_seeds
+        boxes = lambda s: [(r.frame, r.id, r.visible, *map(float.hex, (r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h))) for r in s.gt]
+        assert boxes(new) == boxes(old) == boxes(sc)
+        for a, b, c in zip(new.frames, old.frames, sc.frames, strict=True):
+            assert (a.index, a.kind) == (b.index, b.kind) == (c.index, c.kind)
+            assert a.mv.dtype == b.mv.dtype == np.int32 and a.residual.dtype == b.residual.dtype == np.float64
+            assert a.mv.tobytes() == b.mv.tobytes() == c.mv.tobytes()
+            assert a.residual.tobytes() == b.residual.tobytes() == c.residual.tobytes()
+
+    check()
+
+
 # --- MOTChallenge files ---
 
 
@@ -332,6 +518,53 @@ def test_motchallenge_rejects_bad_numbers(tmp_path, row, message):
     p.write_text("1,1,8.00,6.00,4.00,8.00,1.00,-1,-1,-1\n" + row + "\n")
     with pytest.raises(ValueError, match=message):
         read_motchallenge(p)
+
+
+_MOT_FIELDS = ["1", "2", "-3", "12", "8.00", "-1", "0", "0.00", "1e308", "5e-324", "-0.0", "nan", "inf", "x", ""]
+
+
+@st.composite
+def motchallenge_texts(draw):
+    """MOTChallenge text: rows of 7 to 10 fields, some of them blank, whitespace or bad."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "space", "short", "token"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+        else:
+            ints = [str(draw(st.integers(-5, 2**40))) for _ in range(2)]
+            floats = [repr(draw(st.floats(min_value=1e-300, max_value=1e300))) for _ in range(5)]
+            fields = ints + floats + ["-1"] * draw(st.integers(0, 3))
+            if kind == "short":
+                fields = fields[: draw(st.integers(1, 6))]
+            elif kind == "token":
+                fields[draw(st.integers(0, 6))] = draw(st.sampled_from(_MOT_FIELDS))
+            lines.append(",".join(fields))
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+def test_motchallenge_reader_matches_per_token_oracle(tmp_path_factory):
+    p = tmp_path_factory.mktemp("mot") / "r.txt"
+
+    @settings(max_examples=300, deadline=None)
+    @given(motchallenge_texts())
+    def check(text):
+        p.write_text(text)
+        try:
+            old = oracles.read_motchallenge(p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as new_exc:
+                read_motchallenge(p)
+            assert str(new_exc.value).split(":")[0] == str(exc).split(":")[0]  # the same "line N"
+            return
+        new = read_motchallenge(p)
+        assert new == old
+        key = lambda rows: [(f, i, *map(float.hex, (b.x, b.y, b.w, b.h, c))) for f, i, b, c in rows]
+        assert key(new) == key(old)
+
+    check()
 
 
 def test_gt_rows_round_trip(tmp_path):
