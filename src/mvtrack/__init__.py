@@ -9,9 +9,7 @@ from .model import (
     BBox,
     ConfigError,
     Detection,
-    LifecycleState,
     MotionFrame,
-    TrackedObject,
     TrackerConfig,
     Velocity,
     inverse_velocity,
@@ -43,7 +41,6 @@ __all__ = [
     "FileDetector",
     "FrameTimings",
     "GroundTruthEntry",
-    "LifecycleState",
     "MotScores",
     "MotionFrame",
     "MotionScript",
@@ -51,7 +48,6 @@ __all__ = [
     "OracleDetector",
     "Scenario",
     "StreamHeader",
-    "TrackedObject",
     "TrackerConfig",
     "TrackerModels",
     "Velocity",

@@ -108,7 +108,6 @@ DETECTOR_FLAGS = ("noise_center", "noise_size", "miss_rate", "fp_rate", "feature
 
 def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig(
-        m=args.bins,
         association_mode=args.assoc,
         propagator=args.propagator,
         **{name: getattr(args, name) for name in TRACKER_FLAGS},
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--models", default=None)
         p.add_argument("--propagator", choices=PROPAGATORS, default=TrackerConfig.propagator)
         p.add_argument("--assoc", choices=ASSOCIATION_MODES, default=TrackerConfig.association_mode)
-        p.add_argument("--bins", type=int, default=TrackerConfig.m)
         for name in TRACKER_FLAGS:
             default = getattr(TrackerConfig, name)
             p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)

@@ -6,6 +6,7 @@ Key frames run detection, association, and object management; non-key
 frames only propagate boxes, leaving states, galleries, and counters
 untouched. Only confirmed objects are emitted, never retroactively. The
 loop is strictly online: output for frame t depends only on frames <= t.
+The state is one `TrackTable`, whose box array moves and clips whole.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityHeadParams
-from .association import associate_one_step, associate_two_step
-from .lifecycle import apply_matches, manage_states
-from .model import BBox, ConfigError, Detection, LifecycleState, TrackerConfig, predict_bbox
+from .association import associate
+from .lifecycle import update
+from .model import BBox, ConfigError, Detection, TrackerConfig, TrackTable, box_corners, corner_boxes, predict_boxes
 from .motion import (
     FieldReadout,
     RegressorParams,
@@ -119,27 +120,40 @@ class TrackerModels:
     affinity: AffinityHeadParams | None = None
 
 
-def _clip_to_frame(bbox: BBox, width: int, height: int):
-    left = max(bbox.left, 0.0)
-    top = max(bbox.top, 0.0)
-    right = min(bbox.right, float(width))
-    bottom = min(bbox.bottom, float(height))
-    if right <= left or bottom <= top:
-        return None
-    return BBox.from_corners(left, top, right, bottom)
-
-
 def _validate(scenario: Scenario, cfg: TrackerConfig, models: TrackerModels) -> None:
     if scenario.header.gop % cfg.K != 0:
         raise ConfigError(f"K={cfg.K} must divide the stream GOP size {scenario.header.gop}")
     if cfg.propagator == "regressor":
         if models.regressor is None:
             raise ConfigError("the regressor propagator requires fitted regressor parameters")
-        if models.regressor.m != cfg.m:
-            raise ConfigError(f"regressor was fitted for m={models.regressor.m}, config says m={cfg.m}")
     needs_affinity = cfg.association_mode == "twostep" or (cfg.association_mode == "onestep" and cfg.alpha < 1.0)
     if needs_affinity and models.affinity is None:
         raise ConfigError(f"association mode {cfg.association_mode!r} requires fitted affinity parameters")
+
+
+def _propagator(cfg: TrackerConfig, models: TrackerModels):
+    """The non-key-frame step: (n, 4) boxes, a frame and the block size in,
+    the moved (n, 4) boxes out."""
+    if cfg.propagator == "bboxavg":
+        return propagate_bbox_avg
+    if cfg.propagator == "pixelshift":
+        return propagate_pixel_shift
+
+    def regress(boxes, frame, block):
+        return predict_boxes(FieldReadout(models.regressor, encode_motion(frame)).velocities(boxes, block), boxes)
+
+    return regress
+
+
+def _rows(t: int, tracks: TrackTable, width: int, height: int) -> list:
+    """(t, id, BBox) for each confirmed row, its box clipped to the frame;
+    a box left with no area is not emitted."""
+    corners = box_corners(tracks.boxes[tracks.confirmed])
+    corners[:, :2] = np.maximum(corners[:, :2], 0.0)
+    corners[:, 2:] = np.minimum(corners[:, 2:], (float(width), float(height)))
+    keep = ~((corners[:, 2] <= corners[:, 0]) | (corners[:, 3] <= corners[:, 1]))
+    ids = tracks.ids[tracks.confirmed][keep].tolist()
+    return [(t, i, BBox(*b)) for i, b in zip(ids, corner_boxes(corners[keep]).tolist())]
 
 
 def track(
@@ -160,8 +174,8 @@ def track(
     """
     _validate(scenario, cfg, models)
     header = scenario.header
-    block = header.block
-    objects = []
+    propagate = _propagator(cfg, models)
+    tracks = TrackTable.empty()
     id_source = itertools.count(1)
     rows = []
     tm = FrameTimings()
@@ -175,15 +189,9 @@ def track(
             if detect_delay:
                 _burn(detect_delay)
             t1 = time.perf_counter()
-            if cfg.association_mode == "twostep":
-                result = associate_two_step(objects, detections, models.affinity, cfg)
-            else:
-                result = associate_one_step(objects, detections, models.affinity, cfg.alpha, cfg)
+            result = associate(tracks, detections, models.affinity, cfg)
             t2 = time.perf_counter()
-            apply_matches(objects, detections, result)
-            unmatched = [detections[j] for j in result.unmatched_detections]
-            objects, newborn = manage_states(objects, unmatched, cfg, id_source)
-            objects.extend(newborn)
+            tracks = update(tracks, detections, result, cfg, id_source)
             t3 = time.perf_counter()
             tm.t_det += t1 - t0
             tm.t_ass += t2 - t1
@@ -191,28 +199,12 @@ def track(
         else:
             tm.nonkey_frames += 1
             t0 = time.perf_counter()
-            if cfg.propagator == "bboxavg":
-                boxes = propagate_bbox_avg([obj.bbox for obj in objects], frame_data, block)
-                for obj, box in zip(objects, boxes):
-                    obj.bbox = box
-            elif cfg.propagator == "pixelshift":
-                for obj in objects:
-                    obj.bbox = propagate_pixel_shift(obj.bbox, frame_data, block)
-            else:
-                if objects:
-                    readout = FieldReadout(models.regressor, encode_motion(frame_data))
-                    vels = readout.velocities([obj.bbox for obj in objects], block)
-                    for obj, vel in zip(objects, vels):
-                        obj.bbox = predict_bbox(vel, obj.bbox)
+            if len(tracks):
+                tracks.boxes = propagate(tracks.boxes, frame_data, header.block)
             if propagate_delay:
                 _burn(propagate_delay)
             tm.t_pro += time.perf_counter() - t0
-
-        for obj in objects:
-            if obj.state is LifecycleState.CONFIRMED:
-                clipped = _clip_to_frame(obj.bbox, header.width, header.height)
-                if clipped is not None:
-                    rows.append((t, obj.id, clipped))
+        rows += _rows(t, tracks, header.width, header.height)
     return rows, tm
 
 

@@ -1,4 +1,5 @@
-"""Object birth/death management, applied only on key frames.
+"""Object birth/death management on the track table, applied only on key
+frames.
 
 State rules, evaluated after matches are applied:
   1. an unmatched detection spawns a tentative object, confirmed at birth
@@ -9,68 +10,54 @@ State rules, evaluated after matches are applied:
      key frames;
   4. a tentative object is deleted after more than l_delete consecutive
      missed key frames;
-  5. deleted is absorbing and deleted objects leave the active set.
+  5. deleted objects leave the table.
 
 All comparisons are strict ("more than"). A demoted object keeps its id,
 gallery, and accumulated miss count, so its deletion clock keeps running.
+Each rule is one mask over the table's columns.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .model import LifecycleState, TrackedObject, TrackerConfig
+import numpy as np
+
+from .model import TrackTable, TrackerConfig, box_array
 
 
-def apply_matches(objects, detections, result) -> list:
-    """Fold an assignment into the objects (mutating them).
+def update(tracks: TrackTable, detections, result, cfg: TrackerConfig, id_source) -> TrackTable:
+    """Fold an assignment into the table and run the state rules.
 
-    Matched objects take the detection's box, append its feature to the
+    Matched rows take the detection's box, append its feature to their
     gallery (the oldest entry falls out past capacity), and count a hit;
-    unmatched objects count a miss and keep their box.
+    unmatched rows count a miss and keep their box. The box array and the
+    galleries of `tracks` are updated in place. Returns the next table:
+    the surviving rows in their order, then one newborn row per unmatched
+    detection, in detection order. `id_source` is an iterator of fresh ids,
+    strictly greater than any id handed out before.
     """
-    matched = dict(result.matches)
-    for i, obj in enumerate(objects):
-        if i in matched:
-            det = detections[matched[i]]
-            obj.bbox = det.bbox
-            obj.gallery.append(det.feature)
-            obj.hits += 1
-            obj.misses = 0
-        else:
-            obj.misses += 1
-            obj.hits = 0
-    return objects
+    det_boxes = box_array([d.bbox for d in detections])
+    matched = np.zeros(len(tracks), dtype=bool)
+    if result.matches:
+        rows, cols = np.array(result.matches).T
+        matched[rows] = True
+        tracks.boxes[rows] = det_boxes[cols]
+        for r, c in result.matches:
+            tracks.galleries[r].append(detections[c].feature)
+    hits = np.where(matched, tracks.hits + 1, 0)
+    misses = np.where(matched, 0, tracks.misses + 1)
+    # at most one transition per key frame keeps the state sequence inside
+    # the relation {T->C, C->T, T->D} plus self-loops
+    keep = tracks.confirmed | (misses <= cfg.l_delete)
+    confirmed = np.where(tracks.confirmed, misses <= cfg.l_demote, hits > cfg.l_confirm)
 
-
-def manage_states(objects, unmatched_detections, cfg: TrackerConfig, id_source) -> tuple:
-    """Run the state rules; returns (surviving objects, newborn objects).
-
-    `id_source` is an iterator of fresh ids, strictly greater than any id
-    handed out before.
-    """
-    survivors = []
-    for obj in objects:
-        # at most one transition per key frame keeps the state sequence
-        # inside the relation {T->C, C->T, T->D} plus self-loops
-        if obj.state is LifecycleState.CONFIRMED and obj.misses > cfg.l_demote:
-            obj.state = LifecycleState.TENTATIVE
-        elif obj.state is LifecycleState.TENTATIVE and obj.misses > cfg.l_delete:
-            obj.state = LifecycleState.DELETED
-        elif obj.state is LifecycleState.TENTATIVE and obj.hits > cfg.l_confirm:
-            obj.state = LifecycleState.CONFIRMED
-        if obj.state is not LifecycleState.DELETED:
-            survivors.append(obj)
-    newborns = []
-    for det in unmatched_detections:
-        state = LifecycleState.CONFIRMED if det.confidence > cfg.c_confirm else LifecycleState.TENTATIVE
-        newborns.append(
-            TrackedObject(
-                id=next(id_source),
-                bbox=det.bbox,
-                state=state,
-                gallery=deque([det.feature], maxlen=cfg.l_f),
-                hits=1,
-                misses=0,
-            )
-        )
-    return survivors, newborns
+    born = result.unmatched_detections
+    return TrackTable(
+        ids=np.concatenate([tracks.ids[keep], np.array([next(id_source) for _ in born], dtype=np.int64)]),
+        confirmed=np.concatenate([confirmed[keep], np.array([detections[j].confidence > cfg.c_confirm for j in born], dtype=bool)]),
+        hits=np.concatenate([hits[keep], np.ones(len(born), dtype=np.int64)]),
+        misses=np.concatenate([misses[keep], np.zeros(len(born), dtype=np.int64)]),
+        boxes=np.concatenate([tracks.boxes[keep], det_boxes[born]]),
+        galleries=[g for g, k in zip(tracks.galleries, keep.tolist()) if k]
+        + [deque([detections[j].feature], maxlen=cfg.l_f) for j in born],
+    )

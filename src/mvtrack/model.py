@@ -2,14 +2,13 @@
 
 Boxes are center-parameterized and kept in continuous (sub-pixel)
 coordinates; discretization happens only at file I/O. Object ids are
-monotonically increasing and never reused, even after deletion.
+monotonically increasing and never reused, even after deletion. The
+tracker's state is one `TrackTable` of columns, boxes an (n, 4) array.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -91,27 +90,29 @@ class Detection:
             raise ValueError(f"confidence must lie in [0,1], got {self.confidence}")
 
 
-class LifecycleState(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DELETED = "deleted"  # absorbing: once deleted, never leaves
-
-
 @dataclass
-class TrackedObject:
-    """A tracked identity: box, lifecycle state, bounded feature gallery.
+class TrackTable:
+    """The tracker's state: one row per live object, in birth order.
 
     `hits`/`misses` count consecutive key frames with/without an associated
     detection; each key-frame update increments exactly one and resets the
-    other.
+    other. Deleted objects leave the table.
     """
 
-    id: int
-    bbox: BBox
-    state: LifecycleState
-    gallery: deque  # deque[FeaturePatch] with maxlen = l_f
-    hits: int = 0
-    misses: int = 0
+    ids: np.ndarray  # (n,) int
+    confirmed: np.ndarray  # (n,) bool
+    hits: np.ndarray  # (n,) int
+    misses: np.ndarray  # (n,) int
+    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    galleries: list  # n deques of FeaturePatch, maxlen l_f
+
+    @classmethod
+    def empty(cls) -> "TrackTable":
+        n = np.zeros(0, dtype=np.int64)
+        return cls(n, np.zeros(0, dtype=bool), n, n, np.zeros((0, 4)), [])
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -162,7 +163,6 @@ class TrackerConfig:
     l_demote: int = 2
     l_delete: int = 10
     l_f: int = 24
-    m: int = 7
     association_mode: str = "twostep"
     alpha: float = 0.5
     propagator: str = "regressor"
@@ -174,7 +174,7 @@ class TrackerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
-        for name in ("l_confirm", "l_demote", "l_delete", "l_f", "m"):
+        for name in ("l_confirm", "l_demote", "l_delete", "l_f"):
             v = getattr(self, name)
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
@@ -184,9 +184,23 @@ class TrackerConfig:
             raise ConfigError(f"unknown propagator {self.propagator!r}")
 
 
+def box_array(boxes) -> np.ndarray:
+    """x, y, w, h of each BBox as an (n, 4) float array."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
 def box_corners(boxes) -> np.ndarray:
-    """Left, top, right, bottom of each box as an (n, 4) float array."""
-    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
+    """Left, top, right, bottom of each box as an (n, 4) float array; takes
+    BBoxes or an (n, 4) x, y, w, h array."""
+    b = boxes if isinstance(boxes, np.ndarray) else box_array(boxes)
+    half = b[:, 2:] / 2
+    return np.concatenate([b[:, :2] - half, b[:, :2] + half], axis=1)
+
+
+def corner_boxes(corners: np.ndarray) -> np.ndarray:
+    """Inverse of box_corners: x, y, w, h of (n, 4) corner rows."""
+    lt, rb = corners[:, :2], corners[:, 2:]
+    return np.concatenate([(lt + rb) / 2, rb - lt], axis=1)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,18 +233,31 @@ def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarra
     return np.clip(edges, 0, (gw, gh, gw, gh)).astype(int)
 
 
-def predict_bbox(v: Velocity, prev: BBox) -> BBox:
-    """Advance a box by one step of normalized velocity.
+def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Advance (n, 4) x, y, w, h boxes by (n, 4) normalized velocities.
 
     The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
-    so sizes stay positive for any finite velocity.
+    so sizes stay positive for any finite velocity unless exp underflows.
+    Raises ValueError, as Velocity and BBox do, for a non-finite velocity or
+    a size that is not positive.
     """
-    return BBox(
-        prev.w * v.vx + prev.x,
-        prev.h * v.vy + prev.y,
-        prev.w * math.exp(v.vw),
-        prev.h * math.exp(v.vh),
-    )
+    bad = np.argwhere(~np.isfinite(v))
+    if len(bad):
+        raise ValueError(f"velocity component {('vx', 'vy', 'vw', 'vh')[bad[0, 1]]} must be finite")
+    size = boxes[:, 2:]
+    # math.exp, not np.exp: the two round some inputs differently
+    scale = np.array([math.exp(c) for c in v[:, 2:].ravel().tolist()]).reshape(-1, 2)
+    out = np.concatenate([size * v[:, :2] + boxes[:, :2], size * scale], axis=1)
+    bad = np.flatnonzero(~(out[:, 2:] > 0).all(axis=1))
+    if len(bad):
+        w, h = out[bad[0], 2:].tolist()
+        raise ValueError(f"box size must be positive, got w={w} h={h}")
+    return out
+
+
+def predict_bbox(v: Velocity, prev: BBox) -> BBox:
+    """predict_boxes for one box."""
+    return BBox(*predict_boxes(np.array([[v.vx, v.vy, v.vw, v.vh]]), box_array([prev]))[0].tolist())
 
 
 def inverse_velocity(prev: BBox, next: BBox) -> Velocity:

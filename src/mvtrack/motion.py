@@ -7,7 +7,7 @@ out of that field by position-sensitive pooling (channel k*m*m + u*m + v is
 pooled over spatial bin (u, v), bins are averaged per component k in
 x, y, w, h order) and the pooled 4-vector is applied as a normalized
 velocity. The map stays affine so the fitting objective is convex and its
-gradients are exact.
+gradients are exact. All three move one (n, 4) x, y, w, h box array.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, MotionFrame, Velocity, box_corners, center_cells, inverse_velocity
+from .model import MotionFrame, box_corners, center_cells, corner_boxes, inverse_velocity
 
 # Per-cell motion statistics fed to the regressor: mean dx, mean dy, residual
 # energy, and the four finite-difference Jacobian entries of the MV field
@@ -92,53 +92,57 @@ def pool(S: np.ndarray, corners: np.ndarray, block: int, m: int):
     return A, nonempty / (m * m)
 
 
-def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
-    """Shift each box by the mean MV over its covered cells; sizes are unchanged.
+def propagate_bbox_avg(boxes: np.ndarray, frame: MotionFrame, block: int) -> np.ndarray:
+    """Shift each (n, 4) x, y, w, h box by the mean MV over its covered
+    cells; sizes are unchanged.
 
     This is the averaging baseline: antisymmetric fields (zooms) cancel out,
     so scale changes are invisible to it. A box covering no cell center
     stays where it is.
     """
     A, e = pool(_integral(frame.mv), box_corners(boxes), block, 1)
-    return [
-        BBox(b.x + float(dx), b.y + float(dy), b.w, b.h) if covered else b
-        for b, (dx, dy), covered in zip(boxes, A[:, 0], e[:, 0])
-    ]
+    out = boxes.copy()
+    covered = e[:, 0] > 0
+    out[covered, :2] += A[covered, 0]
+    return out
 
 
-def propagate_pixel_shift(prev: BBox, frame: MotionFrame, block: int) -> BBox:
-    """Tight bounding rectangle of the box contents after per-block shifts.
+def propagate_pixel_shift(boxes: np.ndarray, frame: MotionFrame, block: int) -> np.ndarray:
+    """Tight bounding rectangle of each (n, 4) x, y, w, h box's contents
+    after per-block shifts.
 
-    Every point of the box moves by its block's MV; portions outside the
-    grid move by zero. Uniform fields translate the box; diverging fields
-    stretch it.
+    Every point of a box moves by its block's MV; portions outside the grid
+    move by zero. Uniform fields translate the box; diverging fields stretch
+    it. A box whose span covers no block keeps its place.
     """
     gw, gh = frame.mv.shape[1:]
-    left, top, right, bottom = prev.corners()
-    new_l = new_t = math.inf
-    new_r = new_b = -math.inf
-    for bx in range(math.floor(left / block), math.ceil(right / block)):
-        px0 = max(left, bx * block)
-        px1 = min(right, (bx + 1) * block)
-        if px1 <= px0:
-            continue
-        for by in range(math.floor(top / block), math.ceil(bottom / block)):
-            py0 = max(top, by * block)
-            py1 = min(bottom, (by + 1) * block)
-            if py1 <= py0:
-                continue
-            if 0 <= bx < gw and 0 <= by < gh:
-                dx = float(frame.mv[0, bx, by])
-                dy = float(frame.mv[1, bx, by])
-            else:
-                dx = dy = 0.0
-            new_l = min(new_l, px0 + dx)
-            new_r = max(new_r, px1 + dx)
-            new_t = min(new_t, py0 + dy)
-            new_b = max(new_b, py1 + dy)
-    if new_l >= new_r or new_t >= new_b:
-        return prev
-    return BBox.from_corners(new_l, new_t, new_r, new_b)
+    corners = box_corners(boxes)
+    lo = np.floor(corners[:, :2] / block)  # first block column, row
+    hi = np.ceil(corners[:, 2:] / block)  # one past the last
+    span = int((hi - lo).max(initial=0))
+    cells = lo[:, :, None] + np.arange(span)  # (n, 2, span) block indices
+    # the piece [p0, p1) of each box inside each block, along x (index 0) and y (1)
+    p0 = np.maximum(corners[:, :2, None], cells * block)
+    p1 = np.minimum(corners[:, 2:, None], (cells + 1) * block)
+    valid = (cells < hi[:, :, None]) & (p1 > p0)
+    valid = valid[:, 0, :, None] & valid[:, 1, None, :]  # (n, span, span)
+    # a ring of zero motion around the grid stands for every block off it
+    ring = np.pad(frame.mv, ((0, 0), (1, 1), (1, 1))).astype(float)
+    ix = (np.clip(cells, -1, np.array([gw, gh])[:, None]) + 1).astype(int)
+    dx, dy = ring[:, ix[:, 0, :, None], ix[:, 1, None, :]]  # (n, span, span) each, [box, x cell, y cell]
+    out = np.stack(
+        [
+            np.min(p0[:, 0, :, None] + dx, axis=(1, 2), where=valid, initial=np.inf),
+            np.min(p0[:, 1, None, :] + dy, axis=(1, 2), where=valid, initial=np.inf),
+            np.max(p1[:, 0, :, None] + dx, axis=(1, 2), where=valid, initial=-np.inf),
+            np.max(p1[:, 1, None, :] + dy, axis=(1, 2), where=valid, initial=-np.inf),
+        ],
+        axis=1,
+    )
+    moved = (out[:, 0] < out[:, 2]) & (out[:, 1] < out[:, 3])
+    out_boxes = boxes.copy()
+    out_boxes[moved] = corner_boxes(out[moved])
+    return out_boxes
 
 
 def encode_motion(frame: MotionFrame) -> np.ndarray:
@@ -251,11 +255,11 @@ class FieldReadout:
         self.m = params.m
         self.S = _integral(encoding)
 
-    def velocities(self, boxes, block: int) -> list:
-        """One Velocity per box, in order."""
+    def velocities(self, boxes, block: int) -> np.ndarray:
+        """The (n, 4) normalized velocities vx, vy, vw, vh of the boxes
+        (BBoxes or an (n, 4) x, y, w, h array), in order."""
         A, e = pool(self.S, box_corners(boxes), block, self.m)
-        v_hat = np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
-        return [Velocity(*row) for row in v_hat.tolist()]
+        return np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
 
 
 def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None):

@@ -316,7 +316,7 @@ def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig, rows=None
         if rng.random() < cfg.miss_rate:
             continue
         b = row.bbox
-        g = rng.standard_normal(4)
+        g = rng.standard_normal(4).tolist()
         bbox = BBox(
             b.x + cfg.noise_center * b.w * g[0],
             b.y + cfg.noise_center * b.h * g[1],
@@ -406,13 +406,15 @@ def _load_table(lines, rows, dtype, check, what: str, skip: int = 0, ndmin: int 
     def load(texts):
         return np.loadtxt(texts, dtype=dtype, comments=None, ndmin=ndmin, **layout)
 
-    try:
-        table = load(lines[i][skip:] for i in rows)
-        if len(table) == len(rows):
-            check(table)
-            return table
-    except ValueError:
-        pass
+    # loadtxt skips blank rows (the length check below catches them) and warns when all are
+    if lines[rows[0]][skip:].strip():
+        try:
+            table = load(lines[i][skip:] for i in rows)
+            if len(table) == len(rows):
+                check(table)
+                return table
+        except ValueError:
+            pass
     for i in rows:
         text = lines[i][skip:]
         if not text.strip():

@@ -32,19 +32,29 @@ Readers: `read_scenario` and `read_motchallenge` convert one token at a
 time with `int()` and `float()`. The package parses each table of records
 (ground truth, motion vectors, residuals, MOTChallenge rows) with one
 `np.loadtxt` call; the tests require equal results, bit for bit.
+
+The tracking loop: `track` keeps one `TrackedObject` record per object,
+associates, updates and propagates them one at a time (pixel shift with a
+scalar double loop per box) and clips each emitted box on its own. The
+package keeps the tracker's state in one table of columns
+(`mvtrack.model.TrackTable`) and moves, updates and clips all rows at
+once; the tests require equal rows, bit for bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
-from mvtrack.association import gated_assign, hungarian
+from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
+from mvtrack.association import AssignmentResult, gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, MotionFrame, Velocity, inverse_velocity
-from mvtrack.motion import F_IN, RegressorParams, encode_motion, smooth_l1
+from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, Velocity, inverse_velocity, iou_matrix
+from mvtrack.motion import F_IN, FieldReadout, RegressorParams, _integral, encode_motion, pool, smooth_l1
 from mvtrack.stream import GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
@@ -511,3 +521,265 @@ def read_motchallenge(path) -> list:
                 raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
             out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The object-list tracking loop
+
+
+class LifecycleState(Enum):
+    TENTATIVE = "tentative"
+    CONFIRMED = "confirmed"
+    DELETED = "deleted"  # absorbing: once deleted, never leaves
+
+
+@dataclass
+class TrackedObject:
+    """A tracked identity: box, lifecycle state, bounded feature gallery.
+
+    `hits`/`misses` count consecutive key frames with/without an associated
+    detection; each key-frame update increments exactly one and resets the
+    other.
+    """
+
+    id: int
+    bbox: BBox
+    state: LifecycleState
+    gallery: deque  # deque[FeaturePatch] with maxlen = l_f
+    hits: int = 0
+    misses: int = 0
+
+
+def box_corners(boxes) -> np.ndarray:
+    """Left, top, right, bottom of each box as an (n, 4) float array."""
+    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def predict_bbox(v: Velocity, prev: BBox) -> BBox:
+    """Advance a box by one step of normalized velocity.
+
+    The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
+    so sizes stay positive for any finite velocity.
+    """
+    return BBox(
+        prev.w * v.vx + prev.x,
+        prev.h * v.vy + prev.y,
+        prev.w * math.exp(v.vw),
+        prev.h * math.exp(v.vh),
+    )
+
+
+def velocities(readout: FieldReadout, boxes, block: int) -> list:
+    """One Velocity per box, in order."""
+    return [Velocity(*row) for row in readout.velocities(boxes, block).tolist()]
+
+
+def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
+    """Shift each box by the mean MV over its covered cells; sizes are unchanged.
+
+    This is the averaging baseline: antisymmetric fields (zooms) cancel out,
+    so scale changes are invisible to it. A box covering no cell center
+    stays where it is.
+    """
+    A, e = pool(_integral(frame.mv), box_corners(boxes), block, 1)
+    return [
+        BBox(b.x + float(dx), b.y + float(dy), b.w, b.h) if covered else b
+        for b, (dx, dy), covered in zip(boxes, A[:, 0], e[:, 0])
+    ]
+
+
+def propagate_pixel_shift(prev: BBox, frame: MotionFrame, block: int) -> BBox:
+    """Tight bounding rectangle of the box contents after per-block shifts.
+
+    Every point of the box moves by its block's MV; portions outside the
+    grid move by zero. Uniform fields translate the box; diverging fields
+    stretch it.
+    """
+    gw, gh = frame.mv.shape[1:]
+    left, top, right, bottom = prev.corners()
+    new_l = new_t = math.inf
+    new_r = new_b = -math.inf
+    for bx in range(math.floor(left / block), math.ceil(right / block)):
+        px0 = max(left, bx * block)
+        px1 = min(right, (bx + 1) * block)
+        if px1 <= px0:
+            continue
+        for by in range(math.floor(top / block), math.ceil(bottom / block)):
+            py0 = max(top, by * block)
+            py1 = min(bottom, (by + 1) * block)
+            if py1 <= py0:
+                continue
+            if 0 <= bx < gw and 0 <= by < gh:
+                dx = float(frame.mv[0, bx, by])
+                dy = float(frame.mv[1, bx, by])
+            else:
+                dx = dy = 0.0
+            new_l = min(new_l, px0 + dx)
+            new_r = max(new_r, px1 + dx)
+            new_t = min(new_t, py0 + dy)
+            new_b = max(new_b, py1 + dy)
+    if new_l >= new_r or new_t >= new_b:
+        return prev
+    return BBox.from_corners(new_l, new_t, new_r, new_b)
+
+
+def _iou_cost(objects, detections) -> np.ndarray:
+    return 1.0 - iou_matrix(box_corners([o.bbox for o in objects]), box_corners([d.bbox for d in detections]))
+
+
+def _appearance_matrix(params, objects, detections) -> np.ndarray:
+    return appearance_matrix(params, [o.gallery for o in objects], [d.feature for d in detections])
+
+
+def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: TrackerConfig) -> AssignmentResult:
+    """Geometry first, appearance second.
+
+    Step 1 assigns detections to confirmed objects by IoU cost (gate
+    tau_iou). Step 2 assigns the detections left over to tentative objects
+    plus the confirmed objects step 1 left unmatched, by appearance cost
+    (gate tau_app). Appearance never overrides a geometric match.
+    """
+    confirmed = [i for i, o in enumerate(objects) if o.state is LifecycleState.CONFIRMED]
+    tentative = [i for i, o in enumerate(objects) if o.state is LifecycleState.TENTATIVE]
+
+    result = AssignmentResult()
+    step1 = gated_assign(_iou_cost([objects[i] for i in confirmed], detections), cfg.tau_iou)
+    for r, c in step1.matches:
+        result.matches.append((confirmed[r], c))
+    det_left = step1.unmatched_detections
+    obj_left = sorted(tentative + [confirmed[r] for r in step1.unmatched_objects])
+
+    step2 = gated_assign(
+        _appearance_matrix(params, [objects[i] for i in obj_left], [detections[j] for j in det_left]),
+        cfg.tau_app,
+    )
+    for r, c in step2.matches:
+        result.matches.append((obj_left[r], det_left[c]))
+    matched_obj = {i for i, _ in result.matches}
+    matched_det = {j for _, j in result.matches}
+    result.matches.sort()
+    result.unmatched_objects = [i for i in range(len(objects)) if i not in matched_obj]
+    result.unmatched_detections = [j for j in range(len(detections)) if j not in matched_det]
+    return result
+
+
+def associate_one_step(objects, detections, params: AffinityHeadParams, alpha: float, cfg: TrackerConfig) -> AssignmentResult:
+    """Single assignment on the blended cost alpha*iou + (1-alpha)*appearance,
+    gated at the equally blended threshold. alpha=1 is IoU-only, alpha=0 is
+    appearance-only."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    cost = alpha * _iou_cost(objects, detections)
+    if alpha < 1.0:
+        cost = cost + (1.0 - alpha) * _appearance_matrix(params, objects, detections)
+    threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
+    return gated_assign(cost, threshold)
+
+
+def apply_matches(objects, detections, result) -> list:
+    """Fold an assignment into the objects (mutating them).
+
+    Matched objects take the detection's box, append its feature to the
+    gallery (the oldest entry falls out past capacity), and count a hit;
+    unmatched objects count a miss and keep their box.
+    """
+    matched = dict(result.matches)
+    for i, obj in enumerate(objects):
+        if i in matched:
+            det = detections[matched[i]]
+            obj.bbox = det.bbox
+            obj.gallery.append(det.feature)
+            obj.hits += 1
+            obj.misses = 0
+        else:
+            obj.misses += 1
+            obj.hits = 0
+    return objects
+
+
+def manage_states(objects, unmatched_detections, cfg: TrackerConfig, id_source) -> tuple:
+    """Run the state rules; returns (surviving objects, newborn objects).
+
+    `id_source` is an iterator of fresh ids, strictly greater than any id
+    handed out before.
+    """
+    survivors = []
+    for obj in objects:
+        # at most one transition per key frame keeps the state sequence
+        # inside the relation {T->C, C->T, T->D} plus self-loops
+        if obj.state is LifecycleState.CONFIRMED and obj.misses > cfg.l_demote:
+            obj.state = LifecycleState.TENTATIVE
+        elif obj.state is LifecycleState.TENTATIVE and obj.misses > cfg.l_delete:
+            obj.state = LifecycleState.DELETED
+        elif obj.state is LifecycleState.TENTATIVE and obj.hits > cfg.l_confirm:
+            obj.state = LifecycleState.CONFIRMED
+        if obj.state is not LifecycleState.DELETED:
+            survivors.append(obj)
+    newborns = []
+    for det in unmatched_detections:
+        state = LifecycleState.CONFIRMED if det.confidence > cfg.c_confirm else LifecycleState.TENTATIVE
+        newborns.append(
+            TrackedObject(
+                id=next(id_source),
+                bbox=det.bbox,
+                state=state,
+                gallery=deque([det.feature], maxlen=cfg.l_f),
+                hits=1,
+                misses=0,
+            )
+        )
+    return survivors, newborns
+
+
+def _clip_to_frame(bbox: BBox, width: int, height: int):
+    left = max(bbox.left, 0.0)
+    top = max(bbox.top, 0.0)
+    right = min(bbox.right, float(width))
+    bottom = min(bbox.bottom, float(height))
+    if right <= left or bottom <= top:
+        return None
+    return BBox.from_corners(left, top, right, bottom)
+
+
+def track(scenario: Scenario, detector, cfg: TrackerConfig, models) -> list:
+    """`mvtrack.engine.track`'s rows from the object-list loop (no
+    validation, delays or timings)."""
+    header = scenario.header
+    block = header.block
+    objects = []
+    id_source = itertools.count(1)
+    rows = []
+
+    for t in range(1, scenario.n_frames + 1):
+        frame_data = scenario.frames[t - 1]
+        if (t - 1) % cfg.K == 0:
+            detections = [d for d in detector(t) if d.confidence >= cfg.conf_min]
+            if cfg.association_mode == "twostep":
+                result = associate_two_step(objects, detections, models.affinity, cfg)
+            else:
+                result = associate_one_step(objects, detections, models.affinity, cfg.alpha, cfg)
+            apply_matches(objects, detections, result)
+            unmatched = [detections[j] for j in result.unmatched_detections]
+            objects, newborn = manage_states(objects, unmatched, cfg, id_source)
+            objects.extend(newborn)
+        else:
+            if cfg.propagator == "bboxavg":
+                boxes = propagate_bbox_avg([obj.bbox for obj in objects], frame_data, block)
+                for obj, box in zip(objects, boxes):
+                    obj.bbox = box
+            elif cfg.propagator == "pixelshift":
+                for obj in objects:
+                    obj.bbox = propagate_pixel_shift(obj.bbox, frame_data, block)
+            else:
+                if objects:
+                    readout = FieldReadout(models.regressor, encode_motion(frame_data))
+                    vels = velocities(readout, [obj.bbox for obj in objects], block)
+                    for obj, vel in zip(objects, vels):
+                        obj.bbox = predict_bbox(vel, obj.bbox)
+
+        for obj in objects:
+            if obj.state is LifecycleState.CONFIRMED:
+                clipped = _clip_to_frame(obj.bbox, header.width, header.height)
+                if clipped is not None:
+                    rows.append((t, obj.id, clipped))
+    return rows

@@ -4,16 +4,15 @@ from collections import deque
 import numpy as np
 import pytest
 
-from mvtrack.affinity import AffinityFitHyper, fit_affinity_head
+from mvtrack.affinity import AffinityFitHyper, appearance_cost as appearance_matrix, fit_affinity_head
 from mvtrack.association import (
     associate_one_step,
     associate_two_step,
     gated_assign,
     hungarian,
-    _appearance_matrix,
     _iou_cost,
 )
-from mvtrack.model import BBox, Detection, LifecycleState, TrackedObject, TrackerConfig
+from mvtrack.model import BBox, Detection, TrackTable, TrackerConfig, box_array
 from oracles import appearance_cost, iou_cost
 
 
@@ -123,12 +122,20 @@ def make_patch(base=None, noise=0.1):
     return base + noise * RNG.standard_normal((7, 7, 16))
 
 
-def make_object(obj_id, bbox, state, gallery_bases, l_f=24):
-    return TrackedObject(
-        id=obj_id,
-        bbox=bbox,
-        state=state,
-        gallery=deque([make_patch(b) for b in gallery_bases], maxlen=l_f),
+def make_object(obj_id, bbox, confirmed, gallery_bases, l_f=24):
+    return obj_id, bbox, confirmed, deque([make_patch(b) for b in gallery_bases], maxlen=l_f)
+
+
+def make_tracks(objects):
+    """A track table with one row per make_object tuple, in order."""
+    n = len(objects)
+    return TrackTable(
+        ids=np.array([o[0] for o in objects], dtype=np.int64),
+        confirmed=np.array([o[2] for o in objects], dtype=bool),
+        hits=np.zeros(n, dtype=np.int64),
+        misses=np.zeros(n, dtype=np.int64),
+        boxes=box_array([o[1] for o in objects]),
+        galleries=[o[3] for o in objects],
     )
 
 
@@ -150,35 +157,36 @@ def head():
 def test_matrix_helpers_agree_with_costs(head):
     bases = [RNG.standard_normal((7, 7, 16)) for _ in range(3)]
     objects = [
-        make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, bases[:2]),
-        make_object(2, BBox(90, 60, 24, 30), LifecycleState.TENTATIVE, bases[2:]),
+        make_object(1, BBox(50, 50, 20, 20), True, bases[:2]),
+        make_object(2, BBox(90, 60, 24, 30), False, bases[2:]),
     ]
     detections = [
         Detection(BBox(52, 51, 20, 20), 0.97, make_patch(bases[0])),
         Detection(BBox(150, 150, 20, 20), 0.97, make_patch()),
     ]
-    iou_m = _iou_cost(objects, detections)
-    app_m = _appearance_matrix(head, objects, detections)
-    for i, obj in enumerate(objects):
+    tracks = make_tracks(objects)
+    iou_m = _iou_cost(tracks.boxes, detections)
+    app_m = appearance_matrix(head, tracks.galleries, [d.feature for d in detections])
+    for i, (_, bbox, _, gallery) in enumerate(objects):
         for j, det in enumerate(detections):
-            assert iou_m[i, j] == pytest.approx(iou_cost(obj.bbox, det.bbox), abs=1e-12)
-            assert app_m[i, j] == pytest.approx(appearance_cost(head, obj.gallery, det.feature), abs=1e-12)
+            assert iou_m[i, j] == pytest.approx(iou_cost(bbox, det.bbox), abs=1e-12)
+            assert app_m[i, j] == pytest.approx(appearance_cost(head, gallery, det.feature), abs=1e-12)
 
 
 def test_two_step_iou_match_first(head):
     base = RNG.standard_normal((7, 7, 16))
-    obj = make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [base])
+    obj = make_object(1, BBox(50, 50, 20, 20), True, [base])
     det = Detection(BBox(51, 50, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step([obj], [det], head, CFG)
+    res = associate_two_step(make_tracks([obj]), [det], head, CFG)
     assert res.matches == [(0, 0)]
 
 
 def test_two_step_appearance_rescue(head):
     # confirmed object displaced far from its detection, gallery still matches
     base = RNG.standard_normal((7, 7, 16))
-    obj = make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [base])
+    obj = make_object(1, BBox(50, 50, 20, 20), True, [base])
     det = Detection(BBox(200, 200, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step([obj], [det], head, CFG)
+    res = associate_two_step(make_tracks([obj]), [det], head, CFG)
     assert res.matches == [(0, 0)]
 
 
@@ -186,22 +194,22 @@ def test_two_step_tentative_never_in_step_one(head):
     # a tentative object with perfect IoU but a foreign feature: step 2 gates
     # it by appearance, so it stays unmatched even though IoU is 1
     base = RNG.standard_normal((7, 7, 16))
-    tent = make_object(1, BBox(50, 50, 20, 20), LifecycleState.TENTATIVE, [base])
+    tent = make_object(1, BBox(50, 50, 20, 20), False, [base])
     det_foreign = Detection(BBox(50, 50, 20, 20), 0.97, make_patch())
-    res = associate_two_step([tent], [det_foreign], head, CFG)
+    res = associate_two_step(make_tracks([tent]), [det_foreign], head, CFG)
     assert res.matches == []
     # with its own feature it is matched in step 2 by appearance
     det_own = Detection(BBox(50, 50, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step([tent], [det_own], head, CFG)
+    res = associate_two_step(make_tracks([tent]), [det_own], head, CFG)
     assert res.matches == [(0, 0)]
 
 
 def test_two_step_no_double_assignment(head):
     bases = [RNG.standard_normal((7, 7, 16)) for _ in range(4)]
     objects = [
-        make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [bases[0]]),
-        make_object(2, BBox(80, 50, 20, 20), LifecycleState.CONFIRMED, [bases[1]]),
-        make_object(3, BBox(110, 50, 20, 20), LifecycleState.TENTATIVE, [bases[2]]),
+        make_object(1, BBox(50, 50, 20, 20), True, [bases[0]]),
+        make_object(2, BBox(80, 50, 20, 20), True, [bases[1]]),
+        make_object(3, BBox(110, 50, 20, 20), False, [bases[2]]),
     ]
     detections = [
         Detection(BBox(51, 50, 20, 20), 0.96, make_patch(bases[0])),
@@ -209,7 +217,7 @@ def test_two_step_no_double_assignment(head):
         Detection(BBox(111, 50, 20, 20), 0.96, make_patch(bases[2])),
         Detection(BBox(300, 300, 20, 20), 0.96, make_patch(bases[3])),
     ]
-    res = associate_two_step(objects, detections, head, CFG)
+    res = associate_two_step(make_tracks(objects), detections, head, CFG)
     matched_objs = [i for i, _ in res.matches]
     matched_dets = [j for _, j in res.matches]
     assert len(matched_objs) == len(set(matched_objs))
@@ -222,40 +230,40 @@ def test_two_step_no_double_assignment(head):
 
 def test_two_step_step1_unaffected_by_tentative(head):
     base = RNG.standard_normal((7, 7, 16))
-    conf = make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [base])
+    conf = make_object(1, BBox(50, 50, 20, 20), True, [base])
     det = Detection(BBox(51, 50, 20, 20), 0.96, make_patch(base))
-    res_without = associate_two_step([conf], [det], head, CFG)
-    tent = make_object(2, BBox(50, 50, 20, 20), LifecycleState.TENTATIVE, [base])
-    res_with = associate_two_step([conf, tent], [det], head, CFG)
+    res_without = associate_two_step(make_tracks([conf]), [det], head, CFG)
+    tent = make_object(2, BBox(50, 50, 20, 20), False, [base])
+    res_with = associate_two_step(make_tracks([conf, tent]), [det], head, CFG)
     assert (0, 0) in res_with.matches and res_without.matches == [(0, 0)]
 
 
 def test_one_step_alpha_one_is_gated_iou(head):
     objects = [
-        make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [RNG.standard_normal((7, 7, 16))]),
-        make_object(2, BBox(90, 50, 20, 20), LifecycleState.TENTATIVE, [RNG.standard_normal((7, 7, 16))]),
+        make_object(1, BBox(50, 50, 20, 20), True, [RNG.standard_normal((7, 7, 16))]),
+        make_object(2, BBox(90, 50, 20, 20), False, [RNG.standard_normal((7, 7, 16))]),
     ]
     detections = [
         Detection(BBox(52, 50, 20, 20), 0.96, make_patch()),
         Detection(BBox(91, 50, 20, 20), 0.96, make_patch()),
     ]
-    res = associate_one_step(objects, detections, head, 1.0, CFG)
-    expected = gated_assign(_iou_cost(objects, detections), CFG.tau_iou)
+    res = associate_one_step(make_tracks(objects), detections, head, 1.0, CFG)
+    expected = gated_assign(_iou_cost(box_array([o[1] for o in objects]), detections), CFG.tau_iou)
     assert sorted(res.matches) == sorted(expected.matches)
 
 
 def test_one_step_alpha_zero_is_gated_appearance(head):
     bases = [RNG.standard_normal((7, 7, 16)), RNG.standard_normal((7, 7, 16))]
     objects = [
-        make_object(1, BBox(50, 50, 20, 20), LifecycleState.CONFIRMED, [bases[0]]),
-        make_object(2, BBox(90, 50, 20, 20), LifecycleState.CONFIRMED, [bases[1]]),
+        make_object(1, BBox(50, 50, 20, 20), True, [bases[0]]),
+        make_object(2, BBox(90, 50, 20, 20), True, [bases[1]]),
     ]
     detections = [
         Detection(BBox(400, 200, 20, 20), 0.96, make_patch(bases[1])),
         Detection(BBox(300, 300, 20, 20), 0.96, make_patch(bases[0])),
     ]
-    res = associate_one_step(objects, detections, head, 0.0, CFG)
-    expected = gated_assign(_appearance_matrix(head, objects, detections), CFG.tau_app)
+    res = associate_one_step(make_tracks(objects), detections, head, 0.0, CFG)
+    expected = gated_assign(appearance_matrix(head, [o[3] for o in objects], [d.feature for d in detections]), CFG.tau_app)
     assert sorted(res.matches) == sorted(expected.matches)
     assert sorted(res.matches) == [(0, 1), (1, 0)]  # appearance crosses the geometry
 
@@ -271,25 +279,25 @@ def test_one_step_blended_gate_example(head):
 
 def test_one_step_rejects_bad_alpha(head):
     with pytest.raises(ValueError):
-        associate_one_step([], [], head, 1.5, CFG)
+        associate_one_step(TrackTable.empty(), [], head, 1.5, CFG)
 
 
 def test_permutation_changes_only_ties(head):
     rng = np.random.default_rng(21)
     bases = [rng.standard_normal((7, 7, 16)) for _ in range(5)]
     objects = [
-        make_object(i + 1, BBox(40 + 35 * i, 60, 22, 22), LifecycleState.CONFIRMED, [bases[i]])
+        make_object(i + 1, BBox(40 + 35 * i, 60, 22, 22), True, [bases[i]])
         for i in range(5)
     ]
     detections = [
         Detection(BBox(41 + 35 * i, 61, 22, 22), 0.96, bases[i] + 0.1 * rng.standard_normal((7, 7, 16)))
         for i in range(5)
     ]
-    res = associate_two_step(objects, detections, head, CFG)
-    base_cost = sum(iou_cost(objects[i].bbox, detections[j].bbox) for i, j in res.matches)
+    res = associate_two_step(make_tracks(objects), detections, head, CFG)
+    base_cost = sum(iou_cost(objects[i][1], detections[j].bbox) for i, j in res.matches)
     perm = [3, 0, 4, 1, 2]
     objects_p = [objects[i] for i in perm]
-    res_p = associate_two_step(objects_p, detections, head, CFG)
-    cost_p = sum(iou_cost(objects_p[i].bbox, detections[j].bbox) for i, j in res_p.matches)
+    res_p = associate_two_step(make_tracks(objects_p), detections, head, CFG)
+    cost_p = sum(iou_cost(objects_p[i][1], detections[j].bbox) for i, j in res_p.matches)
     assert len(res_p.matches) == len(res.matches)
     assert cost_p == pytest.approx(base_cost)

@@ -4,8 +4,8 @@ from collections import deque
 import numpy as np
 
 from mvtrack.association import AssignmentResult
-from mvtrack.lifecycle import apply_matches, manage_states
-from mvtrack.model import BBox, Detection, LifecycleState, TrackedObject, TrackerConfig
+from mvtrack.lifecycle import update
+from mvtrack.model import BBox, Detection, TrackTable, TrackerConfig
 
 CFG = TrackerConfig()
 RNG = np.random.default_rng(0)
@@ -15,163 +15,167 @@ def patch():
     return RNG.standard_normal((7, 7, 16))
 
 
-def obj(obj_id, state=LifecycleState.CONFIRMED, n_gallery=1, hits=1, misses=0, l_f=24):
-    return TrackedObject(
-        id=obj_id,
-        bbox=BBox(50, 50, 20, 20),
-        state=state,
-        gallery=deque([patch() for _ in range(n_gallery)], maxlen=l_f),
-        hits=hits,
-        misses=misses,
+def table(*rows):
+    """A track table of (id, confirmed, n_gallery, hits, misses[, l_f]) rows,
+    every box at (50, 50, 20, 20)."""
+    rows = [r + (24,) * (6 - len(r)) for r in rows]
+    return TrackTable(
+        ids=np.array([r[0] for r in rows], dtype=np.int64),
+        confirmed=np.array([r[1] for r in rows], dtype=bool),
+        hits=np.array([r[3] for r in rows], dtype=np.int64),
+        misses=np.array([r[4] for r in rows], dtype=np.int64),
+        boxes=np.tile([50.0, 50.0, 20.0, 20.0], (len(rows), 1)),
+        galleries=[deque([patch() for _ in range(r[2])], maxlen=r[5]) for r in rows],
     )
 
 
-def det(x=60.0):
-    return Detection(BBox(x, 50, 20, 20), 0.97, patch())
+def obj(obj_id, confirmed=True, n_gallery=1, hits=1, misses=0, l_f=24):
+    return table((obj_id, confirmed, n_gallery, hits, misses, l_f))
+
+
+def det(x=60.0, conf=0.97):
+    return Detection(BBox(x, 50, 20, 20), conf, patch())
+
+
+def hit(tracks, d=None, ids=None):
+    return update(tracks, [d or det()], AssignmentResult(matches=[(0, 0)]), CFG, ids or itertools.count(100))
+
+
+def miss(tracks, ids=None):
+    return update(tracks, [], AssignmentResult(unmatched_objects=list(range(len(tracks)))), CFG, ids or itertools.count(100))
 
 
 def test_match_succeeds_bbox_and_gallery():
-    o = obj(1, n_gallery=2, hits=2)
     d = det()
-    apply_matches([o], [d], AssignmentResult(matches=[(0, 0)]))
-    assert o.bbox == d.bbox
-    assert len(o.gallery) == 3
-    assert o.gallery[-1] is d.feature
-    assert (o.hits, o.misses) == (3, 0)
+    out = hit(obj(1, n_gallery=2, hits=2), d)
+    assert out.boxes[0].tolist() == [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h]
+    assert len(out.galleries[0]) == 3
+    assert out.galleries[0][-1] is d.feature
+    assert (out.hits[0], out.misses[0]) == (3, 0)
 
 
 def test_gallery_capacity_evicts_oldest():
     o = obj(1, n_gallery=24, l_f=24)
-    oldest = o.gallery[0]
+    oldest = o.galleries[0][0]
     d = det()
-    apply_matches([o], [d], AssignmentResult(matches=[(0, 0)]))
-    assert len(o.gallery) == 24
-    assert all(g is not oldest for g in o.gallery)
-    assert o.gallery[-1] is d.feature
+    out = hit(o, d)
+    assert len(out.galleries[0]) == 24
+    assert all(g is not oldest for g in out.galleries[0])
+    assert out.galleries[0][-1] is d.feature
 
 
 def test_unmatched_object_counts_miss_keeps_gallery():
     o = obj(1, n_gallery=3, hits=5)
-    before = list(o.gallery)
-    bbox_before = o.bbox
-    apply_matches([o], [], AssignmentResult(unmatched_objects=[0]))
-    assert list(o.gallery) == before
-    assert o.bbox == bbox_before
-    assert (o.hits, o.misses) == (0, 1)
+    before = list(o.galleries[0])
+    box_before = o.boxes.copy()
+    out = miss(o)
+    assert list(out.galleries[0]) == before
+    assert out.boxes.tobytes() == box_before.tobytes()
+    assert (out.hits[0], out.misses[0]) == (0, 1)
 
 
 def test_exactly_one_counter_moves_each_update():
-    o1, o2 = obj(1, hits=2), obj(2, misses=1, hits=0)
-    d = det()
-    apply_matches([o1, o2], [d], AssignmentResult(matches=[(0, 0)], unmatched_objects=[1]))
-    assert (o1.hits, o1.misses) == (3, 0)
-    assert (o2.hits, o2.misses) == (0, 2)
+    tracks = table((1, True, 1, 2, 0), (2, True, 1, 0, 1))
+    out = update(tracks, [det()], AssignmentResult(matches=[(0, 0)], unmatched_objects=[1]), CFG, itertools.count(10))
+    assert out.hits.tolist() == [3, 0]
+    assert out.misses.tolist() == [0, 2]
 
 
 def test_birth_tentative_and_instant_confirm():
-    ids = itertools.count(5)
     low = Detection(BBox(10, 10, 5, 5), 0.98, patch())
     high = Detection(BBox(20, 20, 5, 5), 0.995, patch())
-    survivors, newborn = manage_states([], [low, high], CFG, ids)
-    assert survivors == []
-    assert [o.state for o in newborn] == [LifecycleState.TENTATIVE, LifecycleState.CONFIRMED]
-    assert [o.id for o in newborn] == [5, 6]
-    assert all(len(o.gallery) == 1 and o.hits == 1 and o.misses == 0 for o in newborn)
+    out = update(TrackTable.empty(), [low, high], AssignmentResult(unmatched_detections=[0, 1]), CFG, itertools.count(5))
+    assert out.confirmed.tolist() == [False, True]
+    assert out.ids.tolist() == [5, 6]
+    assert out.boxes.tolist() == [[10, 10, 5, 5], [20, 20, 5, 5]]
+    assert [len(g) for g in out.galleries] == [1, 1]
+    assert out.hits.tolist() == [1, 1] and out.misses.tolist() == [0, 0]
+
+
+def test_newborn_rows_follow_survivors_in_detection_order():
+    tracks = table((1, True, 1, 2, 0), (2, False, 1, 0, CFG.l_delete), (3, True, 1, 1, 0))
+    dets = [det(10.0), det(20.0), det(30.0)]
+    result = AssignmentResult(matches=[(2, 1)], unmatched_objects=[0, 1], unmatched_detections=[0, 2])
+    out = update(tracks, dets, result, CFG, itertools.count(7))
+    assert out.ids.tolist() == [1, 3, 7, 8]  # row 2 deleted, newborns last
+    assert out.boxes[:, 0].tolist() == [50.0, 20.0, 10.0, 30.0]
 
 
 def test_confirm_after_more_than_l_confirm_hits():
-    ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.TENTATIVE, hits=CFG.l_confirm)  # not enough yet
-    manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.TENTATIVE
-    o.hits = CFG.l_confirm + 1
-    manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.CONFIRMED
+    o = hit(obj(1, confirmed=False, hits=CFG.l_confirm - 1))
+    assert o.hits[0] == CFG.l_confirm and not o.confirmed[0]  # not enough yet
+    o = hit(o)
+    assert o.confirmed[0]
 
 
 def test_demote_after_more_than_l_demote_misses():
-    ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.CONFIRMED, hits=0, misses=CFG.l_demote)
-    manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.CONFIRMED
-    o.misses = CFG.l_demote + 1
-    survivors, _ = manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.TENTATIVE
-    assert survivors == [o]
+    o = miss(obj(1, hits=0, misses=CFG.l_demote - 1))
+    assert o.misses[0] == CFG.l_demote and o.confirmed[0]
+    o = miss(o)
+    assert len(o) == 1 and not o.confirmed[0]
 
 
 def test_delete_after_more_than_l_delete_misses():
-    ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.TENTATIVE, hits=0, misses=CFG.l_delete + 1)
-    survivors, _ = manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.DELETED
-    assert survivors == []
+    o = miss(obj(1, confirmed=False, hits=0, misses=CFG.l_delete - 1))
+    assert len(o) == 1
+    assert len(miss(o)) == 0
 
 
 def test_demoted_object_keeps_id_gallery_and_miss_clock():
     # a confirmed object that keeps missing eventually demotes then deletes,
     # with the miss counter carrying across the demotion
-    ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.CONFIRMED, n_gallery=4, hits=0, misses=0)
-    gallery_before = list(o.gallery)
+    o = obj(1, n_gallery=4, hits=0, misses=0)
+    gallery_before = list(o.galleries[0])
     states = []
     for _ in range(CFG.l_delete + 2):
-        apply_matches([o], [], AssignmentResult(unmatched_objects=[0]))
-        survivors, _ = manage_states([o], [], CFG, ids)
-        states.append(o.state)
-        if not survivors:
+        last = o
+        o = miss(o)
+        if not len(o):
+            states.append("deleted")
             break
-    assert states[: CFG.l_demote] == [LifecycleState.CONFIRMED] * CFG.l_demote
-    assert states[CFG.l_demote] is LifecycleState.TENTATIVE
-    assert states[-1] is LifecycleState.DELETED
-    assert o.id == 1 and list(o.gallery) == gallery_before
-    assert o.misses == CFG.l_delete + 1
+        states.append("confirmed" if o.confirmed[0] else "tentative")
+    assert states[: CFG.l_demote] == ["confirmed"] * CFG.l_demote
+    assert states[CFG.l_demote] == "tentative"
+    assert states[-1] == "deleted"
+    assert last.ids.tolist() == [1] and list(last.galleries[0]) == gallery_before
+    assert last.misses[0] == CFG.l_delete
 
 
 def test_deleted_is_absorbing_and_removed():
     ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.TENTATIVE, hits=0, misses=CFG.l_delete + 1)
-    survivors, _ = manage_states([o], [], CFG, ids)
-    assert survivors == []
-    # running the rules again must not resurrect it
-    survivors, _ = manage_states([o], [], CFG, ids)
-    assert survivors == [] and o.state is LifecycleState.DELETED
+    o = obj(1, confirmed=False, hits=0, misses=CFG.l_delete)
+    o = update(o, [det()], AssignmentResult(unmatched_objects=[0], unmatched_detections=[0]), CFG, ids)
+    assert o.ids.tolist() == [10]  # the deleted row is gone, the newborn takes a fresh id
+    o = miss(o, ids)
+    assert o.ids.tolist() == [10]
 
 
 def test_matched_confirmed_object_stays_confirmed_forever():
-    ids = itertools.count(10)
-    o = obj(1, state=LifecycleState.CONFIRMED)
+    o = obj(1)
     for _ in range(50):
-        apply_matches([o], [det()], AssignmentResult(matches=[(0, 0)]))
-        manage_states([o], [], CFG, ids)
-    assert o.state is LifecycleState.CONFIRMED
+        o = hit(o)
+    assert o.confirmed.tolist() == [True]
 
 
 def test_new_ids_strictly_increase():
     ids = itertools.count(1)
-    _, first = manage_states([], [det()], CFG, ids)
-    _, second = manage_states([], [det(), det()], CFG, ids)
-    seen = [o.id for o in first + second]
-    assert seen == sorted(seen) and len(set(seen)) == len(seen)
+    first = update(TrackTable.empty(), [det()], AssignmentResult(unmatched_detections=[0]), CFG, ids)
+    second = update(first, [det(), det()], AssignmentResult(unmatched_objects=[0], unmatched_detections=[0, 1]), CFG, ids)
+    seen = second.ids.tolist()
+    assert seen == sorted(seen) and len(set(seen)) == len(seen) == 3
 
 
 def test_state_transitions_follow_relation():
     # brute-force the reachable transitions: only T->C, C->T, T->D plus loops
-    ids = itertools.count(10)
     observed = set()
-    for state in (LifecycleState.TENTATIVE, LifecycleState.CONFIRMED):
+    for confirmed in (False, True):
         for hits in range(0, 6):
             for misses in range(0, 13):
                 if hits and misses:
                     continue  # one of the two is always zero by construction
-                o = obj(1, state=state, hits=hits, misses=misses)
-                manage_states([o], [], CFG, ids)
-                observed.add((state, o.state))
-    allowed = {
-        (LifecycleState.TENTATIVE, LifecycleState.TENTATIVE),
-        (LifecycleState.TENTATIVE, LifecycleState.CONFIRMED),
-        (LifecycleState.TENTATIVE, LifecycleState.DELETED),
-        (LifecycleState.CONFIRMED, LifecycleState.CONFIRMED),
-        (LifecycleState.CONFIRMED, LifecycleState.TENTATIVE),
-    }
-    assert observed <= allowed
+                for step in (hit, miss):
+                    out = step(obj(1, confirmed=confirmed, hits=hits, misses=misses))
+                    after = "D" if not len(out) else "C" if out.confirmed[0] else "T"
+                    observed.add(("C" if confirmed else "T", after))
+    assert observed <= {("T", "T"), ("T", "C"), ("T", "D"), ("C", "C"), ("C", "T")}
+    assert observed == {("T", "T"), ("T", "C"), ("T", "D"), ("C", "C"), ("C", "T")}

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from mvtrack.model import (
     BBox,
     MotionFrame,
     TrackerConfig,
     Velocity,
+    box_array,
     box_corners,
+    corner_boxes,
     inverse_velocity,
     iou_matrix,
     predict_bbox,
+    predict_boxes,
 )
 from oracles import bbox_iou
 
@@ -152,6 +156,46 @@ def test_round_trip_1000_random_pairs():
     assert worst < 1e-9
 
 
+@settings(max_examples=200)
+@given(st.lists(st.tuples(boxes(), st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 4)), min_size=1, max_size=20))
+def test_predict_boxes_matches_scalar_oracle_bit_for_bit(pairs):
+    got = predict_boxes(np.array([v for _, v in pairs]), box_array([b for b, _ in pairs]))
+    want = box_array([oracles.predict_bbox(Velocity(*v), b) for b, v in pairs])
+    assert got.tobytes() == want.tobytes()
+    assert [predict_bbox(Velocity(*v), b) for b, v in pairs] == [BBox(*row) for row in want.tolist()]
+
+
+def test_predict_boxes_uses_math_exp():
+    # np.exp rounds some float64 inputs differently from math.exp; the batched
+    # step must give the scalar step's sizes
+    v = np.random.default_rng(1).uniform(-1, 1, (2000, 4))
+    boxes = np.ones((2000, 4))
+    got = predict_boxes(v, boxes)[:, 2:].ravel().tolist()
+    assert got == [math.exp(c) for c in v[:, 2:].ravel().tolist()]
+
+
+def test_predict_boxes_rejects_like_velocity_and_bbox():
+    boxes = box_array([BBox(10, 10, 4, 4), BBox(20, 20, 4, 4)])
+    for v, message in (
+        ([[0, 0, 0, 0], [0, math.inf, 0, 0]], "velocity component vy must be finite"),
+        ([[0, 0, 0, math.nan], [math.nan, 0, 0, 0]], "velocity component vh must be finite"),
+        ([[0, 0, 0, 0], [0, 0, -800.0, 0]], "box size must be positive, got w=0.0 h=4.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            predict_boxes(np.array(v, dtype=float), boxes)
+    with pytest.raises(OverflowError):
+        predict_boxes(np.array([[0, 0, 800.0, 0]]), boxes[:1])
+
+
+def test_corner_helpers_take_boxes_or_arrays():
+    bs = [BBox(12.5, -3.25, 7.0, 9.5), BBox(0.1, 0.2, 0.3, 0.7)]
+    want = np.array([b.corners() for b in bs])
+    assert box_corners(bs).tobytes() == want.tobytes()
+    assert box_corners(box_array(bs)).tobytes() == want.tobytes()
+    assert corner_boxes(want).tolist() == [[b.x, b.y, b.w, b.h] for b in (BBox.from_corners(*c) for c in want.tolist())]
+    assert box_corners([]).shape == box_array([]).shape == (0, 4)
+
+
 def test_velocity_rejects_non_finite():
     with pytest.raises(ValueError):
         Velocity(math.nan, 0, 0, 0)
@@ -171,7 +215,7 @@ def test_tracker_config_defaults_and_validation():
     cfg = TrackerConfig()
     assert (cfg.K, cfg.tau_iou, cfg.tau_app, cfg.conf_min) == (3, 0.3, 0.25, 0.95)
     assert (cfg.c_confirm, cfg.l_confirm, cfg.l_demote, cfg.l_delete) == (0.99, 3, 2, 10)
-    assert (cfg.l_f, cfg.m, cfg.alpha) == (24, 7, 0.5)
+    assert (cfg.l_f, cfg.alpha) == (24, 0.5)
     with pytest.raises(ValueError):
         TrackerConfig(tau_iou=1.5)
     with pytest.raises(ValueError):

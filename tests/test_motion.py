@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mvtrack.model import BBox, MotionFrame, Velocity, predict_bbox
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvtrack.model import BBox, MotionFrame, Velocity, box_array, predict_bbox
 from mvtrack.motion import (
     F_IN,
     FieldReadout,
@@ -18,6 +21,7 @@ from mvtrack.motion import (
     smooth_l1,
 )
 from mvtrack.stream import MotionScript, ObjectScript, StreamHeader, generate_scenario
+import oracles
 from oracles import encode_motion_gradient, psroi_readout, regressor_loss, velocity_field
 
 BLOCK = 16
@@ -41,40 +45,77 @@ def split_frame(gw=12, gh=8, split=6):
 
 
 def test_bbox_avg_uniform_field():
-    (out,) = propagate_bbox_avg([BBox(50, 50, 32, 32)], uniform_frame(3, -2), BLOCK)
-    assert (out.x, out.y, out.w, out.h) == (53, 48, 32, 32)
+    (out,) = propagate_bbox_avg(box_array([BBox(50, 50, 32, 32)]), uniform_frame(3, -2), BLOCK)
+    assert out.tolist() == [53, 48, 32, 32]
 
 
 def test_bbox_avg_zero_field_identity():
-    b = BBox(50, 50, 32, 32)
-    assert propagate_bbox_avg([b], uniform_frame(0, 0), BLOCK) == [b]
+    b = box_array([BBox(50, 50, 32, 32)])
+    assert propagate_bbox_avg(b, uniform_frame(0, 0), BLOCK).tolist() == b.tolist()
 
 
 def test_bbox_avg_antisymmetric_field_blind_to_scale():
     # box symmetric about the split: equal counts of -1 and +1 cancel
-    (out,) = propagate_bbox_avg([BBox(96, 64, 32, 32)], split_frame(), BLOCK)
-    assert (out.x, out.y, out.w, out.h) == (96, 64, 32, 32)
+    (out,) = propagate_bbox_avg(box_array([BBox(96, 64, 32, 32)]), split_frame(), BLOCK)
+    assert out.tolist() == [96, 64, 32, 32]
 
 
 def test_bbox_avg_no_covered_center_is_identity():
-    b = BBox(-100, -100, 8, 8)
-    assert propagate_bbox_avg([b], uniform_frame(3, 3), BLOCK) == [b]
+    b = box_array([BBox(-100, -100, 8, 8)])
+    assert propagate_bbox_avg(b, uniform_frame(3, 3), BLOCK).tolist() == b.tolist()
 
 
 def test_pixel_shift_uniform_field():
-    out = propagate_pixel_shift(BBox(50, 50, 32, 32), uniform_frame(3, -2), BLOCK)
-    assert (out.x, out.y, out.w, out.h) == pytest.approx((53, 48, 32, 32))
+    (out,) = propagate_pixel_shift(box_array([BBox(50, 50, 32, 32)]), uniform_frame(3, -2), BLOCK)
+    assert out.tolist() == pytest.approx((53, 48, 32, 32))
 
 
 def test_pixel_shift_split_grows_box():
-    out = propagate_pixel_shift(BBox(96, 64, 32, 32), split_frame(), BLOCK)
-    assert (out.x, out.y, out.w, out.h) == pytest.approx((96, 64, 34, 32))
+    (out,) = propagate_pixel_shift(box_array([BBox(96, 64, 32, 32)]), split_frame(), BLOCK)
+    assert out.tolist() == pytest.approx((96, 64, 34, 32))
 
 
 def test_pixel_shift_zero_identity():
     b = BBox(77.5, 41.25, 20, 10)
-    out = propagate_pixel_shift(b, uniform_frame(0, 0), BLOCK)
-    assert (out.x, out.y, out.w, out.h) == pytest.approx((b.x, b.y, b.w, b.h))
+    (out,) = propagate_pixel_shift(box_array([b]), uniform_frame(0, 0), BLOCK)
+    assert out.tolist() == pytest.approx((b.x, b.y, b.w, b.h))
+
+
+@st.composite
+def frames_and_boxes(draw):
+    """A P-frame and boxes on it: inside, partly or wholly off the grid,
+    smaller than a block, on block edges, at any block size."""
+    block = draw(st.sampled_from([16, 10, 7, 1]))
+    gw, gh = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mv = rng.integers(-20, 21, (2, gw, gh)).astype(np.int32)
+    frame = MotionFrame(1, "P", mv, np.zeros((gw, gh)))
+    coord = st.one_of(
+        st.floats(-3 * block, (max(gw, gh) + 3) * block, allow_nan=False),
+        st.integers(-3, max(gw, gh) + 3).map(lambda c: float(c * block)),
+    )
+    size = st.one_of(st.floats(0.01, 6 * block), st.integers(1, 6).map(lambda c: float(c * block)))
+    boxes = draw(st.lists(st.builds(BBox, coord, coord, size, size), min_size=1, max_size=8))
+    return frame, boxes, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_and_boxes())
+def test_pixel_shift_matches_scalar_oracle_bit_for_bit(case):
+    frame, boxes, block = case
+    got = propagate_pixel_shift(box_array(boxes), frame, block)
+    want = box_array([oracles.propagate_pixel_shift(b, frame, block) for b in boxes])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames_and_boxes())
+def test_bbox_avg_matches_list_oracle_bit_for_bit(case):
+    frame, boxes, block = case
+    got = propagate_bbox_avg(box_array(boxes), frame, block)
+    want = box_array(oracles.propagate_bbox_avg(boxes, frame, block))
+    assert got.tobytes() == want.tobytes()
 
 
 # --- encoding ---
@@ -212,21 +253,22 @@ def test_readout_paths_agree():
         for _ in range(40)
     ] + [BBox(-200, -200, 10, 10)]
     batched = readout.velocities(boxes, BLOCK)
+    assert readout.velocities(box_array(boxes), BLOCK).tobytes() == batched.tobytes()
     single = [readout.velocities([box], BLOCK)[0] for box in boxes]
     for box, vb, vc in zip(boxes, batched, single):
         va = psroi_readout(field, box, BLOCK)
-        for a, b, c in zip((va.vx, va.vy, va.vw, va.vh), (vb.vx, vb.vy, vb.vw, vb.vh), (vc.vx, vc.vy, vc.vw, vc.vh)):
+        for a, b, c in zip((va.vx, va.vy, va.vw, va.vh), vb, vc):
             assert a == pytest.approx(b, abs=1e-12)
             assert a == pytest.approx(c, abs=1e-12)
 
     # m = 1 on the raw MV grid: bboxavg's shift is the mean MV over the
     # cells whose centers the box covers (empty: no shift)
-    moved = propagate_bbox_avg(boxes, fr, BLOCK)
+    moved = propagate_bbox_avg(box_array(boxes), fr, BLOCK)
     mv_field = np.concatenate([mv, np.zeros((2, gw, gh))]).astype(float)
-    for box, out in zip(boxes, moved):
+    for box, (x, y, w, h) in zip(boxes, moved.tolist()):
         oracle = psroi_readout(mv_field, box, BLOCK)
-        assert (out.x - box.x, out.y - box.y) == pytest.approx((oracle.vx, oracle.vy), abs=1e-12)
-        assert (out.w, out.h) == (box.w, box.h)
+        assert (x - box.x, y - box.y) == pytest.approx((oracle.vx, oracle.vy), abs=1e-12)
+        assert (w, h) == (box.w, box.h)
 
 
 # --- smooth L1 and loss ---
@@ -366,7 +408,7 @@ def test_fit_translations_reproduces_mean_mv():
         for off in (0.0, 5.3, 11.8):
             b = BBox(200 + off, 170 + off / 2, 128, 128)
             (v,) = FieldReadout(params, encode_motion(fr)).velocities([b], BLOCK)
-            out = predict_bbox(v, b)
+            out = predict_bbox(Velocity(*v), b)
             worst = max(worst, abs(out.x - b.x - dx), abs(out.y - b.y - dy), abs(out.w - b.w), abs(out.h - b.h))
     assert worst < 1e-3
 
@@ -377,7 +419,7 @@ def test_fit_zero_motion_degenerate():
     params, loss = fit_regressor([sc], FitHyper(lr=1.0, epochs=200))
     assert loss < 1e-6
     (v,) = FieldReadout(params, encode_motion(sc.frames[1])).velocities([BBox(240, 180, 128, 128)], BLOCK)
-    assert max(abs(v.vx), abs(v.vy), abs(v.vw), abs(v.vh)) < 1e-3
+    assert np.abs(v).max() < 1e-3
 
 
 def test_fit_epochs_zero_returns_initialization():
@@ -414,10 +456,10 @@ def test_fit_zoom_beats_averaging_on_scale():
     )
     fr = ev.frames[4]
     prev = {r.frame: r.bbox for r in ev.gt}[4]
-    (v_reg,) = FieldReadout(params, encode_motion(fr)).velocities([prev], BLOCK)
-    assert v_reg.vw > 0.02  # sees the scale change
-    (avg,) = propagate_bbox_avg([prev], fr, BLOCK)
-    assert avg.w == prev.w  # the averaging baseline cannot
+    ((_, _, vw, _),) = FieldReadout(params, encode_motion(fr)).velocities([prev], BLOCK)
+    assert vw > 0.02  # sees the scale change
+    ((_, _, w, _),) = propagate_bbox_avg(box_array([prev]), fr, BLOCK)
+    assert w == prev.w  # the averaging baseline cannot
 
 
 def test_propagation_samples_skip_occluded_and_single_frame():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,22 @@ def test_malformed_record_names_line(tmp_path, prefix, edit, message):
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ScenarioFormatError, match=f"^line {i + 1}: {message}"):
         read_scenario(tmp_path / "bad.txt")
+
+
+def test_all_blank_table_raises_without_numpy_warning(tmp_path):
+    # every mv record blank: the bulk parse must not reach np.loadtxt's
+    # "input contained no data" warning before the error names the line
+    p = tmp_path / "s.txt"
+    script = MotionScript(frames=2, objects=(ObjectScript(id=1, enter=1, exit=2, x=64, y=64, w=32, h=32, vx=2),))
+    write_scenario(generate_scenario(script, HEADER, seed=4), p)
+    lines = p.read_text().splitlines()
+    i = _first_line(lines, "mv ")
+    lines[i] = "mv "
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioFormatError, match=f"^line {i + 1}: malformed mv record: no values"):
+            read_scenario(tmp_path / "bad.txt")
 
 
 def test_duplicate_seed_id_names_line(tmp_path):
