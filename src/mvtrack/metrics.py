@@ -37,18 +37,21 @@ class MotScores:
     tp: int
 
 
-def _by_frame(rows, what: str) -> dict:
-    """{frame: [(id, BBox), ...]} of the counted (frame, id, BBox, counted)
-    rows, in row order; a (frame, id) repeated in any row is an error."""
-    seen = set()
-    by_frame = {}
+def _by_frame(rows, what: str) -> tuple:
+    """The ids and box corners of the counted (frame, id, BBox, counted) rows,
+    grouped by frame in row order, and {frame: slice} of each group in them;
+    a (frame, id) repeated in any row is an error."""
+    seen, kept = set(), []
     for frame, obj_id, bbox, counted in rows:
         if (frame, obj_id) in seen:
             raise ValueError(f"duplicate {what} id {obj_id} in frame {frame}")
         seen.add((frame, obj_id))
         if counted:
-            by_frame.setdefault(frame, []).append((obj_id, bbox))
-    return by_frame
+            kept.append((frame, obj_id, bbox))
+    kept.sort(key=lambda row: row[0])  # stable: row order within a frame
+    frames, starts, counts = np.unique([row[0] for row in kept], return_index=True, return_counts=True)
+    spans = {f: slice(a, a + n) for f, a, n in zip(frames.tolist(), starts.tolist(), counts.tolist())}
+    return [row[1] for row in kept], box_corners([row[2] for row in kept]), spans
 
 
 def frame_index(gt, results):
@@ -59,13 +62,11 @@ def frame_index(gt, results):
     the same way. Invisible ground-truth rows are left out; a (frame, id)
     repeated within the ground truth or within the hypotheses is an error.
     """
-    gt_frames = _by_frame(((r.frame, r.id, r.bbox, r.visible) for r in gt), "ground-truth")
-    hyp_frames = _by_frame(((frame, obj_id, bbox, True) for frame, obj_id, bbox in results), "hypothesis")
-    for frame in sorted(gt_frames.keys() | hyp_frames.keys()):
-        gts = gt_frames.get(frame, [])
-        hyps = hyp_frames.get(frame, [])
-        iou = iou_matrix(box_corners([b for _, b in gts]), box_corners([b for _, b in hyps]))
-        yield frame, [g for g, _ in gts], [h for h, _ in hyps], iou
+    gt_ids, gt_corners, gt_spans = _by_frame(((r.frame, r.id, r.bbox, r.visible) for r in gt), "ground-truth")
+    hyp_ids, hyp_corners, hyp_spans = _by_frame(((f, i, b, True) for f, i, b in results), "hypothesis")
+    for frame in sorted(gt_spans.keys() | hyp_spans.keys()):
+        g, h = gt_spans.get(frame, slice(0)), hyp_spans.get(frame, slice(0))
+        yield frame, gt_ids[g], hyp_ids[h], iou_matrix(gt_corners[g], hyp_corners[h])
 
 
 def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
