@@ -11,9 +11,6 @@ from .model import (
     Detection,
     MotionFrame,
     TrackerConfig,
-    Velocity,
-    inverse_velocity,
-    predict_bbox,
 )
 from .stream import (
     DetectorConfig,
@@ -50,14 +47,11 @@ __all__ = [
     "StreamHeader",
     "TrackerConfig",
     "TrackerModels",
-    "Velocity",
     "clear_mot",
     "generate_scenario",
     "idf1",
-    "inverse_velocity",
     "is_key_frame",
     "oracle_detect",
-    "predict_bbox",
     "read_models",
     "read_motchallenge",
     "read_scenario",

@@ -6,6 +6,8 @@ randomness flows from explicit seed flags.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import time
 from dataclasses import replace
@@ -13,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .affinity import AffinityFitHyper, affinity_accuracy, fit_affinity_head
-from .engine import FileDetector, OracleDetector, TrackerModels, speedup_model, track, write_timing_report
+from .engine import FileDetector, OracleDetector, TrackerModels, make_propagator, speedup_model, track, write_timing_report
 from .metrics import clear_mot, idf1
 from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig
 from .modelio import read_models, write_models
@@ -139,14 +141,7 @@ def _cmd_track(args) -> int:
     cfg = _tracker_config(args)
     models = _load_models(args)
     detector = _make_detector(args, scenario)
-    rows, timings = track(
-        scenario,
-        detector,
-        cfg,
-        models,
-        detect_delay=args.detect_delay,
-        propagate_delay=args.propagate_delay,
-    )
+    rows, timings = track(scenario, detector, cfg, models)
     write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], args.out)
     if args.timing_out is not None:
         write_timing_report(timings, cfg.K, args.timing_out)
@@ -182,37 +177,52 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def delayed(fn, seconds: float):
+    """`fn` followed by a busy-wait of `seconds` on every call, emulating a
+    heavier stage; the spin is sub-millisecond precise, unlike sleep."""
+
+    def call(*args):
+        out = fn(*args)
+        end = time.perf_counter() + seconds
+        while time.perf_counter() < end:
+            pass
+        return out
+
+    return call
+
+
 def _cmd_bench(args) -> int:
+    ratio = args.force_ratio
+    if ratio is not None and not (math.isfinite(ratio) and ratio > 0):
+        raise ConfigError(f"--force-ratio must be positive and finite, got {ratio}")
     scenario = read_scenario(args.scenario)
     models = _load_models(args)
     detector = _make_detector(args, scenario)
     gt = scenario.gt
+    base_cfg = _tracker_config(args)
 
-    detect_delay = args.detect_delay
-    propagate_delay = args.propagate_delay
-    if args.force_ratio is not None:
-        base_cfg = _tracker_config(args)
-        probe_cfg = replace(base_cfg, K=scenario.header.gop)
-        _, probe = track(scenario, detector, probe_cfg, models)
+    propagate = None
+    if ratio is not None:
+        _, probe = track(scenario, detector, replace(base_cfg, K=scenario.header.gop), models)
         a0 = sum(probe.mean_key())
         p0 = probe.mean_pro()
-        key_target = max(0.03, 1.5 * a0, 1.25 * p0 / args.force_ratio)
+        key_target = max(0.03, 1.5 * a0, 1.25 * p0 / ratio)
         detect_delay = key_target - a0
-        propagate_delay = args.force_ratio * key_target - p0
+        propagate_delay = ratio * key_target - p0
         print(f"# calibrated delays: detect {detect_delay * 1e3:.2f} ms, propagate {propagate_delay * 1e3:.2f} ms")
+        detector = delayed(detector, detect_delay)
+        propagate = delayed(make_propagator(base_cfg, models), propagate_delay)
 
     k_values = list(dict.fromkeys([1] + args.K_list))
     walls = {}
     rows_by_k = {}
     timings_by_k = {}
     for K in k_values:
-        cfg = replace(_tracker_config(args), K=K)
+        cfg = replace(base_cfg, K=K)
         best = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            rows, timings = track(
-                scenario, detector, cfg, models, detect_delay=detect_delay, propagate_delay=propagate_delay
-            )
+            rows, timings = track(scenario, detector, cfg, models, propagate)
             wall = time.perf_counter() - t0
             if best is None or wall < best[0]:
                 best = (wall, rows, timings)
@@ -228,7 +238,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(prog="mvtrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--det-seed", type=int, default=DetectorConfig.rng_seed)
         for name in DETECTOR_FLAGS:
             p.add_argument("--det-" + name.replace("_", "-"), type=float, default=getattr(DetectorConfig, name))
-        p.add_argument("--detect-delay", type=float, default=0.0)
-        p.add_argument("--propagate-delay", type=float, default=0.0)
 
     p = sub.add_parser("track", help="run the tracker over a scenario")
     p.add_argument("--scenario", required=True)

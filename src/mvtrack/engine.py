@@ -1,5 +1,5 @@
 """The online tracking loop: key-frame scheduling, per-frame dispatch,
-trajectory output, and timing instrumentation.
+trajectory output, and per-stage timings.
 
 Frames are numbered 1-based; frame t is a key frame when (t-1) mod K == 0.
 Key frames run detection, association, and object management; non-key
@@ -7,6 +7,8 @@ frames only propagate boxes, leaving states, galleries, and counters
 untouched. Only confirmed objects are emitted, never retroactively. The
 loop is strictly online: output for frame t depends only on frames <= t.
 The state is one `TrackTable`, whose box array moves and clips whole.
+The detector and the propagator are callables `track` takes;
+`make_propagator` builds the configured propagator.
 """
 from __future__ import annotations
 
@@ -33,13 +35,6 @@ from .stream import DetectorConfig, Scenario, oracle_detect, read_motchallenge
 def is_key_frame(t: int, K: int) -> bool:
     """1-based key-frame test: frames 1, 1+K, 1+2K, ..."""
     return (t - 1) % K == 0
-
-
-def _burn(seconds: float) -> None:
-    """Spin for a fixed duration; sub-millisecond precise, unlike sleep."""
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        pass
 
 
 @dataclass
@@ -131,9 +126,13 @@ def _validate(scenario: Scenario, cfg: TrackerConfig, models: TrackerModels) -> 
         raise ConfigError(f"association mode {cfg.association_mode!r} requires fitted affinity parameters")
 
 
-def _propagator(cfg: TrackerConfig, models: TrackerModels):
-    """The non-key-frame step: (n, 4) boxes, a frame and the block size in,
-    the moved (n, 4) boxes out."""
+def make_propagator(cfg: TrackerConfig, models: TrackerModels):
+    """The configured non-key-frame step: (n, 4) boxes, a MotionFrame and the
+    block size in, the moved (n, 4) boxes out.
+
+    The motion functions are looked up in this module's namespace when the
+    step is made or run, which is where perfbench's tracer wraps them.
+    """
     if cfg.propagator == "bboxavg":
         return propagate_bbox_avg
     if cfg.propagator == "pixelshift":
@@ -161,20 +160,20 @@ def track(
     detector,
     cfg: TrackerConfig,
     models: TrackerModels = TrackerModels(),
-    detect_delay: float = 0.0,
-    propagate_delay: float = 0.0,
+    propagate=None,
 ):
     """Run the tracker over a scenario.
 
     `detector` is any callable mapping a 1-based frame number to a list of
-    Detections. The optional delays add a fixed busy-wait to each detection /
-    propagation stage, emulating heavier detectors and propagators when
-    benchmarking the scheduling model. Returns (rows, timings) where rows
-    are (frame, id, BBox) for confirmed objects, boxes clipped to the frame.
+    Detections. `propagate` is the non-key-frame step, called once per
+    non-key frame with tracked rows (see `make_propagator`, its default).
+    Returns (rows, timings) where rows are (frame, id, BBox) for confirmed
+    objects, boxes clipped to the frame.
     """
     _validate(scenario, cfg, models)
     header = scenario.header
-    propagate = _propagator(cfg, models)
+    if propagate is None:
+        propagate = make_propagator(cfg, models)
     tracks = TrackTable.empty()
     id_source = itertools.count(1)
     rows = []
@@ -186,8 +185,6 @@ def track(
             tm.key_frames += 1
             t0 = time.perf_counter()
             detections = [d for d in detector(t) if d.confidence >= cfg.conf_min]
-            if detect_delay:
-                _burn(detect_delay)
             t1 = time.perf_counter()
             result = associate(tracks, detections, models.affinity, cfg)
             t2 = time.perf_counter()
@@ -201,8 +198,6 @@ def track(
             t0 = time.perf_counter()
             if len(tracks):
                 tracks.boxes = propagate(tracks.boxes, frame_data, header.block)
-            if propagate_delay:
-                _burn(propagate_delay)
             tm.t_pro += time.perf_counter() - t0
         rows += _rows(t, tracks, header.width, header.height)
     return rows, tm

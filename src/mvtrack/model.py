@@ -63,21 +63,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class Velocity:
-    """Normalized box motion: (dx/w, dy/h, log width ratio, log height ratio)."""
-
-    vx: float
-    vy: float
-    vw: float
-    vh: float
-
-    def __post_init__(self):
-        for name in ("vx", "vy", "vw", "vh"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"velocity component {name} must be finite")
-
-
-@dataclass(frozen=True)
 class Detection:
     """One detector output: box, confidence in [0, 1], appearance patch."""
 
@@ -238,8 +223,8 @@ def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
 
     The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
     so sizes stay positive for any finite velocity unless exp underflows.
-    Raises ValueError, as Velocity and BBox do, for a non-finite velocity or
-    a size that is not positive.
+    Raises ValueError for a non-finite velocity or a size that is not
+    positive.
     """
     bad = np.argwhere(~np.isfinite(v))
     if len(bad):
@@ -255,16 +240,10 @@ def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_bbox(v: Velocity, prev: BBox) -> BBox:
-    """predict_boxes for one box."""
-    return BBox(*predict_boxes(np.array([[v.vx, v.vy, v.vw, v.vh]]), box_array([prev]))[0].tolist())
-
-
-def inverse_velocity(prev: BBox, next: BBox) -> Velocity:
-    """Velocity that carries `prev` onto `next`; inverse of predict_bbox."""
-    return Velocity(
-        (next.x - prev.x) / prev.w,
-        (next.y - prev.y) / prev.h,
-        math.log(next.w / prev.w),
-        math.log(next.h / prev.h),
-    )
+def box_velocities(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """The (n, 4) normalized velocities that carry (n, 4) x, y, w, h boxes
+    `prev` onto `nxt`; the inverse of predict_boxes, with math.log per entry
+    as predict_boxes takes math.exp."""
+    ratio = (nxt[:, 2:] / prev[:, 2:]).ravel().tolist()
+    logs = np.array([math.log(r) for r in ratio]).reshape(-1, 2)
+    return np.concatenate([(nxt[:, :2] - prev[:, :2]) / prev[:, 2:], logs], axis=1)

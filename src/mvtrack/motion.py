@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MotionFrame, box_corners, center_cells, corner_boxes, inverse_velocity
+from .model import MotionFrame, box_array, box_corners, box_velocities, center_cells, corner_boxes
 
 # Per-cell motion statistics fed to the regressor: mean dx, mean dy, residual
 # energy, and the four finite-difference Jacobian entries of the MV field
@@ -212,16 +212,18 @@ class FitHyper:
 def _design(batch, block: int, m: int):
     """Training matrices of (MotionFrame, prev box, next box) samples: the
     pooled statistics A (n, m*m, F_IN) and e (n, m*m) of each previous box,
-    and the target velocities V (n, 4) that carry it onto the next box."""
+    and the target velocities V (n, 4) that carry it onto the next box.
+    Each frame is encoded once and pools all of its samples' boxes at once."""
     n = len(batch)
     A = np.zeros((n, m * m, F_IN))
     E = np.zeros((n, m * m))
-    V = np.zeros((n, 4))
-    for i, (frame, prev, nxt) in enumerate(batch):
-        (A[i],), (E[i],) = pool(_integral(encode_motion(frame)), box_corners([prev]), block, m)
-        v = inverse_velocity(prev, nxt)
-        V[i] = (v.vx, v.vy, v.vw, v.vh)
-    return A, E, V
+    by_frame = {}
+    for i, (frame, _, _) in enumerate(batch):
+        by_frame.setdefault(id(frame), (frame, []))[1].append(i)
+    prev = box_array([s[1] for s in batch])
+    for frame, rows in by_frame.values():
+        A[rows], E[rows] = pool(_integral(encode_motion(frame)), box_corners(prev[rows]), block, m)
+    return A, E, box_velocities(prev, box_array([s[2] for s in batch]))
 
 
 def regressor_grad(params: RegressorParams, batch, block: int):

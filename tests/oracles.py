@@ -1,5 +1,10 @@
 """Reference implementations the tests check production code against.
 
+Box algebra: `Velocity`, `predict_bbox` and `inverse_velocity` move one
+box at a time with scalar arithmetic. The package moves (n, 4) box arrays
+(`mvtrack.model.predict_boxes` and its inverse `box_velocities`); the
+tests require the two to agree bit for bit.
+
 The regressor readout: the direct, per-box definitions apply the affine
 head to every grid cell, then average the box's cells bin by bin. The
 package instead pools summed-area tables of the raw statistics for many
@@ -53,11 +58,58 @@ import numpy as np
 from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
 from mvtrack.association import AssignmentResult, gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, Velocity, inverse_velocity, iou_matrix
+from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, iou_matrix
 from mvtrack.motion import F_IN, FieldReadout, RegressorParams, _integral, encode_motion, pool, smooth_l1
 from mvtrack.stream import GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
+
+
+# ---------------------------------------------------------------------------
+# Scalar box algebra
+
+
+@dataclass(frozen=True)
+class Velocity:
+    """Normalized box motion: (dx/w, dy/h, log width ratio, log height ratio)."""
+
+    vx: float
+    vy: float
+    vw: float
+    vh: float
+
+    def __post_init__(self):
+        for name in ("vx", "vy", "vw", "vh"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"velocity component {name} must be finite")
+
+
+def predict_bbox(v: Velocity, prev: BBox) -> BBox:
+    """Advance a box by one step of normalized velocity.
+
+    The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
+    so sizes stay positive for any finite velocity.
+    """
+    return BBox(
+        prev.w * v.vx + prev.x,
+        prev.h * v.vy + prev.y,
+        prev.w * math.exp(v.vw),
+        prev.h * math.exp(v.vh),
+    )
+
+
+def inverse_velocity(prev: BBox, next: BBox) -> Velocity:
+    """Velocity that carries `prev` onto `next`; inverse of predict_bbox."""
+    return Velocity(
+        (next.x - prev.x) / prev.w,
+        (next.y - prev.y) / prev.h,
+        math.log(next.w / prev.w),
+        math.log(next.h / prev.h),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The regressor readout
 
 
 def encode_motion_gradient(frame) -> np.ndarray:
@@ -553,20 +605,6 @@ class TrackedObject:
 def box_corners(boxes) -> np.ndarray:
     """Left, top, right, bottom of each box as an (n, 4) float array."""
     return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
-
-
-def predict_bbox(v: Velocity, prev: BBox) -> BBox:
-    """Advance a box by one step of normalized velocity.
-
-    The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
-    so sizes stay positive for any finite velocity.
-    """
-    return BBox(
-        prev.w * v.vx + prev.x,
-        prev.h * v.vy + prev.y,
-        prev.w * math.exp(v.vw),
-        prev.h * math.exp(v.vh),
-    )
 
 
 def velocities(readout: FieldReadout, boxes, block: int) -> list:

@@ -11,9 +11,10 @@ import pytest
 
 from mvtrack.affinity import normalize_channels
 from mvtrack.association import hungarian
-from mvtrack.engine import OracleDetector, TrackerModels, speedup_model, track
+from mvtrack.cli import delayed
+from mvtrack.engine import OracleDetector, TrackerModels, make_propagator, speedup_model, track
 from mvtrack.metrics import clear_mot, idf1
-from mvtrack.model import BBox, MotionFrame, TrackerConfig, inverse_velocity, predict_bbox
+from mvtrack.model import BBox, MotionFrame, TrackerConfig, box_velocities, predict_boxes
 from mvtrack.motion import (
     F_IN,
     FitHyper,
@@ -107,6 +108,7 @@ def test_criterion_1_speedup_model(head7):
     detector = OracleDetector(sc, DetectorConfig(noise_center=0.01, noise_size=0.01, conf_min=0.995, rng_seed=0))
 
     cfg3 = TrackerConfig(K=3, propagator="regressor")
+    propagate = make_propagator(cfg3, models)
     _, probe = track(sc, detector, cfg3, models)
     d0, a0, _ = probe.mean_key()
     p0 = probe.mean_pro()
@@ -118,17 +120,17 @@ def test_criterion_1_speedup_model(head7):
     # Between long delays the stage work itself runs slower than back to back
     # (a shared host evicts its caches while it waits), so measure the work
     # again with the delays in place, and time the K=3 run right after that.
-    _, cal = track(sc, detector, cfg3, models, detect_delay=detect_delay, propagate_delay=propagate_delay)
+    _, cal = track(sc, delayed(detector, detect_delay), cfg3, models, delayed(propagate, propagate_delay))
     d1, a1, _ = cal.mean_key()
     detect_delay = key_da - (d1 + a1 - detect_delay)
     propagate_delay = ratio * key_da - (cal.mean_pro() - propagate_delay)
+    slow_detector, slow_propagate = delayed(detector, detect_delay), delayed(propagate, propagate_delay)
 
     t3 = time.perf_counter()
-    _, tm3 = track(sc, detector, cfg3, models, detect_delay=detect_delay, propagate_delay=propagate_delay)
+    _, tm3 = track(sc, slow_detector, cfg3, models, slow_propagate)
     wall3 = time.perf_counter() - t3
     t1 = time.perf_counter()
-    track(sc, detector, TrackerConfig(K=1, propagator="regressor"), models,
-          detect_delay=detect_delay, propagate_delay=propagate_delay)
+    track(sc, slow_detector, TrackerConfig(K=1, propagator="regressor"), models, slow_propagate)
     wall1 = time.perf_counter() - t1
 
     d3, a3, _ = tm3.mean_key()
@@ -405,12 +407,11 @@ def test_criterion_6_formula_invariants():
 
 def _run_criterion_6():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(1000):
-        a = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2))
-        b = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2))
-        out = predict_bbox(inverse_velocity(a, b), a)
-        worst = max(worst, abs(out.x - b.x), abs(out.y - b.y), abs(out.w - b.w) / b.w, abs(out.h - b.h) / b.h)
+    pairs = np.array([[*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2),
+                       *rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2)] for _ in range(1000)])
+    a, b = pairs[:, :4], pairs[:, 4:]
+    out = predict_boxes(box_velocities(a, b), a)
+    worst = max(np.abs(out[:, :2] - b[:, :2]).max(), (np.abs(out[:, 2:] - b[:, 2:]) / b[:, 2:]).max())
     assert worst <= 1e-9
 
     assert smooth_l1(1.0) == 0.5 and smooth_l1(-1.0) == 0.5  # branch agreement, exact

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mvtrack.cli
 from mvtrack.affinity import AffinityHeadParams
 from mvtrack.cli import main
 from mvtrack.engine import TrackerModels
@@ -231,7 +232,7 @@ def test_bench_smoke(tmp_path, capsys):
     capsys.readouterr()
     code = main(["bench", "--scenario", str(scn), "--K-list", "1", "2", "3",
                  "--propagator", "bboxavg", "--assoc", "onestep", "--alpha", "1.0",
-                 "--detect-delay", "0.004", "--propagate-delay", "0.0004"])
+                 "--force-ratio", "0.1"])
     assert code == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
@@ -255,3 +256,41 @@ def test_bench_force_ratio_models_expected_speedup(tmp_path, capsys):
     lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
     modeled = float(lines[-1].split("\t")[3])
     assert modeled == pytest.approx(2.5, abs=0.1)
+
+
+@pytest.mark.parametrize("ratio", ["0", "-0.1", "inf", "nan"])
+def test_bench_force_ratio_must_be_positive_and_finite(tmp_path, capsys, ratio):
+    script = write_script(tmp_path / "s.json", frames=24)
+    scn = tmp_path / "s.scn"
+    main(["generate", "--script", str(script), "--out", str(scn), "--width", "480", "--height", "360"])
+    capsys.readouterr()
+    code = main(["bench", "--scenario", str(scn), "--K-list", "3", "--propagator", "bboxavg",
+                 "--assoc", "onestep", "--alpha", "1.0", "--force-ratio", ratio])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error: --force-ratio must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+def test_fit_defaults_per_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once; each call must still get its target's defaults
+    script = write_script(tmp_path / "s.json", frames=13)
+    scn = tmp_path / "s.scn"
+    main(["generate", "--script", str(script), "--out", str(scn), "--width", "480", "--height", "360"])
+    seen = []
+
+    def fit_regressor(scenarios, hyper):
+        seen.append(("regressor", hyper.lr, hyper.epochs))
+        return RegressorParams.zeros(2), 0.0
+
+    def fit_affinity_head(pairs, hyper, mode):
+        seen.append(("affinity", hyper.lr, hyper.epochs))
+        return AffinityHeadParams(1.0, 0.0, mode), 0.0
+
+    monkeypatch.setattr(mvtrack.cli, "fit_regressor", fit_regressor)
+    monkeypatch.setattr(mvtrack.cli, "fit_affinity_head", fit_affinity_head)
+    fit = ["fit", "--scenarios", str(scn), "--out", str(tmp_path / "m.txt"), "--target"]
+    for extra in (["regressor"], ["affinity"], ["regressor", "--epochs", "5", "--lr", "0.5"], ["regressor"]):
+        assert main(fit + extra) == 0
+    capsys.readouterr()
+    assert seen == [("regressor", 1e-2, 200), ("affinity", 1.0, 2000), ("regressor", 0.5, 5), ("regressor", 1e-2, 200)]

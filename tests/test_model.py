@@ -9,13 +9,11 @@ from mvtrack.model import (
     BBox,
     MotionFrame,
     TrackerConfig,
-    Velocity,
     box_array,
     box_corners,
+    box_velocities,
     corner_boxes,
-    inverse_velocity,
     iou_matrix,
-    predict_bbox,
     predict_boxes,
 )
 from oracles import bbox_iou
@@ -113,46 +111,50 @@ def test_iou_matrix_equals_scalar_oracle_bit_for_bit(boxes, data):
     assert got.tobytes() == want.tobytes()
 
 
+def predict(v, box):
+    """predict_boxes for one velocity and one BBox."""
+    return BBox(*predict_boxes(np.array([v], dtype=float), box_array([box]))[0].tolist())
+
+
+def inverse(prev, nxt):
+    """box_velocities for one pair of BBoxes, as a tuple."""
+    return tuple(box_velocities(box_array([prev]), box_array([nxt]))[0].tolist())
+
+
 def test_predict_zero_velocity_is_identity():
     b = BBox(3.5, -2.0, 11.0, 4.5)
-    assert predict_bbox(Velocity(0, 0, 0, 0), b) == b
+    assert predict((0, 0, 0, 0), b) == b
+    assert oracles.predict_bbox(oracles.Velocity(0, 0, 0, 0), b) == b
 
 
 def test_predict_hand_case():
-    out = predict_bbox(Velocity(0.5, -0.25, math.log(2), 0.0), BBox(10, 10, 4, 8))
+    out = predict((0.5, -0.25, math.log(2), 0.0), BBox(10, 10, 4, 8))
     assert (out.x, out.y, out.w, out.h) == pytest.approx((12, 8, 8, 8))
 
 
 def test_predict_shrink():
-    out = predict_bbox(Velocity(0, 0, -math.log(2), -math.log(2)), BBox(0, 0, 8, 8))
+    out = predict((0, 0, -math.log(2), -math.log(2)), BBox(0, 0, 8, 8))
     assert (out.x, out.y, out.w, out.h) == pytest.approx((0, 0, 4, 4))
 
 
 def test_inverse_identity():
     b = BBox(5, 6, 7, 8)
-    v = inverse_velocity(b, b)
+    assert inverse(b, b) == (0, 0, 0, 0)
+    v = oracles.inverse_velocity(b, b)
     assert (v.vx, v.vy, v.vw, v.vh) == (0, 0, 0, 0)
 
 
 def test_inverse_hand_case():
-    v = inverse_velocity(BBox(10, 10, 4, 8), BBox(12, 8, 8, 8))
-    assert (v.vx, v.vy, v.vw, v.vh) == pytest.approx((0.5, -0.25, math.log(2), 0.0))
+    assert inverse(BBox(10, 10, 4, 8), BBox(12, 8, 8, 8)) == pytest.approx((0.5, -0.25, math.log(2), 0.0))
 
 
 def test_round_trip_1000_random_pairs():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(1000):
-        a = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2))
-        b = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2))
-        out = predict_bbox(inverse_velocity(a, b), a)
-        worst = max(
-            worst,
-            abs(out.x - b.x),
-            abs(out.y - b.y),
-            abs(out.w - b.w) / b.w,
-            abs(out.h - b.h) / b.h,
-        )
+    pairs = np.array([[*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2),
+                       *rng.uniform(-100, 100, 2), *rng.uniform(0.5, 80, 2)] for _ in range(1000)])
+    a, b = pairs[:, :4], pairs[:, 4:]
+    out = predict_boxes(box_velocities(a, b), a)
+    worst = max(np.abs(out[:, :2] - b[:, :2]).max(), (np.abs(out[:, 2:] - b[:, 2:]) / b[:, 2:]).max())
     assert worst < 1e-9
 
 
@@ -160,9 +162,17 @@ def test_round_trip_1000_random_pairs():
 @given(st.lists(st.tuples(boxes(), st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 4)), min_size=1, max_size=20))
 def test_predict_boxes_matches_scalar_oracle_bit_for_bit(pairs):
     got = predict_boxes(np.array([v for _, v in pairs]), box_array([b for b, _ in pairs]))
-    want = box_array([oracles.predict_bbox(Velocity(*v), b) for b, v in pairs])
+    want = box_array([oracles.predict_bbox(oracles.Velocity(*v), b) for b, v in pairs])
     assert got.tobytes() == want.tobytes()
-    assert [predict_bbox(Velocity(*v), b) for b, v in pairs] == [BBox(*row) for row in want.tolist()]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(boxes(min_size=1e-3, max_size=1e4), boxes(min_size=1e-3, max_size=1e4)), max_size=20))
+def test_box_velocities_matches_scalar_oracle_bit_for_bit(pairs):
+    got = box_velocities(box_array([a for a, _ in pairs]), box_array([b for _, b in pairs]))
+    want = [oracles.inverse_velocity(a, b) for a, b in pairs]
+    assert got.shape == (len(pairs), 4)
+    assert got.tobytes() == np.array([(v.vx, v.vy, v.vw, v.vh) for v in want]).reshape(-1, 4).tobytes()
 
 
 def test_predict_boxes_uses_math_exp():
@@ -197,10 +207,14 @@ def test_corner_helpers_take_boxes_or_arrays():
 
 
 def test_velocity_rejects_non_finite():
+    box = box_array([BBox(10, 10, 4, 4)])
+    for v in ([math.nan, 0, 0, 0], [0, math.inf, 0, 0], [0, 0, -math.inf, 0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            predict_boxes(np.array([v]), box)
     with pytest.raises(ValueError):
-        Velocity(math.nan, 0, 0, 0)
+        oracles.Velocity(math.nan, 0, 0, 0)
     with pytest.raises(ValueError):
-        Velocity(0, math.inf, 0, 0)
+        oracles.Velocity(0, math.inf, 0, 0)
 
 
 def test_motion_frame_intra_must_be_empty():
@@ -224,3 +238,10 @@ def test_tracker_config_defaults_and_validation():
         TrackerConfig(association_mode="both")
     with pytest.raises(ValueError):
         TrackerConfig(propagator="kalman")
+
+
+def test_every_export_resolves():
+    import mvtrack
+
+    assert [name for name in mvtrack.__all__ if not hasattr(mvtrack, name)] == []
+    assert len(set(mvtrack.__all__)) == len(mvtrack.__all__)

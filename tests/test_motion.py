@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.model import BBox, MotionFrame, Velocity, box_array, predict_bbox
+from mvtrack.model import BBox, MotionFrame, box_array, predict_boxes
 from mvtrack.motion import (
     F_IN,
     FieldReadout,
@@ -293,7 +293,7 @@ def test_smooth_l1_continuous_even_monotone():
 def test_regressor_loss_zero_when_exact():
     # bias-only params that exactly reproduce a velocity on a full-bin box
     m = 7
-    v = Velocity(0.01, -0.02, 0.003, 0.0)
+    v = oracles.Velocity(0.01, -0.02, 0.003, 0.0)
     bias = np.concatenate([np.full(m * m, c) for c in (v.vx, v.vy, v.vw, v.vh)])
     params = RegressorParams(np.zeros((4 * m * m, F_IN)), bias, m)
     prev = BBox(96, 64, 150, 120)
@@ -407,9 +407,9 @@ def test_fit_translations_reproduces_mean_mv():
         fr = MotionFrame(1, "P", mv, np.zeros((gw, gh)))
         for off in (0.0, 5.3, 11.8):
             b = BBox(200 + off, 170 + off / 2, 128, 128)
-            (v,) = FieldReadout(params, encode_motion(fr)).velocities([b], BLOCK)
-            out = predict_bbox(Velocity(*v), b)
-            worst = max(worst, abs(out.x - b.x - dx), abs(out.y - b.y - dy), abs(out.w - b.w), abs(out.h - b.h))
+            v = FieldReadout(params, encode_motion(fr)).velocities([b], BLOCK)
+            (x, y, w, h), = predict_boxes(v, box_array([b])).tolist()
+            worst = max(worst, abs(x - b.x - dx), abs(y - b.y - dy), abs(w - b.w), abs(h - b.h))
     assert worst < 1e-3
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvtrack.engine
 import oracles
 from mvtrack.engine import OracleDetector, TrackerModels, track
 from mvtrack.model import PROPAGATORS, BBox, TrackerConfig
@@ -146,6 +147,36 @@ def test_tracker_invariants(models, case, propagator, assoc, K, cut):
     head = _prefix(scenario, n)
     head_rows, _ = track(head, OracleDetector(head, det), cfg, models)
     assert bits(head_rows) == bits([r for r in rows if r[0] <= n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=cases(),
+    propagator=st.sampled_from(PROPAGATORS),
+    assoc=st.sampled_from(sorted(ASSOCIATION)),
+    K=st.sampled_from([1, 2, 3]),
+)
+def test_ids_are_never_reused(models, case, propagator, assoc, K):
+    scenario, det, lifecycle = case
+    cfg = TrackerConfig(K=K, propagator=propagator, **ASSOCIATION[assoc], **lifecycle)
+    update = mvtrack.engine.update
+    tables = []
+
+    def recording_update(*args):
+        out = update(*args)
+        tables.append(out.ids.tolist())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mvtrack.engine, "update", recording_update)
+        track(scenario, OracleDetector(scenario, det), cfg, models)
+    assert len(tables) == len(range(1, scenario.n_frames + 1, K))
+    live, gone = [], set()
+    for ids in tables:
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids  # birth order is id order
+        assert not gone & set(ids), (sorted(gone & set(ids)), ids)
+        gone |= set(live) - set(ids)
+        live = ids
 
 
 def _clip(b: BBox):
