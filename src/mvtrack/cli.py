@@ -25,9 +25,8 @@ from .stream import (
     StreamHeader,
     generate_scenario,
     load_script,
-    read_motchallenge,
+    read_mot_table,
     read_scenario,
-    rows_to_gt,
     write_motchallenge,
     write_scenario,
 )
@@ -168,8 +167,7 @@ def _metric_row(scores, idf1_value: float) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    gt = rows_to_gt(read_motchallenge(args.gt))
-    results = [(f, i, b) for f, i, b, _ in read_motchallenge(args.results)]
+    gt, results = read_mot_table(args.gt), read_mot_table(args.results)
     scores = clear_mot(gt, results, iou_min=args.iou_min)
     idf1_value = idf1(gt, results, iou_min=args.iou_min)
     print("\t".join(METRIC_COLUMNS))

@@ -4,7 +4,9 @@ Matching per frame keeps the previous frame's ground-truth/hypothesis pairs
 while they still overlap at least iou_min, then solves the remainder with a
 gated Hungarian assignment on 1 - IoU. Ground-truth rows flagged invisible
 are ignored entirely (neither matchable nor counted), so occluded spans are
-"don't care" regions.
+"don't care" regions. Each side is a `MotTable` of columns, ground truth
+counting the rows whose conf exceeds 0.5, or rows: `GroundTruthEntry` for
+the ground truth, (frame, id, BBox) for the hypotheses.
 
 Conventions (MOTChallenge): MOTP is the mean IoU over matches; MT/ML count
 ground-truth tracks matched in >= 80% / <= 20% of their visible frames;
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import gated_assign, hungarian
-from .model import box_corners, iou_matrix
+from .model import ConfigError, MotTable, box_array, box_corners, iou_matrix
+from .stream import gt_to_rows
 
 
 @dataclass
@@ -37,40 +40,51 @@ class MotScores:
     tp: int
 
 
-def _by_frame(rows, what: str) -> tuple:
-    """The ids and box corners of the counted (frame, id, BBox, counted) rows,
-    grouped by frame in row order, and {frame: slice} of each group in them;
-    a (frame, id) repeated in any row is an error."""
-    seen, kept = set(), []
-    for frame, obj_id, bbox, counted in rows:
-        if (frame, obj_id) in seen:
-            raise ValueError(f"duplicate {what} id {obj_id} in frame {frame}")
-        seen.add((frame, obj_id))
-        if counted:
-            kept.append((frame, obj_id, bbox))
-    kept.sort(key=lambda row: row[0])  # stable: row order within a frame
-    frames, starts, counts = np.unique([row[0] for row in kept], return_index=True, return_counts=True)
+def _frame_groups(rows, gt: bool) -> tuple:
+    """The ids and box corners of the counted rows, stable-sorted by frame,
+    and {frame: slice} of each frame's group in them; a (frame, id) in two
+    rows, counted or not, is an error naming the first repeat."""
+    if not isinstance(rows, MotTable):  # GroundTruthEntry or (frame, id, BBox) rows
+        rows = gt_to_rows(rows) if gt else [(f, i, b, 1.0) for f, i, b in rows]
+        frame, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
+        rows = MotTable(np.array(frame, int), np.array(ids, int), box_array(boxes), np.array(conf))
+    frame, ids = rows.frame, rows.id
+    order = np.lexsort((np.arange(len(frame)), ids, frame))
+    repeat = order[1:][(np.diff(frame[order]) == 0) & (np.diff(ids[order]) == 0)]
+    if len(repeat):
+        row = repeat.min()
+        raise ValueError(f"duplicate {'ground-truth' if gt else 'hypothesis'} id {ids[row]} in frame {frame[row]}")
+    kept = np.flatnonzero(rows.conf > 0.5) if gt else np.arange(len(frame))
+    kept = kept[np.argsort(frame[kept], kind="stable")]
+    frames, starts, counts = np.unique(frame[kept], return_index=True, return_counts=True)
     spans = {f: slice(a, a + n) for f, a, n in zip(frames.tolist(), starts.tolist(), counts.tolist())}
-    return [row[1] for row in kept], box_corners([row[2] for row in kept]), spans
+    return ids[kept], box_corners(rows.boxes[kept]), spans
 
 
 def frame_index(gt, results):
     """Yield (frame, gt ids, hyp ids, IoU matrix) for each frame, in order,
     that has a visible ground-truth row or a hypothesis row.
 
-    The ids keep their row order and the (gt, hyp) IoU matrix is indexed
-    the same way. Invisible ground-truth rows are left out; a (frame, id)
-    repeated within the ground truth or within the hypotheses is an error.
+    The id arrays keep their row order and the (gt, hyp) IoU matrix is
+    indexed the same way. Invisible ground-truth rows are left out; a
+    (frame, id) repeated within the ground truth or within the hypotheses
+    is an error.
     """
-    gt_ids, gt_corners, gt_spans = _by_frame(((r.frame, r.id, r.bbox, r.visible) for r in gt), "ground-truth")
-    hyp_ids, hyp_corners, hyp_spans = _by_frame(((f, i, b, True) for f, i, b in results), "hypothesis")
+    gt_ids, gt_corners, gt_spans = _frame_groups(gt, True)
+    hyp_ids, hyp_corners, hyp_spans = _frame_groups(results, False)
     for frame in sorted(gt_spans.keys() | hyp_spans.keys()):
         g, h = gt_spans.get(frame, slice(0)), hyp_spans.get(frame, slice(0))
         yield frame, gt_ids[g], hyp_ids[h], iou_matrix(gt_corners[g], hyp_corners[h])
 
 
+def _check_iou_min(iou_min: float) -> None:
+    if not 0 < iou_min <= 1:  # also rejects nan
+        raise ConfigError(f"iou_min must be finite and lie in (0, 1], got {iou_min}")
+
+
 def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
-    """CLEAR-MOT scores for hypothesis rows (frame, id, BBox) against GT."""
+    """CLEAR-MOT scores for hypotheses against ground truth; iou_min in (0, 1]."""
+    _check_iou_min(iou_min)
     fp = fn = ids = tp = 0
     iou_sum = 0.0
     prev_pairs = {}  # gt id -> hyp id matched in the previous frame
@@ -80,7 +94,8 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
     was_matched = {}  # gt id -> matched status at its previous visible frame
     frag = {}
 
-    for _, gt_ids, hyp_ids, iou in frame_index(gt, results):
+    for _, gts, hyps, iou in frame_index(gt, results):
+        gt_ids, hyp_ids = gts.tolist(), hyps.tolist()
         row = {g: i for i, g in enumerate(gt_ids)}
         col = {h: j for j, h in enumerate(hyp_ids)}
 
@@ -121,27 +136,11 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
     motp = iou_sum / tp if tp else 0.0
     rcll = tp / gt_total if gt_total else 0.0
     prcn = tp / (tp + fp) if tp + fp else 0.0
-    mt = ml = 0
-    for g, present in gt_present.items():
-        ratio = gt_matched.get(g, 0) / present
-        if ratio >= 0.8:
-            mt += 1
-        if ratio <= 0.2:
-            ml += 1
+    ratios = [gt_matched.get(g, 0) / present for g, present in gt_present.items()]
+    mt, ml = sum(r >= 0.8 for r in ratios), sum(r <= 0.2 for r in ratios)
     return MotScores(
-        mota=mota,
-        motp=motp,
-        fp=fp,
-        fn=fn,
-        ids=ids,
-        frag=sum(frag.values()),
-        mt=mt,
-        ml=ml,
-        rcll=rcll,
-        prcn=prcn,
-        moda=moda,
-        gt_total=gt_total,
-        tp=tp,
+        mota=mota, motp=motp, fp=fp, fn=fn, ids=ids, frag=sum(frag.values()), mt=mt, ml=ml,
+        rcll=rcll, prcn=prcn, moda=moda, gt_total=gt_total, tp=tp,
     )
 
 
@@ -153,22 +152,20 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
     maximum-overlap bipartite matching gives IDTP, and
     IDF1 = 2*IDTP / (gt frames + hypothesis frames).
     """
-    gt_ids = []  # every visible gt id, once per frame it appears in
-    hyp_ids = []
-    hits = []  # (gt id, hyp id) of every pair reaching iou_min, once per frame
+    _check_iou_min(iou_min)
+    empty = np.zeros(0, int)
+    gt_ids, hyp_ids, hits = [empty], [empty], [(empty, empty)]  # hits: (gt ids, hyp ids) reaching iou_min
     for _, gts, hyps, iou in frame_index(gt, results):
-        gt_ids += gts
-        hyp_ids += hyps
-        hits += [(gts[r], hyps[c]) for r, c in zip(*np.nonzero(iou >= iou_min))]
-
-    if not gt_ids and not hyp_ids:
-        return 1.0
-    if not gt_ids or not hyp_ids:
-        return 0.0
-    gt_row = {g: i for i, g in enumerate(sorted(set(gt_ids)))}
-    hyp_col = {h: j for j, h in enumerate(sorted(set(hyp_ids)))}
-    overlap = np.zeros((len(gt_row), len(hyp_col)))
-    for g, h in hits:
-        overlap[gt_row[g], hyp_col[h]] += 1
+        r, c = np.nonzero(iou >= iou_min)
+        gt_ids.append(gts)
+        hyp_ids.append(hyps)
+        hits.append((gts[r], hyps[c]))
+    gt_ids, hyp_ids = np.concatenate(gt_ids), np.concatenate(hyp_ids)
+    if not len(gt_ids) or not len(hyp_ids):
+        return 0.0 if len(gt_ids) or len(hyp_ids) else 1.0
+    gt_tracks, hyp_tracks = np.unique(gt_ids), np.unique(hyp_ids)
+    hit_gt, hit_hyp = np.concatenate(hits, axis=1)
+    overlap = np.zeros((len(gt_tracks), len(hyp_tracks)))
+    np.add.at(overlap, (np.searchsorted(gt_tracks, hit_gt), np.searchsorted(hyp_tracks, hit_hyp)), 1)
     idtp = sum(overlap[r, c] for r, c in hungarian(-overlap))
     return 2.0 * idtp / (len(gt_ids) + len(hyp_ids))

@@ -3,12 +3,14 @@
 Boxes are center-parameterized and kept in continuous (sub-pixel)
 coordinates; discretization happens only at file I/O. Object ids are
 monotonically increasing and never reused, even after deletion. The
-tracker's state is one `TrackTable` of columns, boxes an (n, 4) array.
+tracker's state is one `TrackTable` of columns, boxes an (n, 4) array, and
+a MOTChallenge file reads as one `MotTable` of columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +100,15 @@ class TrackTable:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+class MotTable(NamedTuple):
+    """MOTChallenge rows as columns; ground truth's conf is its visibility."""
+
+    frame: np.ndarray  # (n,) int, 1-based
+    id: np.ndarray  # (n,) int
+    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    conf: np.ndarray  # (n,) float
 
 
 @dataclass

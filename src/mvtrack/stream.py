@@ -15,8 +15,9 @@ plus an elevated residual, so occlusion genuinely interrupts propagation.
 The container is line-delimited text. `read_scenario` walks the header and
 frame records in Python but parses the ground-truth, motion-vector and
 residual records each as one numpy table (`_load_table`, one np.loadtxt
-call), as `read_motchallenge` does for result files; a malformed record
-raises an error naming its line. The per-token readers they reproduce bit
+call), as `read_mot_table` does for MOTChallenge files, which it returns as
+columns (`read_motchallenge` is their row view); a malformed record raises
+an error naming its line. The per-token readers they reproduce bit
 for bit live in `tests/oracles.py`.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, Detection, FeaturePatch, MotionFrame, box_corners, center_cells
+from .model import BBox, Detection, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
 
 
 class ScenarioFormatError(ValueError):
@@ -589,9 +590,10 @@ def _check_mot(t) -> None:
         raise ValueError(f"box size must be positive, got w={w[bad][0]} h={h[bad][0]}")
 
 
-def read_motchallenge(path) -> list:
-    """Read MOTChallenge rows back as (frame, id, BBox, confidence), parsing
-    the first seven columns of the non-blank lines as one numpy table.
+def read_mot_table(path) -> MotTable:
+    """Read a MOTChallenge file as one MotTable, parsing the first seven
+    columns of the non-blank lines as one numpy table; the centre is
+    left + w/2, as BBox stores it.
 
     A malformed line, a non-finite number or a box without positive width
     and height raises ValueError naming the line."""
@@ -600,12 +602,15 @@ def read_motchallenge(path) -> list:
     rows = [i for i, line in enumerate(lines) if line.strip()]
     t = _load_table(lines, rows, _MOT_ROW, _check_mot, "row", delimiter=",", usecols=range(7))
     left, top, w, h, conf = t["values"].T
+    return MotTable(t["frame"], t["id"], np.stack([left + w / 2, top + h / 2, w, h], axis=1), conf)
+
+
+def read_motchallenge(path) -> list:
+    """The rows of `read_mot_table` as (frame, id, BBox, confidence) tuples."""
+    t = read_mot_table(path)
     return [
-        (frame, obj_id, BBox(x, y, bw, bh), c)
-        for frame, obj_id, x, y, bw, bh, c in zip(
-            t["frame"].tolist(), t["id"].tolist(), (left + w / 2).tolist(), (top + h / 2).tolist(),
-            w.tolist(), h.tolist(), conf.tolist(),
-        )
+        (frame, obj_id, BBox(*box), c)
+        for frame, obj_id, box, c in zip(t.frame.tolist(), t.id.tolist(), t.boxes.tolist(), t.conf.tolist())
     ]
 
 

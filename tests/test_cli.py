@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvtrack.cli
+import oracles
 from mvtrack.affinity import AffinityHeadParams
-from mvtrack.cli import main
+from mvtrack.cli import METRIC_COLUMNS, _metric_row, main
 from mvtrack.engine import TrackerModels
 from mvtrack.modelio import read_models, write_models
 from mvtrack.motion import F_IN, RegressorParams
-from mvtrack.stream import read_motchallenge, read_scenario
+from mvtrack.stream import GroundTruthEntry, gt_to_rows, read_motchallenge, read_scenario, write_motchallenge
+from test_metrics import scripts
 
 
 def write_script(path, frames=36, objects=None, camera=(0, 0)):
@@ -162,8 +167,6 @@ def test_fit_track_evaluate_pipeline(tmp_path, capsys):
     assert "speedup_modeled" in timing.read_text()
 
     gt_file = tmp_path / "gt.txt"
-    from mvtrack.stream import gt_to_rows, write_motchallenge
-
     write_motchallenge(gt_to_rows(read_scenario(track_scn).gt), gt_file)
     assert main(["evaluate", "--gt", str(gt_file), "--results", str(results)]) == 0
     out = capsys.readouterr().out
@@ -179,13 +182,89 @@ def test_evaluate_gt_against_itself(tmp_path, capsys):
     assert main(["generate", "--script", str(script), "--out", str(scn),
                  "--width", "480", "--height", "360"]) == 0
     capsys.readouterr()
-    from mvtrack.stream import gt_to_rows, write_motchallenge
-
     gt_file = tmp_path / "gt.txt"
     write_motchallenge(gt_to_rows(read_scenario(scn).gt), gt_file)
     assert main(["evaluate", "--gt", str(gt_file), "--results", str(gt_file)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("1.000")
+
+
+GT_ROWS = (
+    "1,1,40.00,40.00,20.00,20.00,1.00,-1,-1,-1\n"
+    "2,1,45.00,40.00,20.00,20.00,1.00,-1,-1,-1\n"
+    "2,2,80.00,40.00,20.00,20.00,0.00,-1,-1,-1\n"  # invisible
+)
+HEADER = "\t".join(METRIC_COLUMNS) + "\n"
+
+
+def evaluate(gt_file, results_file, *flags):
+    """Exit code and stdout of `mvtrack evaluate`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["evaluate", "--gt", str(gt_file), "--results", str(results_file), *flags])
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scripts(), st.sampled_from([0.5, 0.6, 1 / 3]))
+def test_evaluate_equals_loop_oracles_through_files(tmp_path, script, iou_min):
+    gt, results = script
+    gt_file, results_file = tmp_path / "gt.txt", tmp_path / "results.txt"
+    write_motchallenge(gt_to_rows(gt), gt_file)
+    write_motchallenge([(f, i, b, 1.0) for f, i, b in results], results_file)
+    gt = [GroundTruthEntry(f, i, b, c > 0.5) for f, i, b, c in oracles.read_motchallenge(gt_file)]
+    results = [(f, i, b) for f, i, b, _ in oracles.read_motchallenge(results_file)]
+    scores = _metric_row(oracles.clear_mot(gt, results, iou_min), oracles.idf1(gt, results, iou_min))
+    assert evaluate(gt_file, results_file, "--iou-min", repr(iou_min)) == (0, HEADER + scores + "\n")
+
+
+@pytest.mark.parametrize(
+    "gt_text, results_text, scores",
+    [
+        (GT_ROWS, "", "0.000\t0.000\t0.000\t0\t1\t0\t2\t0\t0\t0.000\t0.000\t0.000"),
+        ("", GT_ROWS, "1.000\t0.000\t0.000\t0\t0\t3\t0\t0\t0\t0.000\t0.000\t1.000"),
+        ("", "", "1.000\t0.000\t1.000\t0\t0\t0\t0\t0\t0\t0.000\t0.000\t1.000"),
+    ],
+)
+def test_evaluate_empty_files(tmp_path, gt_text, results_text, scores):
+    (tmp_path / "gt.txt").write_text(gt_text)
+    (tmp_path / "results.txt").write_text(results_text)
+    assert evaluate(tmp_path / "gt.txt", tmp_path / "results.txt") == (0, HEADER + scores + "\n")
+
+
+@pytest.mark.parametrize("side, what", [("gt", "ground-truth"), ("results", "hypothesis")])
+def test_evaluate_duplicate_rows_name_first_repeat_in_file_order(tmp_path, capsys, side, what):
+    # the first repeat in file order is (frame 5, id 9), whose first row is
+    # invisible as ground truth; (frame 1, id 3) sorts first but repeats later
+    rows = ["1,3,40.00,40.00,20.00,20.00,1.00,-1,-1,-1", "5,9,40.00,40.00,20.00,20.00,0.00,-1,-1,-1",
+            "5,9,60.00,40.00,20.00,20.00,1.00,-1,-1,-1", "1,3,60.00,40.00,20.00,20.00,1.00,-1,-1,-1"]
+    files = {"gt": tmp_path / "gt.txt", "results": tmp_path / "results.txt"}
+    files["gt"].write_text(GT_ROWS)
+    files["results"].write_text(GT_ROWS)
+    files[side].write_text("\n".join(rows) + "\n")
+    assert evaluate(files["gt"], files["results"]) == (1, "")
+    assert capsys.readouterr().err == f"error: duplicate {what} id 9 in frame 5\n"
+
+
+@pytest.mark.parametrize("iou_min", ["nan", "0", "-0.1", "1.5", "inf"])
+def test_evaluate_rejects_invalid_iou_min(tmp_path, capsys, iou_min):
+    (tmp_path / "gt.txt").write_text(GT_ROWS)
+    assert evaluate(tmp_path / "gt.txt", tmp_path / "gt.txt", "--iou-min", iou_min) == (2, "")
+    assert "configuration error: iou_min must be finite and lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_evaluate_calls_each_scorer_once_by_its_cli_name(tmp_path, monkeypatch):
+    # the benchmark reads MOTA, IDS and IDF1 by wrapping these two names
+    calls = []
+    for name in ("clear_mot", "idf1"):
+        scorer = getattr(mvtrack.cli, name)
+        counted = lambda *a, name=name, scorer=scorer, **k: calls.append(name) or scorer(*a, **k)
+        monkeypatch.setattr(mvtrack.cli, name, counted)
+    (tmp_path / "gt.txt").write_text(GT_ROWS)
+    code, out = evaluate(tmp_path / "gt.txt", tmp_path / "gt.txt", "--iou-min", "1")
+    # the invisible gt row is a false positive when the file is scored as results
+    assert (code, out.splitlines()[1]) == (0, "0.500\t1.000\t0.800\t1\t0\t1\t0\t0\t0\t1.000\t0.667\t0.500")
+    assert sorted(calls) == ["clear_mot", "idf1"]
 
 
 def test_track_k_not_dividing_gop_exit_2(tmp_path, capsys):

@@ -126,6 +126,14 @@ def test_duplicate_ids_rejected():
         idf1([gt_row(1, 1)], [result_row(1, 2), result_row(1, 2, x=80.0)])
 
 
+@pytest.mark.parametrize("iou_min", [float("nan"), 0.0, -0.5, 1.5, float("inf")])
+@pytest.mark.parametrize("metric", [clear_mot, idf1])
+def test_invalid_iou_min_rejected(metric, iou_min):
+    gt = track_gt(1, range(1, 4))
+    with pytest.raises(ValueError, match="iou_min must be finite"):
+        metric(gt, as_results(gt), iou_min)
+
+
 @st.composite
 def scripts(draw):
     """Ground-truth and hypothesis rows on a 5-pixel lattice of 20-pixel

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from mvtrack.model import BBox, MotionFrame
+from mvtrack.model import BBox, MotionFrame, box_corners
 from mvtrack.stream import (
     DetectorConfig,
     GroundTruthEntry,
@@ -19,6 +19,7 @@ from mvtrack.stream import (
     generate_scenario,
     gt_to_rows,
     oracle_detect,
+    read_mot_table,
     read_motchallenge,
     read_scenario,
     rows_to_gt,
@@ -507,6 +508,7 @@ def test_motchallenge_round_trip(tmp_path):
     write_motchallenge(rows, p)
     back = read_motchallenge(p)
     assert back == rows
+    assert [tuple(map(type, row)) for row in back] == [(int, int, BBox, float)] * 3
 
 
 def test_motchallenge_rejects_frame_zero(tmp_path):
@@ -580,6 +582,7 @@ def test_motchallenge_reader_matches_per_token_oracle(tmp_path_factory):
         assert new == old
         key = lambda rows: [(f, i, *map(float.hex, (b.x, b.y, b.w, b.h, c))) for f, i, b, c in rows]
         assert key(new) == key(old)
+        assert box_corners(read_mot_table(p).boxes).tolist() == [list(b.corners()) for _, _, b, _ in old]
 
     check()
 
