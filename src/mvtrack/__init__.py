@@ -1,14 +1,16 @@
 """mvtrack: online multi-object tracking on block-motion streams.
 
 Detection and data association run only on sparse key frames; in between,
-objects ride the stream's motion-vector field. See the cli module for the
-batch entry points (generate, fit, track, evaluate, bench).
+objects ride the stream's motion-vector field. A detector is a callable
+from a 1-based frame number to a `Detections` table of columns. See the
+cli module for the batch entry points (generate, fit, track, evaluate,
+bench).
 """
 
 from .model import (
     BBox,
     ConfigError,
-    Detection,
+    Detections,
     MotionFrame,
     TrackerConfig,
 )
@@ -17,23 +19,23 @@ from .stream import (
     GroundTruthEntry,
     MotionScript,
     ObjectScript,
+    OracleDetector,
     Scenario,
     StreamHeader,
     generate_scenario,
-    oracle_detect,
     read_motchallenge,
     read_scenario,
     write_motchallenge,
     write_scenario,
 )
-from .engine import FileDetector, FrameTimings, OracleDetector, TrackerModels, is_key_frame, speedup_model, track
+from .engine import FileDetector, FrameTimings, TrackerModels, is_key_frame, speedup_model, track
 from .metrics import MotScores, clear_mot, idf1
 from .modelio import read_models, write_models
 
 __all__ = [
     "BBox",
     "ConfigError",
-    "Detection",
+    "Detections",
     "DetectorConfig",
     "FileDetector",
     "FrameTimings",
@@ -51,7 +53,6 @@ __all__ = [
     "generate_scenario",
     "idf1",
     "is_key_frame",
-    "oracle_detect",
     "read_models",
     "read_motchallenge",
     "read_scenario",

@@ -75,8 +75,8 @@ def _logistic(z: float) -> float:
 def appearance_cost(params: AffinityHeadParams, galleries, features) -> np.ndarray:
     """(n, d) matrix: 1 - the best affinity between object i's gallery and
     detection patch j. `galleries` holds one non-empty sequence of patches
-    per object, `features` one patch per detection."""
-    if not galleries or not features:
+    per object, `features` is the (d, m, m, c) array of detection patches."""
+    if not len(galleries) or not len(features):
         return np.empty((len(galleries), len(features)))
     if not all(galleries):
         raise ValueError("appearance cost is undefined for an empty gallery")

@@ -15,13 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from .affinity import AffinityFitHyper, affinity_accuracy, fit_affinity_head
-from .engine import FileDetector, OracleDetector, TrackerModels, make_propagator, speedup_model, track, write_timing_report
+from .engine import FileDetector, TrackerModels, make_propagator, speedup_model, track, write_timing_report
 from .metrics import clear_mot, idf1
 from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig
 from .modelio import read_models, write_models
 from .motion import FitHyper, fit_regressor
 from .stream import (
     DetectorConfig,
+    OracleDetector,
     StreamHeader,
     generate_scenario,
     load_script,
@@ -35,9 +36,9 @@ METRIC_COLUMNS = ["MOTA", "MOTP", "IDF1", "MT", "ML", "FP", "FN", "IDS", "Frag",
 
 
 def _cmd_generate(args) -> int:
+    if args.check_K is not None and (args.check_K < 1 or args.gop % args.check_K != 0):
+        raise ConfigError(f"key-frame period {args.check_K} must be a positive divisor of gop {args.gop}")
     script = load_script(args.script)
-    if args.check_K is not None and args.gop % args.check_K != 0:
-        raise ConfigError(f"key-frame period {args.check_K} does not divide gop {args.gop}")
     header = StreamHeader(
         width=args.width,
         height=args.height,
@@ -82,10 +83,12 @@ def _cmd_fit(args) -> int:
         models = read_models(args.out)
     except FileNotFoundError:
         models = TrackerModels()
+    hyper = FitHyper() if args.target == "regressor" else AffinityFitHyper()
+    hyper = replace(hyper, **{k: v for k, v in (("lr", args.lr), ("epochs", args.epochs)) if v is not None})
     if args.target == "regressor":
-        params, loss = fit_regressor(scenarios, FitHyper(lr=args.lr, epochs=args.epochs))
+        params, loss = fit_regressor(scenarios, hyper)
         models.regressor = params
-        print(f"regressor fitted: final loss {loss:.6g} over {args.epochs} epochs")
+        print(f"regressor fitted: final loss {loss:.6g} over {hyper.epochs} epochs")
     else:
         rng = np.random.default_rng(args.seed)
         pairs = _affinity_pairs(scenarios, args.feature_noise, args.pairs_per_id, rng)
@@ -93,7 +96,7 @@ def _cmd_fit(args) -> int:
         n_hold = max(1, int(len(pairs) * args.holdout))
         hold = [pairs[i] for i in order[:n_hold]]
         train = [pairs[i] for i in order[n_hold:]]
-        params, ce = fit_affinity_head(train, AffinityFitHyper(lr=args.lr, epochs=args.epochs), mode=args.mode)
+        params, ce = fit_affinity_head(train, hyper, mode=args.mode)
         models.affinity = params
         acc = affinity_accuracy(params, hold)
         print(f"affinity head fitted ({args.mode}): cross-entropy {ce:.6g}, held-out accuracy {acc:.3f}")
@@ -193,6 +196,8 @@ def _cmd_bench(args) -> int:
     ratio = args.force_ratio
     if ratio is not None and not (math.isfinite(ratio) and ratio > 0):
         raise ConfigError(f"--force-ratio must be positive and finite, got {ratio}")
+    if args.repeat < 1:
+        raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     scenario = read_scenario(args.scenario)
     models = _load_models(args)
     detector = _make_detector(args, scenario)
@@ -307,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fit":
-        if args.lr is None:
-            args.lr = 1e-2 if args.target == "regressor" else 1.0
-        if args.epochs is None:
-            args.epochs = 200 if args.target == "regressor" else 2000
     try:
         return args.func(args)
     except ConfigError as exc:

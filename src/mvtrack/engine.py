@@ -6,8 +6,9 @@ Key frames run detection, association, and object management; non-key
 frames only propagate boxes, leaving states, galleries, and counters
 untouched. Only confirmed objects are emitted, never retroactively. The
 loop is strictly online: output for frame t depends only on frames <= t.
-The state is one `TrackTable`, whose box array moves and clips whole.
-The detector and the propagator are callables `track` takes;
+The state is one `TrackTable`, whose box array moves and clips whole; a key
+frame's detections are one `Detections` table, and its matches (rows, cols)
+index arrays. The detector and the propagator are callables `track` takes;
 `make_propagator` builds the configured propagator.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .affinity import AffinityHeadParams
 from .association import associate
 from .lifecycle import update
-from .model import BBox, ConfigError, Detection, TrackerConfig, TrackTable, box_corners, corner_boxes, predict_boxes
+from .model import BBox, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
 from .motion import (
     FieldReadout,
     RegressorParams,
@@ -29,7 +30,7 @@ from .motion import (
     propagate_bbox_avg,
     propagate_pixel_shift,
 )
-from .stream import DetectorConfig, Scenario, oracle_detect, read_motchallenge
+from .stream import OracleDetector, Scenario, read_mot_table  # noqa: F401 - OracleDetector keeps its import path here
 
 
 def is_key_frame(t: int, K: int) -> bool:
@@ -70,41 +71,30 @@ def speedup_model(timings: FrameTimings, K: int) -> float:
     return K * key / (key + (K - 1) * timings.mean_pro())
 
 
-class OracleDetector:
-    """Default detector: perturbed ground truth from the scenario itself."""
-
-    def __init__(self, scenario: Scenario, cfg: DetectorConfig = DetectorConfig()):
-        self.scenario = scenario
-        self.cfg = cfg
-        self._by_frame = scenario.gt_by_frame()
-
-    def __call__(self, frame: int):
-        return oracle_detect(self.scenario, frame, self.cfg, rows=self._by_frame.get(frame, []))
-
-
 class FileDetector:
     """Detections loaded from a MOTChallenge det-format file.
 
     External detections carry no appearance, so each one gets a synthetic
     patch seeded from its (frame, rank) position: deterministic, but
     uncorrelated across frames. Appearance association degrades gracefully
-    to near-chance affinities; geometry still works.
+    to near-chance affinities; geometry still works. Confidences are
+    clipped to [0, 1].
     """
 
     def __init__(self, path, header, seed: int = 0):
-        self.by_frame = {}
-        for frame, _, bbox, conf in read_motchallenge(path):
-            self.by_frame.setdefault(frame, []).append((bbox, min(max(conf, 0.0), 1.0)))
-        self.m = header.feature_bins
-        self.c = header.feature_channels
+        table = read_mot_table(path)
+        order = np.argsort(table.frame, kind="stable")
+        self._boxes = table.boxes[order]
+        self._conf = np.clip(table.conf[order], 0.0, 1.0)
+        self._spans = frame_spans(table.frame[order])
+        self.shape = (header.feature_bins, header.feature_bins, header.feature_channels)
         self.seed = seed
 
-    def __call__(self, frame: int):
-        out = []
-        for i, (bbox, conf) in enumerate(self.by_frame.get(frame, [])):
-            feat = np.random.default_rng([self.seed, frame, i]).standard_normal((self.m, self.m, self.c))
-            out.append(Detection(bbox, conf, feat))
-        return out
+    def __call__(self, frame: int) -> Detections:
+        span = self._spans.get(frame, slice(0))
+        conf = self._conf[span]
+        features = [np.random.default_rng([self.seed, frame, i]).standard_normal(self.shape) for i in range(len(conf))]
+        return Detections(self._boxes[span], conf, np.array(features).reshape(-1, *self.shape))
 
 
 @dataclass
@@ -144,6 +134,18 @@ def make_propagator(cfg: TrackerConfig, models: TrackerModels):
     return regress
 
 
+def _checked(t: int, detections: Detections) -> Detections:
+    """Frame t's table, once its confidences lie in [0, 1] and its box sizes are positive."""
+    conf, size = detections.conf, detections.boxes[:, 2:]
+    bad = np.flatnonzero(~((conf >= 0) & (conf <= 1)))
+    if len(bad):
+        raise ValueError(f"frame {t}: detection confidence must lie in [0, 1], got {conf[bad[0]]}")
+    bad = np.flatnonzero(~(size > 0).all(axis=1))
+    if len(bad):
+        raise ValueError(f"frame {t}: detection box size must be positive, got w={size[bad[0], 0]} h={size[bad[0], 1]}")
+    return detections
+
+
 def _rows(t: int, tracks: TrackTable, width: int, height: int) -> list:
     """(t, id, BBox) for each confirmed row, its box clipped to the frame;
     a box left with no area is not emitted."""
@@ -164,9 +166,11 @@ def track(
 ):
     """Run the tracker over a scenario.
 
-    `detector` is any callable mapping a 1-based frame number to a list of
-    Detections. `propagate` is the non-key-frame step, called once per
-    non-key frame with tracked rows (see `make_propagator`, its default).
+    `detector` is any callable mapping a 1-based frame number to a
+    `Detections` table; a confidence outside [0, 1] or a box without
+    positive width and height raises ValueError naming the frame.
+    `propagate` is the non-key-frame step, called once per non-key frame
+    with tracked rows (see `make_propagator`, its default).
     Returns (rows, timings) where rows are (frame, id, BBox) for confirmed
     objects, boxes clipped to the frame.
     """
@@ -184,11 +188,14 @@ def track(
         if is_key_frame(t, cfg.K):
             tm.key_frames += 1
             t0 = time.perf_counter()
-            detections = [d for d in detector(t) if d.confidence >= cfg.conf_min]
+            detections = _checked(t, detector(t))
+            keep = detections.conf >= cfg.conf_min
+            if not keep.all():
+                detections = Detections(*(column[keep] for column in detections))
             t1 = time.perf_counter()
-            result = associate(tracks, detections, models.affinity, cfg)
+            matches = associate(tracks, detections, models.affinity, cfg)
             t2 = time.perf_counter()
-            tracks = update(tracks, detections, result, cfg, id_source)
+            tracks = update(tracks, detections, matches, cfg, id_source)
             t3 = time.perf_counter()
             tm.t_det += t1 - t0
             tm.t_ass += t2 - t1

@@ -22,11 +22,11 @@ from collections import deque
 
 import numpy as np
 
-from .model import TrackTable, TrackerConfig, box_array
+from .model import Detections, TrackTable, TrackerConfig
 
 
-def update(tracks: TrackTable, detections, result, cfg: TrackerConfig, id_source) -> TrackTable:
-    """Fold an assignment into the table and run the state rules.
+def update(tracks: TrackTable, detections: Detections, matches, cfg: TrackerConfig, id_source) -> TrackTable:
+    """Fold matches, (rows, cols) index arrays, into the table and run the state rules.
 
     Matched rows take the detection's box, append its feature to their
     gallery (the oldest entry falls out past capacity), and count a hit;
@@ -36,14 +36,12 @@ def update(tracks: TrackTable, detections, result, cfg: TrackerConfig, id_source
     detection, in detection order. `id_source` is an iterator of fresh ids,
     strictly greater than any id handed out before.
     """
-    det_boxes = box_array([d.bbox for d in detections])
+    rows, cols = matches
     matched = np.zeros(len(tracks), dtype=bool)
-    if result.matches:
-        rows, cols = np.array(result.matches).T
-        matched[rows] = True
-        tracks.boxes[rows] = det_boxes[cols]
-        for r, c in result.matches:
-            tracks.galleries[r].append(detections[c].feature)
+    matched[rows] = True
+    tracks.boxes[rows] = detections.boxes[cols]
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        tracks.galleries[r].append(detections.features[c])
     hits = np.where(matched, tracks.hits + 1, 0)
     misses = np.where(matched, 0, tracks.misses + 1)
     # at most one transition per key frame keeps the state sequence inside
@@ -51,13 +49,13 @@ def update(tracks: TrackTable, detections, result, cfg: TrackerConfig, id_source
     keep = tracks.confirmed | (misses <= cfg.l_delete)
     confirmed = np.where(tracks.confirmed, misses <= cfg.l_demote, hits > cfg.l_confirm)
 
-    born = result.unmatched_detections
+    born = np.flatnonzero(np.bincount(cols, minlength=len(detections.conf)) == 0)
     return TrackTable(
         ids=np.concatenate([tracks.ids[keep], np.array([next(id_source) for _ in born], dtype=np.int64)]),
-        confirmed=np.concatenate([confirmed[keep], np.array([detections[j].confidence > cfg.c_confirm for j in born], dtype=bool)]),
+        confirmed=np.concatenate([confirmed[keep], detections.conf[born] > cfg.c_confirm]),
         hits=np.concatenate([hits[keep], np.ones(len(born), dtype=np.int64)]),
         misses=np.concatenate([misses[keep], np.zeros(len(born), dtype=np.int64)]),
-        boxes=np.concatenate([tracks.boxes[keep], det_boxes[born]]),
+        boxes=np.concatenate([tracks.boxes[keep], detections.boxes[born]]),
         galleries=[g for g, k in zip(tracks.galleries, keep.tolist()) if k]
-        + [deque([detections[j].feature], maxlen=cfg.l_f) for j in born],
+        + [deque([detections.features[j]], maxlen=cfg.l_f) for j in born.tolist()],
     )

@@ -11,6 +11,8 @@ the ground truth, (frame, id, BBox) for the hypotheses.
 Conventions (MOTChallenge): MOTP is the mean IoU over matches; MT/ML count
 ground-truth tracks matched in >= 80% / <= 20% of their visible frames;
 Frag counts resumptions of a track's matched status over its visible frames.
+A ratio over an empty count takes TrackEval's max(1, .) denominator: with no
+visible ground truth MOTA and MODA are -FP, and IDF1 of two empty sides is 0.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import gated_assign, hungarian
-from .model import ConfigError, MotTable, box_array, box_corners, iou_matrix
+from .model import ConfigError, MotTable, box_array, box_corners, frame_spans, iou_matrix
 from .stream import gt_to_rows
 
 
@@ -56,9 +58,7 @@ def _frame_groups(rows, gt: bool) -> tuple:
         raise ValueError(f"duplicate {'ground-truth' if gt else 'hypothesis'} id {ids[row]} in frame {frame[row]}")
     kept = np.flatnonzero(rows.conf > 0.5) if gt else np.arange(len(frame))
     kept = kept[np.argsort(frame[kept], kind="stable")]
-    frames, starts, counts = np.unique(frame[kept], return_index=True, return_counts=True)
-    spans = {f: slice(a, a + n) for f, a, n in zip(frames.tolist(), starts.tolist(), counts.tolist())}
-    return ids[kept], box_corners(rows.boxes[kept]), spans
+    return ids[kept], box_corners(rows.boxes[kept]), frame_spans(frame[kept])
 
 
 def frame_index(gt, results):
@@ -109,7 +109,8 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
         free_hyp = [h for h in hyp_ids if h not in used_hyp]
         if free_gt and free_hyp:
             cost = 1.0 - iou[np.ix_([row[g] for g in free_gt], [col[h] for h in free_hyp])]
-            for r, c in gated_assign(cost, 1.0 - iou_min).matches:
+            rows, cols = gated_assign(cost, 1.0 - iou_min)
+            for r, c in zip(rows.tolist(), cols.tolist()):
                 pairs[free_gt[r]] = free_hyp[c]
 
         tp += len(pairs)
@@ -131,8 +132,9 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
         prev_pairs = pairs
 
     gt_total = sum(gt_present.values())
-    mota = 1.0 - (fp + fn + ids) / gt_total if gt_total else 1.0
-    moda = 1.0 - (fp + fn) / gt_total if gt_total else 1.0
+    # with no ground truth, TrackEval's max(1, gt_total) denominator makes each FP cost 1
+    mota = 1.0 - (fp + fn + ids) / gt_total if gt_total else float(-fp)
+    moda = 1.0 - (fp + fn) / gt_total if gt_total else float(-fp)
     motp = iou_sum / tp if tp else 0.0
     rcll = tp / gt_total if gt_total else 0.0
     prcn = tp / (tp + fp) if tp + fp else 0.0
@@ -150,7 +152,7 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
     For each (gt track, hypothesis track) pair the overlap count is the
     number of frames where both exist and their boxes reach iou_min; a
     maximum-overlap bipartite matching gives IDTP, and
-    IDF1 = 2*IDTP / (gt frames + hypothesis frames).
+    IDF1 = 2*IDTP / max(1, gt frames + hypothesis frames).
     """
     _check_iou_min(iou_min)
     empty = np.zeros(0, int)
@@ -162,10 +164,10 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
         hits.append((gts[r], hyps[c]))
     gt_ids, hyp_ids = np.concatenate(gt_ids), np.concatenate(hyp_ids)
     if not len(gt_ids) or not len(hyp_ids):
-        return 0.0 if len(gt_ids) or len(hyp_ids) else 1.0
+        return 0.0
     gt_tracks, hyp_tracks = np.unique(gt_ids), np.unique(hyp_ids)
     hit_gt, hit_hyp = np.concatenate(hits, axis=1)
     overlap = np.zeros((len(gt_tracks), len(hyp_tracks)))
     np.add.at(overlap, (np.searchsorted(gt_tracks, hit_gt), np.searchsorted(hyp_tracks, hit_hyp)), 1)
-    idtp = sum(overlap[r, c] for r, c in hungarian(-overlap))
+    idtp = overlap[hungarian(-overlap)].sum()  # whole counts: exact in any order
     return 2.0 * idtp / (len(gt_ids) + len(hyp_ids))

@@ -3,8 +3,9 @@
 Boxes are center-parameterized and kept in continuous (sub-pixel)
 coordinates; discretization happens only at file I/O. Object ids are
 monotonically increasing and never reused, even after deletion. The
-tracker's state is one `TrackTable` of columns, boxes an (n, 4) array, and
-a MOTChallenge file reads as one `MotTable` of columns.
+tracker's state is one `TrackTable` of columns, boxes an (n, 4) array; a
+key frame's detections arrive as one `Detections` table and a MOTChallenge
+file reads as one `MotTable`, both of columns.
 """
 from __future__ import annotations
 
@@ -64,17 +65,12 @@ class BBox:
         return cls((left + right) / 2, (top + bottom) / 2, right - left, bottom - top)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: box, confidence in [0, 1], appearance patch."""
+class Detections(NamedTuple):
+    """A key frame's detections, one row each; a detector maps a 1-based frame to one."""
 
-    bbox: BBox
-    confidence: float
-    feature: FeaturePatch
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0,1], got {self.confidence}")
+    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    conf: np.ndarray  # (n,) float in [0, 1]
+    features: np.ndarray  # (n, m, m, c) appearance patches
 
 
 @dataclass
@@ -178,6 +174,12 @@ class TrackerConfig:
             raise ConfigError(f"unknown association mode {self.association_mode!r}")
         if self.propagator not in PROPAGATORS:
             raise ConfigError(f"unknown propagator {self.propagator!r}")
+
+
+def frame_spans(frames: np.ndarray) -> dict:
+    """{frame: slice} of each run of equal values in a sorted frame column."""
+    values, starts, counts = np.unique(frames, return_index=True, return_counts=True)
+    return {f: slice(a, a + n) for f, a, n in zip(values.tolist(), starts.tolist(), counts.tolist())}
 
 
 def box_array(boxes) -> np.ndarray:

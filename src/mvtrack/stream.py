@@ -12,6 +12,10 @@ object's integer-rounded displacement, background blocks carry the global
 camera displacement. Blocks of an occluded object carry background motion
 plus an elevated residual, so occlusion genuinely interrupts propagation.
 
+`OracleDetector` indexes the visible ground truth by frame once and returns
+each key frame's detections as one `Detections` table; the per-row
+reference it reproduces bit for bit lives in `tests/oracles.py`.
+
 The container is line-delimited text. `read_scenario` walks the header and
 frame records in Python but parses the ground-truth, motion-vector and
 residual records each as one numpy table (`_load_table`, one np.loadtxt
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BBox, Detection, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
+from .model import BBox, Detections, FeaturePatch, MotionFrame, MotTable, box_array, box_corners, center_cells, frame_spans
 
 
 class ScenarioFormatError(ValueError):
@@ -85,12 +89,6 @@ class Scenario:
     @property
     def n_frames(self) -> int:
         return len(self.frames)
-
-    def gt_by_frame(self) -> dict:
-        out: dict[int, list[GroundTruthEntry]] = {}
-        for row in self.gt:
-            out.setdefault(row.frame, []).append(row)
-        return out
 
     def feature_of(self, obj_id: int, noise: float, rng=None) -> FeaturePatch:
         """Appearance patch for an identity: a seeded base pattern plus noise.
@@ -298,47 +296,53 @@ class DetectorConfig:
             raise ValueError("rng_seed must be non-negative")
 
 
-def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig, rows=None) -> list:
-    """Detections for one key frame, deterministic given (rng_seed, frame).
+class OracleDetector:
+    """Default detector: perturbed ground truth from the scenario itself,
+    deterministic given (rng_seed, frame).
 
-    Visible ground-truth objects are emitted with probability 1 - miss_rate,
-    with perturbed boxes and confidence in [conf_min, 1); occluded objects are
-    never emitted; Poisson(fp_rate) false positives carry fresh identities.
-    `rows` may carry the frame's pre-indexed ground-truth entries.
+    Visible ground-truth objects are emitted in id order with probability
+    1 - miss_rate, with perturbed boxes and confidence in [conf_min, 1);
+    occluded objects are never emitted; Poisson(fp_rate) false positives
+    carry fresh identities.
     """
-    rng = np.random.default_rng([cfg.rng_seed, frame])
-    header = scenario.header
-    out = []
-    if rows is None:
-        rows = [r for r in scenario.gt if r.frame == frame]
-    for row in sorted(rows, key=lambda r: r.id):
-        if not row.visible:
-            continue
-        if rng.random() < cfg.miss_rate:
-            continue
-        b = row.bbox
-        g = rng.standard_normal(4).tolist()
-        bbox = BBox(
-            b.x + cfg.noise_center * b.w * g[0],
-            b.y + cfg.noise_center * b.h * g[1],
-            b.w * math.exp(cfg.noise_size * g[2]),
-            b.h * math.exp(cfg.noise_size * g[3]),
-        )
-        conf = float(rng.uniform(cfg.conf_min, 1.0))
-        feat = scenario.feature_of(row.id, cfg.feature_noise, rng)
-        out.append(Detection(bbox, conf, feat))
-    m, c = header.feature_bins, header.feature_channels
-    for _ in range(rng.poisson(cfg.fp_rate)):
-        w = float(rng.uniform(8, max(9, header.width / 3)))
-        h = float(rng.uniform(8, max(9, header.height / 3)))
-        bbox = BBox(float(rng.uniform(0, header.width)), float(rng.uniform(0, header.height)), w, h)
-        conf = float(rng.uniform(cfg.conf_min, 1.0))
-        fresh = int(rng.integers(0, 2**62))
-        feat = np.random.default_rng(fresh).standard_normal((m, m, c))
-        if cfg.feature_noise > 0:
-            feat = feat + cfg.feature_noise * rng.standard_normal((m, m, c))
-        out.append(Detection(bbox, conf, feat))
-    return out
+
+    def __init__(self, scenario: Scenario, cfg: DetectorConfig = DetectorConfig()):
+        self.scenario, self.cfg = scenario, cfg
+        visible = [r for r in scenario.gt if r.visible]
+        frame, ids = np.array([(r.frame, r.id) for r in visible], dtype=np.int64).reshape(-1, 2).T
+        order = np.lexsort((ids, frame))
+        self._ids = ids[order]
+        self._boxes = box_array([r.bbox for r in visible])[order]
+        self._spans = frame_spans(frame[order])
+
+    def __call__(self, frame: int) -> Detections:
+        cfg, header = self.cfg, self.scenario.header
+        m, c = header.feature_bins, header.feature_channels
+        rng = np.random.default_rng([cfg.rng_seed, frame])
+        span = self._spans.get(frame, slice(0))
+        hit, noise, conf, features = [], [], [], []
+        for row, obj_id in enumerate(self._ids[span].tolist()):
+            if rng.random() < cfg.miss_rate:
+                continue
+            hit.append(row)
+            noise.append(rng.standard_normal(4))
+            conf.append(rng.uniform(cfg.conf_min, 1.0))
+            features.append(self.scenario.feature_of(obj_id, cfg.feature_noise, rng))
+        b, g = self._boxes[span][hit], np.array(noise).reshape(-1, 4)
+        # math.exp, not np.exp: the two round some inputs differently
+        scale = np.array([math.exp(v) for v in (cfg.noise_size * g[:, 2:]).ravel().tolist()]).reshape(-1, 2)
+        boxes = [np.concatenate([b[:, :2] + cfg.noise_center * b[:, 2:] * g[:, :2], b[:, 2:] * scale], axis=1)]
+        for _ in range(rng.poisson(cfg.fp_rate)):
+            w = rng.uniform(8, max(9, header.width / 3))
+            h = rng.uniform(8, max(9, header.height / 3))
+            boxes.append(np.array([[rng.uniform(0, header.width), rng.uniform(0, header.height), w, h]]))
+            conf.append(rng.uniform(cfg.conf_min, 1.0))
+            feat = np.random.default_rng(int(rng.integers(0, 2**62))).standard_normal((m, m, c))
+            if cfg.feature_noise > 0:
+                feat = feat + cfg.feature_noise * rng.standard_normal((m, m, c))
+            features.append(feat)
+        features = np.array(features, dtype=float).reshape(-1, m, m, c)
+        return Detections(np.concatenate(boxes), np.array(conf, dtype=float), features)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +585,10 @@ _MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("values", np.float6
 
 
 def _check_mot(t) -> None:
-    values = t["values"]
+    frame, values = t["frame"], t["values"]
+    bad = frame < 1
+    if bad.any():
+        raise ValueError(f"MOTChallenge frames are 1-based, got {frame[bad][0]}")
     if not np.isfinite(values).all():
         raise ValueError("non-finite number")
     w, h = values[:, 2], values[:, 3]
@@ -595,8 +602,8 @@ def read_mot_table(path) -> MotTable:
     columns of the non-blank lines as one numpy table; the centre is
     left + w/2, as BBox stores it.
 
-    A malformed line, a non-finite number or a box without positive width
-    and height raises ValueError naming the line."""
+    A malformed line, a frame below 1, a non-finite number or a box without
+    positive width and height raises ValueError naming the line."""
     with open(path) as fh:
         lines = fh.read().split("\n")
     rows = [i for i, line in enumerate(lines) if line.strip()]

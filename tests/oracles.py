@@ -38,6 +38,12 @@ time with `int()` and `float()`. The package parses each table of records
 (ground truth, motion vectors, residuals, MOTChallenge rows) with one
 `np.loadtxt` call; the tests require equal results, bit for bit.
 
+The detector: `oracle_detect` scans the ground truth for the frame and
+builds one `Detection` record per emitted row. The package's
+`mvtrack.stream.OracleDetector` indexes the ground truth once and returns
+one table of columns; the tests require equal boxes, confidences and
+feature patches, in order, bit for bit.
+
 The tracking loop: `track` keeps one `TrackedObject` record per object,
 associates, updates and propagates them one at a time (pixel shift with a
 scalar double loop per box) and clips each emitted box on its own. The
@@ -56,11 +62,11 @@ from enum import Enum
 import numpy as np
 
 from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
-from mvtrack.association import AssignmentResult, gated_assign, hungarian
+from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
 from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, iou_matrix
 from mvtrack.motion import F_IN, FieldReadout, RegressorParams, _integral, encode_motion, pool, smooth_l1
-from mvtrack.stream import GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
+from mvtrack.stream import DetectorConfig, GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
 
@@ -319,7 +325,8 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
             cost = np.array(
                 [[1.0 - bbox_iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
             )
-            for r, c in gated_assign(cost, 1.0 - iou_min).matches:
+            rows, cols = gated_assign(cost, 1.0 - iou_min)
+            for r, c in zip(rows.tolist(), cols.tolist()):
                 pairs[free_gt[r]] = free_hyp[c]
 
         tp += len(pairs)
@@ -341,8 +348,12 @@ def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
         prev_pairs = pairs
 
     gt_total = sum(gt_present.values())
-    mota = 1.0 - (fp + fn + ids) / gt_total if gt_total else 1.0
-    moda = 1.0 - (fp + fn) / gt_total if gt_total else 1.0
+    if gt_total:
+        mota = 1.0 - (fp + fn + ids) / gt_total
+        moda = 1.0 - (fp + fn) / gt_total
+    else:  # TrackEval: (TP - FP - IDS) / max(1, TP + FN)
+        mota = (tp - fp - ids) / max(1, gt_total)
+        moda = (tp - fp) / max(1, gt_total)
     motp = iou_sum / tp if tp else 0.0
     rcll = tp / gt_total if gt_total else 0.0
     prcn = tp / (tp + fp) if tp + fp else 0.0
@@ -376,7 +387,8 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
     For each (gt track, hypothesis track) pair the overlap count is the
     number of frames where both exist and their boxes reach iou_min; a
     maximum-overlap bipartite matching gives IDTP, and
-    IDF1 = 2*IDTP / (gt frames + hypothesis frames).
+    IDF1 = 2*IDTP / max(1, gt frames + hypothesis frames), TrackEval's
+    denominator.
     """
     gt_tracks = {}
     for row in gt:
@@ -388,8 +400,6 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
 
     len_gt = sum(len(t) for t in gt_tracks.values())
     len_hyp = sum(len(t) for t in hyp_tracks.values())
-    if len_gt + len_hyp == 0:
-        return 1.0
     if not gt_tracks or not hyp_tracks:
         return 0.0
 
@@ -405,7 +415,7 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
                 for frame, box in track_g.items()
                 if frame in track_h and bbox_iou(box, track_h[frame]) >= iou_min
             )
-    idtp = sum(overlap[r, c] for r, c in hungarian(-overlap))
+    idtp = sum(overlap[r, c] for r, c in zip(*hungarian(-overlap)))
     return 2.0 * idtp / (len_gt + len_hyp)
 
 
@@ -420,8 +430,6 @@ def exhaustive_idf1(gt, results, iou_min=0.5):
         hyp_tracks.setdefault(obj_id, {})[frame] = bbox
     len_gt = sum(len(t) for t in gt_tracks.values())
     len_hyp = sum(len(t) for t in hyp_tracks.values())
-    if len_gt + len_hyp == 0:
-        return 1.0
     if not gt_tracks or not hyp_tracks:
         return 0.0
     g_ids = sorted(gt_tracks)
@@ -550,8 +558,8 @@ def read_scenario(path) -> Scenario:
 def read_motchallenge(path) -> list:
     """Read MOTChallenge rows back as (frame, id, BBox, confidence).
 
-    A malformed line, a non-finite number or a box without positive width
-    and height raises ValueError naming the line."""
+    A malformed line, a frame below 1, a non-finite number or a box without
+    positive width and height raises ValueError naming the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -571,12 +579,101 @@ def read_motchallenge(path) -> list:
                 raise ValueError(f"line {lineno}: non-finite number in {line!r}")
             if not (w > 0 and h > 0):
                 raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
+            if frame < 1:
+                raise ValueError(f"line {lineno}: MOTChallenge frames are 1-based, got {frame}")
             out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
     return out
 
 
 # ---------------------------------------------------------------------------
+# The per-row detector
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detector output: box, confidence in [0, 1], appearance patch."""
+
+    bbox: BBox
+    confidence: float
+    feature: FeaturePatch
+
+    def __post_init__(self):
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence must lie in [0,1], got {self.confidence}")
+
+
+def detection_list(table) -> list:
+    """A `Detections` table's rows as Detection records, in order."""
+    return [Detection(BBox(*b), c, f) for b, c, f in zip(table.boxes.tolist(), table.conf.tolist(), table.features)]
+
+
+def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig) -> list:
+    """Detections for one key frame, deterministic given (rng_seed, frame).
+
+    Visible ground-truth objects are emitted with probability 1 - miss_rate,
+    with perturbed boxes and confidence in [conf_min, 1); occluded objects are
+    never emitted; Poisson(fp_rate) false positives carry fresh identities.
+    """
+    rng = np.random.default_rng([cfg.rng_seed, frame])
+    header = scenario.header
+    out = []
+    rows = [r for r in scenario.gt if r.frame == frame]
+    for row in sorted(rows, key=lambda r: r.id):
+        if not row.visible:
+            continue
+        if rng.random() < cfg.miss_rate:
+            continue
+        b = row.bbox
+        g = rng.standard_normal(4).tolist()
+        bbox = BBox(
+            b.x + cfg.noise_center * b.w * g[0],
+            b.y + cfg.noise_center * b.h * g[1],
+            b.w * math.exp(cfg.noise_size * g[2]),
+            b.h * math.exp(cfg.noise_size * g[3]),
+        )
+        conf = float(rng.uniform(cfg.conf_min, 1.0))
+        feat = scenario.feature_of(row.id, cfg.feature_noise, rng)
+        out.append(Detection(bbox, conf, feat))
+    m, c = header.feature_bins, header.feature_channels
+    for _ in range(rng.poisson(cfg.fp_rate)):
+        w = float(rng.uniform(8, max(9, header.width / 3)))
+        h = float(rng.uniform(8, max(9, header.height / 3)))
+        bbox = BBox(float(rng.uniform(0, header.width)), float(rng.uniform(0, header.height)), w, h)
+        conf = float(rng.uniform(cfg.conf_min, 1.0))
+        fresh = int(rng.integers(0, 2**62))
+        feat = np.random.default_rng(fresh).standard_normal((m, m, c))
+        if cfg.feature_noise > 0:
+            feat = feat + cfg.feature_noise * rng.standard_normal((m, m, c))
+        out.append(Detection(bbox, conf, feat))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The object-list tracking loop
+
+
+@dataclass
+class Assignment:
+    """A gated assignment as lists: matched (object, detection) pairs in
+    object order, and the unmatched indices on each side."""
+
+    matches: list
+    unmatched_objects: list
+    unmatched_detections: list
+
+
+def assignment(matches, n_objects: int, n_detections: int) -> Assignment:
+    """An assignment from its (object, detection) pairs, unmatched indices filled in."""
+    matches = sorted(matches)
+    rows, cols = {r for r, _ in matches}, {c for _, c in matches}
+    return Assignment(
+        matches, [r for r in range(n_objects) if r not in rows], [c for c in range(n_detections) if c not in cols]
+    )
+
+
+def gated(cost: np.ndarray, threshold: float) -> Assignment:
+    rows, cols = gated_assign(cost, threshold)
+    return assignment(zip(rows.tolist(), cols.tolist()), *cost.shape)
 
 
 class LifecycleState(Enum):
@@ -669,7 +766,7 @@ def _appearance_matrix(params, objects, detections) -> np.ndarray:
     return appearance_matrix(params, [o.gallery for o in objects], [d.feature for d in detections])
 
 
-def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: TrackerConfig) -> AssignmentResult:
+def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: TrackerConfig) -> Assignment:
     """Geometry first, appearance second.
 
     Step 1 assigns detections to confirmed objects by IoU cost (gate
@@ -680,28 +777,20 @@ def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: Tra
     confirmed = [i for i, o in enumerate(objects) if o.state is LifecycleState.CONFIRMED]
     tentative = [i for i, o in enumerate(objects) if o.state is LifecycleState.TENTATIVE]
 
-    result = AssignmentResult()
-    step1 = gated_assign(_iou_cost([objects[i] for i in confirmed], detections), cfg.tau_iou)
-    for r, c in step1.matches:
-        result.matches.append((confirmed[r], c))
+    step1 = gated(_iou_cost([objects[i] for i in confirmed], detections), cfg.tau_iou)
+    matches = [(confirmed[r], c) for r, c in step1.matches]
     det_left = step1.unmatched_detections
     obj_left = sorted(tentative + [confirmed[r] for r in step1.unmatched_objects])
 
-    step2 = gated_assign(
+    step2 = gated(
         _appearance_matrix(params, [objects[i] for i in obj_left], [detections[j] for j in det_left]),
         cfg.tau_app,
     )
-    for r, c in step2.matches:
-        result.matches.append((obj_left[r], det_left[c]))
-    matched_obj = {i for i, _ in result.matches}
-    matched_det = {j for _, j in result.matches}
-    result.matches.sort()
-    result.unmatched_objects = [i for i in range(len(objects)) if i not in matched_obj]
-    result.unmatched_detections = [j for j in range(len(detections)) if j not in matched_det]
-    return result
+    matches += [(obj_left[r], det_left[c]) for r, c in step2.matches]
+    return assignment(matches, len(objects), len(detections))
 
 
-def associate_one_step(objects, detections, params: AffinityHeadParams, alpha: float, cfg: TrackerConfig) -> AssignmentResult:
+def associate_one_step(objects, detections, params: AffinityHeadParams, alpha: float, cfg: TrackerConfig) -> Assignment:
     """Single assignment on the blended cost alpha*iou + (1-alpha)*appearance,
     gated at the equally blended threshold. alpha=1 is IoU-only, alpha=0 is
     appearance-only."""
@@ -711,7 +800,7 @@ def associate_one_step(objects, detections, params: AffinityHeadParams, alpha: f
     if alpha < 1.0:
         cost = cost + (1.0 - alpha) * _appearance_matrix(params, objects, detections)
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
-    return gated_assign(cost, threshold)
+    return gated(cost, threshold)
 
 
 def apply_matches(objects, detections, result) -> list:
@@ -791,7 +880,7 @@ def track(scenario: Scenario, detector, cfg: TrackerConfig, models) -> list:
     for t in range(1, scenario.n_frames + 1):
         frame_data = scenario.frames[t - 1]
         if (t - 1) % cfg.K == 0:
-            detections = [d for d in detector(t) if d.confidence >= cfg.conf_min]
+            detections = [d for d in detection_list(detector(t)) if d.confidence >= cfg.conf_min]
             if cfg.association_mode == "twostep":
                 result = associate_two_step(objects, detections, models.affinity, cfg)
             else:

@@ -317,7 +317,7 @@ def _run_criterion_5(head7):
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         cost = rng.uniform(0, 10, (n, m))
-        total = sum(cost[r, c] for r, c in hungarian(cost))
+        total = cost[hungarian(cost)].sum()
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
     # IDF1 vs exhaustive trajectory pairing on small cases

@@ -12,8 +12,21 @@ from mvtrack.association import (
     hungarian,
     _iou_cost,
 )
-from mvtrack.model import BBox, Detection, TrackTable, TrackerConfig, box_array
+from mvtrack.model import BBox, Detections, TrackTable, TrackerConfig, box_array
 from oracles import appearance_cost, iou_cost
+
+
+def pairs(matches):
+    """(rows, cols) index arrays as a list of (row, col) pairs, in order."""
+    rows, cols = matches
+    assert rows.tolist() == sorted(rows.tolist())  # rows ascending
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def unmatched(matches, n_rows, n_cols):
+    """The row and column indices a (rows, cols) assignment leaves out."""
+    rows, cols = matches
+    return sorted(set(range(n_rows)) - set(rows.tolist())), sorted(set(range(n_cols)) - set(cols.tolist()))
 
 
 def brute_force_min_cost(cost):
@@ -30,18 +43,17 @@ def brute_force_min_cost(cost):
 
 
 def test_hungarian_two_by_two():
-    pairs = hungarian(np.array([[1.0, 2.0], [3.0, 1.0]]))
-    assert pairs == [(0, 0), (1, 1)]
+    assert pairs(hungarian(np.array([[1.0, 2.0], [3.0, 1.0]]))) == [(0, 0), (1, 1)]
 
 
 def test_hungarian_diagonal_preference():
     cost = np.ones((4, 4)) - np.eye(4)
-    assert hungarian(cost) == [(i, i) for i in range(4)]
+    assert pairs(hungarian(cost)) == [(i, i) for i in range(4)]
 
 
 def test_hungarian_empty():
-    assert hungarian(np.zeros((0, 0))) == []
-    assert hungarian(np.zeros((0, 5))) == []
+    assert pairs(hungarian(np.zeros((0, 0)))) == []
+    assert pairs(hungarian(np.zeros((0, 5)))) == []
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5), (5, 3), (7, 7), (2, 7)])
@@ -50,9 +62,9 @@ def test_hungarian_matches_brute_force(shape):
     trials = 12 if max(shape) < 6 else 5
     for _ in range(trials):
         cost = rng.uniform(0, 1, shape)
-        pairs = hungarian(cost)
-        assert len(pairs) == min(shape)
-        total = sum(cost[r, c] for r, c in pairs)
+        found = pairs(hungarian(cost))
+        assert len(found) == min(shape)
+        total = sum(cost[r, c] for r, c in found)
         assert total == pytest.approx(brute_force_min_cost(cost))
 
 
@@ -62,26 +74,25 @@ def test_hungarian_random_suite_100():
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         cost = rng.uniform(0, 10, (n, m))
-        total = sum(cost[r, c] for r, c in hungarian(cost))
+        total = sum(cost[r, c] for r, c in pairs(hungarian(cost)))
         assert total == pytest.approx(brute_force_min_cost(cost))
 
 
 def test_gated_all_above_threshold():
     res = gated_assign(np.full((3, 3), 0.9), 0.5)
-    assert res.matches == []
-    assert res.unmatched_objects == [0, 1, 2]
-    assert res.unmatched_detections == [0, 1, 2]
+    assert pairs(res) == []
+    assert unmatched(res, 3, 3) == ([0, 1, 2], [0, 1, 2])
 
 
 def test_gated_single_cell():
     res = gated_assign(np.array([[0.2]]), 0.3)
-    assert res.matches == [(0, 0)]
-    assert res.unmatched_objects == [] and res.unmatched_detections == []
+    assert pairs(res) == [(0, 0)]
+    assert unmatched(res, 1, 1) == ([], [])
 
 
 def test_gated_diagonal():
     res = gated_assign(np.array([[0.1, 0.9], [0.9, 0.1]]), 0.3)
-    assert sorted(res.matches) == [(0, 0), (1, 1)]
+    assert pairs(res) == [(0, 0), (1, 1)]
 
 
 def test_gated_never_exceeds_threshold():
@@ -90,23 +101,24 @@ def test_gated_never_exceeds_threshold():
         cost = rng.uniform(0, 1, (int(rng.integers(1, 6)), int(rng.integers(1, 6))))
         thr = float(rng.uniform(0.1, 0.9))
         res = gated_assign(cost, thr)
-        for r, c in res.matches:
+        found = pairs(res)
+        for r, c in found:
             assert cost[r, c] <= thr
         # partition property
-        matched_r = {r for r, _ in res.matches}
-        matched_c = {c for _, c in res.matches}
-        assert sorted(matched_r | set(res.unmatched_objects)) == list(range(cost.shape[0]))
-        assert sorted(matched_c | set(res.unmatched_detections)) == list(range(cost.shape[1]))
-        assert not matched_r & set(res.unmatched_objects)
-        assert not matched_c & set(res.unmatched_detections)
+        matched_r = {r for r, _ in found}
+        matched_c = {c for _, c in found}
+        left_r, left_c = unmatched(res, *cost.shape)
+        assert len(matched_r) == len(matched_c) == len(found)
+        assert sorted(matched_r | set(left_r)) == list(range(cost.shape[0]))
+        assert sorted(matched_c | set(left_c)) == list(range(cost.shape[1]))
 
 
 def test_gated_forbidden_but_forced_pair_discarded():
     # hungarian must match both rows; the gate then discards the bad pair
     cost = np.array([[0.1, 0.9], [0.15, 0.95]])
-    res = gated_assign(cost, 0.3)
-    assert len(res.matches) == 1
-    assert res.matches[0][1] == 0
+    found = pairs(gated_assign(cost, 0.3))
+    assert len(found) == 1
+    assert found[0][1] == 0
 
 
 # --- association procedures ---
@@ -139,6 +151,15 @@ def make_tracks(objects):
     )
 
 
+def make_detections(*rows):
+    """A Detections table of (BBox, patch) rows, every confidence 0.96."""
+    return Detections(
+        box_array([b for b, _ in rows]),
+        np.full(len(rows), 0.96),
+        np.array([f for _, f in rows]).reshape(-1, 7, 7, 16),
+    )
+
+
 @pytest.fixture(scope="module")
 def head():
     rng = np.random.default_rng(0)
@@ -160,34 +181,34 @@ def test_matrix_helpers_agree_with_costs(head):
         make_object(1, BBox(50, 50, 20, 20), True, bases[:2]),
         make_object(2, BBox(90, 60, 24, 30), False, bases[2:]),
     ]
-    detections = [
-        Detection(BBox(52, 51, 20, 20), 0.97, make_patch(bases[0])),
-        Detection(BBox(150, 150, 20, 20), 0.97, make_patch()),
-    ]
+    detections = make_detections(
+        (BBox(52, 51, 20, 20), make_patch(bases[0])),
+        (BBox(150, 150, 20, 20), make_patch()),
+    )
     tracks = make_tracks(objects)
-    iou_m = _iou_cost(tracks.boxes, detections)
-    app_m = appearance_matrix(head, tracks.galleries, [d.feature for d in detections])
+    iou_m = _iou_cost(tracks.boxes, detections.boxes)
+    app_m = appearance_matrix(head, tracks.galleries, detections.features)
     for i, (_, bbox, _, gallery) in enumerate(objects):
-        for j, det in enumerate(detections):
-            assert iou_m[i, j] == pytest.approx(iou_cost(bbox, det.bbox), abs=1e-12)
-            assert app_m[i, j] == pytest.approx(appearance_cost(head, gallery, det.feature), abs=1e-12)
+        for j, (box, feature) in enumerate(zip(detections.boxes.tolist(), detections.features)):
+            assert iou_m[i, j] == pytest.approx(iou_cost(bbox, BBox(*box)), abs=1e-12)
+            assert app_m[i, j] == pytest.approx(appearance_cost(head, gallery, feature), abs=1e-12)
 
 
 def test_two_step_iou_match_first(head):
     base = RNG.standard_normal((7, 7, 16))
     obj = make_object(1, BBox(50, 50, 20, 20), True, [base])
-    det = Detection(BBox(51, 50, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step(make_tracks([obj]), [det], head, CFG)
-    assert res.matches == [(0, 0)]
+    det = (BBox(51, 50, 20, 20), make_patch(base))
+    res = associate_two_step(make_tracks([obj]), make_detections(det), head, CFG)
+    assert pairs(res) == [(0, 0)]
 
 
 def test_two_step_appearance_rescue(head):
     # confirmed object displaced far from its detection, gallery still matches
     base = RNG.standard_normal((7, 7, 16))
     obj = make_object(1, BBox(50, 50, 20, 20), True, [base])
-    det = Detection(BBox(200, 200, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step(make_tracks([obj]), [det], head, CFG)
-    assert res.matches == [(0, 0)]
+    det = (BBox(200, 200, 20, 20), make_patch(base))
+    res = associate_two_step(make_tracks([obj]), make_detections(det), head, CFG)
+    assert pairs(res) == [(0, 0)]
 
 
 def test_two_step_tentative_never_in_step_one(head):
@@ -195,13 +216,13 @@ def test_two_step_tentative_never_in_step_one(head):
     # it by appearance, so it stays unmatched even though IoU is 1
     base = RNG.standard_normal((7, 7, 16))
     tent = make_object(1, BBox(50, 50, 20, 20), False, [base])
-    det_foreign = Detection(BBox(50, 50, 20, 20), 0.97, make_patch())
-    res = associate_two_step(make_tracks([tent]), [det_foreign], head, CFG)
-    assert res.matches == []
+    det_foreign = (BBox(50, 50, 20, 20), make_patch())
+    res = associate_two_step(make_tracks([tent]), make_detections(det_foreign), head, CFG)
+    assert pairs(res) == []
     # with its own feature it is matched in step 2 by appearance
-    det_own = Detection(BBox(50, 50, 20, 20), 0.97, make_patch(base))
-    res = associate_two_step(make_tracks([tent]), [det_own], head, CFG)
-    assert res.matches == [(0, 0)]
+    det_own = (BBox(50, 50, 20, 20), make_patch(base))
+    res = associate_two_step(make_tracks([tent]), make_detections(det_own), head, CFG)
+    assert pairs(res) == [(0, 0)]
 
 
 def test_two_step_no_double_assignment(head):
@@ -211,31 +232,32 @@ def test_two_step_no_double_assignment(head):
         make_object(2, BBox(80, 50, 20, 20), True, [bases[1]]),
         make_object(3, BBox(110, 50, 20, 20), False, [bases[2]]),
     ]
-    detections = [
-        Detection(BBox(51, 50, 20, 20), 0.96, make_patch(bases[0])),
-        Detection(BBox(81, 50, 20, 20), 0.96, make_patch(bases[1])),
-        Detection(BBox(111, 50, 20, 20), 0.96, make_patch(bases[2])),
-        Detection(BBox(300, 300, 20, 20), 0.96, make_patch(bases[3])),
-    ]
+    detections = make_detections(
+        (BBox(51, 50, 20, 20), make_patch(bases[0])),
+        (BBox(81, 50, 20, 20), make_patch(bases[1])),
+        (BBox(111, 50, 20, 20), make_patch(bases[2])),
+        (BBox(300, 300, 20, 20), make_patch(bases[3])),
+    )
     res = associate_two_step(make_tracks(objects), detections, head, CFG)
-    matched_objs = [i for i, _ in res.matches]
-    matched_dets = [j for _, j in res.matches]
+    matched_objs = [i for i, _ in pairs(res)]
+    matched_dets = [j for _, j in pairs(res)]
+    left_objs, left_dets = unmatched(res, 3, 4)
     assert len(matched_objs) == len(set(matched_objs))
     assert len(matched_dets) == len(set(matched_dets))
-    assert sorted(matched_objs + res.unmatched_objects) == [0, 1, 2]
-    assert sorted(matched_dets + res.unmatched_detections) == [0, 1, 2, 3]
-    assert sorted(res.matches) == [(0, 0), (1, 1), (2, 2)]
-    assert res.unmatched_detections == [3]
+    assert sorted(matched_objs + left_objs) == [0, 1, 2]
+    assert sorted(matched_dets + left_dets) == [0, 1, 2, 3]
+    assert pairs(res) == [(0, 0), (1, 1), (2, 2)]
+    assert left_dets == [3]
 
 
 def test_two_step_step1_unaffected_by_tentative(head):
     base = RNG.standard_normal((7, 7, 16))
     conf = make_object(1, BBox(50, 50, 20, 20), True, [base])
-    det = Detection(BBox(51, 50, 20, 20), 0.96, make_patch(base))
-    res_without = associate_two_step(make_tracks([conf]), [det], head, CFG)
+    det = (BBox(51, 50, 20, 20), make_patch(base))
+    res_without = associate_two_step(make_tracks([conf]), make_detections(det), head, CFG)
     tent = make_object(2, BBox(50, 50, 20, 20), False, [base])
-    res_with = associate_two_step(make_tracks([conf, tent]), [det], head, CFG)
-    assert (0, 0) in res_with.matches and res_without.matches == [(0, 0)]
+    res_with = associate_two_step(make_tracks([conf, tent]), make_detections(det), head, CFG)
+    assert (0, 0) in pairs(res_with) and pairs(res_without) == [(0, 0)]
 
 
 def test_one_step_alpha_one_is_gated_iou(head):
@@ -243,13 +265,13 @@ def test_one_step_alpha_one_is_gated_iou(head):
         make_object(1, BBox(50, 50, 20, 20), True, [RNG.standard_normal((7, 7, 16))]),
         make_object(2, BBox(90, 50, 20, 20), False, [RNG.standard_normal((7, 7, 16))]),
     ]
-    detections = [
-        Detection(BBox(52, 50, 20, 20), 0.96, make_patch()),
-        Detection(BBox(91, 50, 20, 20), 0.96, make_patch()),
-    ]
+    detections = make_detections(
+        (BBox(52, 50, 20, 20), make_patch()),
+        (BBox(91, 50, 20, 20), make_patch()),
+    )
     res = associate_one_step(make_tracks(objects), detections, head, 1.0, CFG)
-    expected = gated_assign(_iou_cost(box_array([o[1] for o in objects]), detections), CFG.tau_iou)
-    assert sorted(res.matches) == sorted(expected.matches)
+    expected = gated_assign(_iou_cost(box_array([o[1] for o in objects]), detections.boxes), CFG.tau_iou)
+    assert pairs(res) == pairs(expected)
 
 
 def test_one_step_alpha_zero_is_gated_appearance(head):
@@ -258,14 +280,14 @@ def test_one_step_alpha_zero_is_gated_appearance(head):
         make_object(1, BBox(50, 50, 20, 20), True, [bases[0]]),
         make_object(2, BBox(90, 50, 20, 20), True, [bases[1]]),
     ]
-    detections = [
-        Detection(BBox(400, 200, 20, 20), 0.96, make_patch(bases[1])),
-        Detection(BBox(300, 300, 20, 20), 0.96, make_patch(bases[0])),
-    ]
+    detections = make_detections(
+        (BBox(400, 200, 20, 20), make_patch(bases[1])),
+        (BBox(300, 300, 20, 20), make_patch(bases[0])),
+    )
     res = associate_one_step(make_tracks(objects), detections, head, 0.0, CFG)
-    expected = gated_assign(appearance_matrix(head, [o[3] for o in objects], [d.feature for d in detections]), CFG.tau_app)
-    assert sorted(res.matches) == sorted(expected.matches)
-    assert sorted(res.matches) == [(0, 1), (1, 0)]  # appearance crosses the geometry
+    expected = gated_assign(appearance_matrix(head, [o[3] for o in objects], detections.features), CFG.tau_app)
+    assert pairs(res) == pairs(expected)
+    assert pairs(res) == [(0, 1), (1, 0)]  # appearance crosses the geometry
 
 
 def test_one_step_blended_gate_example(head):
@@ -273,13 +295,12 @@ def test_one_step_blended_gate_example(head):
     cost = 0.5 * 0.2 + 0.5 * 0.4
     gate = 0.5 * CFG.tau_iou + 0.5 * CFG.tau_app
     assert cost == pytest.approx(0.3) and gate == pytest.approx(0.275)
-    res = gated_assign(np.array([[cost]]), gate)
-    assert res.matches == []
+    assert pairs(gated_assign(np.array([[cost]]), gate)) == []
 
 
 def test_one_step_rejects_bad_alpha(head):
     with pytest.raises(ValueError):
-        associate_one_step(TrackTable.empty(), [], head, 1.5, CFG)
+        associate_one_step(TrackTable.empty(), make_detections(), head, 1.5, CFG)
 
 
 def test_permutation_changes_only_ties(head):
@@ -289,15 +310,13 @@ def test_permutation_changes_only_ties(head):
         make_object(i + 1, BBox(40 + 35 * i, 60, 22, 22), True, [bases[i]])
         for i in range(5)
     ]
-    detections = [
-        Detection(BBox(41 + 35 * i, 61, 22, 22), 0.96, bases[i] + 0.1 * rng.standard_normal((7, 7, 16)))
-        for i in range(5)
-    ]
+    det_boxes = [BBox(41 + 35 * i, 61, 22, 22) for i in range(5)]
+    detections = make_detections(*((b, bases[i] + 0.1 * rng.standard_normal((7, 7, 16))) for i, b in enumerate(det_boxes)))
     res = associate_two_step(make_tracks(objects), detections, head, CFG)
-    base_cost = sum(iou_cost(objects[i][1], detections[j].bbox) for i, j in res.matches)
+    base_cost = sum(iou_cost(objects[i][1], det_boxes[j]) for i, j in pairs(res))
     perm = [3, 0, 4, 1, 2]
     objects_p = [objects[i] for i in perm]
     res_p = associate_two_step(make_tracks(objects_p), detections, head, CFG)
-    cost_p = sum(iou_cost(objects_p[i][1], detections[j].bbox) for i, j in res_p.matches)
-    assert len(res_p.matches) == len(res.matches)
+    cost_p = sum(iou_cost(objects_p[i][1], det_boxes[j]) for i, j in pairs(res_p))
+    assert len(pairs(res_p)) == len(pairs(res))
     assert cost_p == pytest.approx(base_cost)

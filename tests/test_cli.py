@@ -120,6 +120,23 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--out", "x.scn", "--check-K", "0"], "key-frame period 0 must be a positive divisor of gop 12"),
+        (["generate", "--out", "x.scn", "--check-K", "-3"], "key-frame period -3 must be a positive divisor of gop 12"),
+        (["bench", "--repeat", "0"], "--repeat must be >= 1, got 0"),
+        (["bench", "--repeat", "-1"], "--repeat must be >= 1, got -1"),
+    ],
+)
+def test_nonpositive_check_K_and_repeat_exit_2_before_reading(tmp_path, capsys, argv, message):
+    # the input paths do not exist: the flag is rejected before any file is read
+    missing = str(tmp_path / "missing")
+    inputs = ["--script", missing] if argv[0] == "generate" else ["--scenario", missing]
+    assert main([*argv, *inputs]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_fit_track_evaluate_pipeline(tmp_path, capsys):
     # generate training + tracking scenarios, fit both models, track, evaluate
     train_script = write_script(
@@ -222,8 +239,9 @@ def test_evaluate_equals_loop_oracles_through_files(tmp_path, script, iou_min):
     "gt_text, results_text, scores",
     [
         (GT_ROWS, "", "0.000\t0.000\t0.000\t0\t1\t0\t2\t0\t0\t0.000\t0.000\t0.000"),
-        ("", GT_ROWS, "1.000\t0.000\t0.000\t0\t0\t3\t0\t0\t0\t0.000\t0.000\t1.000"),
-        ("", "", "1.000\t0.000\t1.000\t0\t0\t0\t0\t0\t0\t0.000\t0.000\t1.000"),
+        # TrackEval's max(1, .) denominators: no ground truth, so each FP costs 1
+        ("", GT_ROWS, "-3.000\t0.000\t0.000\t0\t0\t3\t0\t0\t0\t0.000\t0.000\t-3.000"),
+        ("", "", "0.000\t0.000\t0.000\t0\t0\t0\t0\t0\t0\t0.000\t0.000\t0.000"),
     ],
 )
 def test_evaluate_empty_files(tmp_path, gt_text, results_text, scores):

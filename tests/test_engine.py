@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from mvtrack.engine import (
@@ -13,7 +14,7 @@ from mvtrack.engine import (
     write_timing_report,
 )
 from mvtrack.metrics import clear_mot
-from mvtrack.model import ConfigError, Detection, TrackerConfig
+from mvtrack.model import ConfigError, Detections, TrackerConfig, box_array
 from mvtrack.motion import FitHyper, fit_regressor
 from mvtrack.stream import (
     DetectorConfig,
@@ -102,8 +103,8 @@ def test_tentative_objects_never_emitted(head7):
     sc = scenario_translation(frames=13)
 
     def detector(frame):
-        gtf = {r.id: r.bbox for r in sc.gt if r.frame == frame}
-        return [Detection(b, 0.96, sc.feature_of(i, 0.0)) for i, b in sorted(gtf.items())]
+        gtf = sorted({r.id: r.bbox for r in sc.gt if r.frame == frame}.items())
+        return Detections(box_array([b for _, b in gtf]), np.full(len(gtf), 0.96), np.array([sc.feature_of(i, 0.0) for i, _ in gtf]))
 
     cfg = TrackerConfig(K=1, propagator="bboxavg")
     rows, _ = track(sc, detector, cfg, TrackerModels(affinity=head7))
@@ -112,6 +113,32 @@ def test_tentative_objects_never_emitted(head7):
     # must be silent
     assert all(frame >= 4 for frame, _, _ in rows)
     assert {frame for frame, _, _ in rows} == set(range(4, 14))
+
+
+@pytest.mark.parametrize(
+    "conf, w, message",
+    [
+        (1.5, 20.0, "frame 4: detection confidence must lie in [0, 1], got 1.5"),
+        (float("nan"), 20.0, "frame 4: detection confidence must lie in [0, 1], got nan"),
+        (0.97, 0.0, "frame 4: detection box size must be positive, got w=0.0 h=20.0"),
+    ],
+)
+def test_track_rejects_bad_detection_naming_frame(head7, conf, w, message):
+    # the bad row is the second row of the second key frame; conf_min 0.99
+    # drops every row with conf 0.97, so the zero-width row shows that rows
+    # are checked before the confidence filter
+    sc = scenario_translation(frames=6)
+    m, c = sc.header.feature_bins, sc.header.feature_channels
+
+    def detector(frame):
+        bad = (conf, w) if frame == 4 else (0.97, 20.0)
+        boxes = np.array([[100.0, 100.0, 20.0, 20.0], [200.0, 100.0, bad[1], 20.0]])
+        return Detections(boxes, np.array([0.97, bad[0]]), np.zeros((2, m, m, c)))
+
+    cfg = TrackerConfig(K=3, propagator="bboxavg", conf_min=0.99)
+    with pytest.raises(ValueError) as exc:
+        track(sc, detector, cfg, TrackerModels(affinity=head7))
+    assert str(exc.value) == message
 
 
 def test_determinism_byte_identical(tmp_path, head7):
@@ -193,6 +220,26 @@ def test_file_detector(tmp_path, head7):
     assert rows
     scores = clear_mot(sc.gt, rows)
     assert scores.ids == 0 and scores.fp == 0
+
+
+def test_file_detector_slices_frames_in_file_order(tmp_path):
+    # frames out of order, confidences outside [0, 1]: each frame's rows keep
+    # their file order, confidences are clipped, patches are seeded by rank
+    lines = ["4,-1,10.00,20.00,8.00,6.00,0.50", "2,-1,30.00,40.00,4.00,4.00,1.70",
+             "4,-1,50.00,60.00,2.00,8.00,-0.20", "2,-1,70.00,80.00,6.00,2.00,0.90"]
+    det_path = tmp_path / "det.txt"
+    det_path.write_text("\n".join(lines) + "\n")
+    detector = FileDetector(det_path, HEADER, seed=5)
+    m, c = HEADER.feature_bins, HEADER.feature_channels
+    want = {2: ([[32.0, 42.0, 4.0, 4.0], [73.0, 81.0, 6.0, 2.0]], [1.0, 0.9]),
+            4: ([[14.0, 23.0, 8.0, 6.0], [51.0, 64.0, 2.0, 8.0]], [0.5, 0.0]),
+            3: ([], [])}
+    for frame, (boxes, conf) in want.items():
+        dets = detector(frame)
+        assert dets.boxes.reshape(-1, 4).tolist() == boxes and dets.conf.tolist() == conf
+        patches = [np.random.default_rng([5, frame, i]).standard_normal((m, m, c)) for i in range(len(conf))]
+        assert dets.features.shape == (len(conf), m, m, c)
+        assert dets.features.tobytes() == np.array(patches).tobytes()
 
 
 # sha256 of the MOTChallenge bytes of `golden_scenario` under each propagator;

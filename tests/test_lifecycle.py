@@ -3,9 +3,8 @@ from collections import deque
 
 import numpy as np
 
-from mvtrack.association import AssignmentResult
 from mvtrack.lifecycle import update
-from mvtrack.model import BBox, Detection, TrackTable, TrackerConfig
+from mvtrack.model import Detections, TrackTable, TrackerConfig
 
 CFG = TrackerConfig()
 RNG = np.random.default_rng(0)
@@ -33,24 +32,38 @@ def obj(obj_id, confirmed=True, n_gallery=1, hits=1, misses=0, l_f=24):
     return table((obj_id, confirmed, n_gallery, hits, misses, l_f))
 
 
+def dets(*rows):
+    """A Detections table of (x, conf) rows, every box 20 x 20 at y = 50."""
+    return Detections(
+        np.array([(x, 50.0, 20.0, 20.0) for x, _ in rows]).reshape(-1, 4),
+        np.array([c for _, c in rows], dtype=float),
+        np.array([patch() for _ in rows]).reshape(-1, 7, 7, 16),
+    )
+
+
 def det(x=60.0, conf=0.97):
-    return Detection(BBox(x, 50, 20, 20), conf, patch())
+    return dets((x, conf))
+
+
+def matches(*pairs):
+    """(rows, cols) index arrays of (object, detection) pairs."""
+    return np.array([r for r, _ in pairs], dtype=np.intp), np.array([c for _, c in pairs], dtype=np.intp)
 
 
 def hit(tracks, d=None, ids=None):
-    return update(tracks, [d or det()], AssignmentResult(matches=[(0, 0)]), CFG, ids or itertools.count(100))
+    return update(tracks, det() if d is None else d, matches((0, 0)), CFG, ids or itertools.count(100))
 
 
 def miss(tracks, ids=None):
-    return update(tracks, [], AssignmentResult(unmatched_objects=list(range(len(tracks)))), CFG, ids or itertools.count(100))
+    return update(tracks, dets(), matches(), CFG, ids or itertools.count(100))
 
 
 def test_match_succeeds_bbox_and_gallery():
     d = det()
     out = hit(obj(1, n_gallery=2, hits=2), d)
-    assert out.boxes[0].tolist() == [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h]
+    assert out.boxes[0].tolist() == d.boxes[0].tolist()
     assert len(out.galleries[0]) == 3
-    assert out.galleries[0][-1] is d.feature
+    assert out.galleries[0][-1].tobytes() == d.features[0].tobytes()
     assert (out.hits[0], out.misses[0]) == (3, 0)
 
 
@@ -61,7 +74,7 @@ def test_gallery_capacity_evicts_oldest():
     out = hit(o, d)
     assert len(out.galleries[0]) == 24
     assert all(g is not oldest for g in out.galleries[0])
-    assert out.galleries[0][-1] is d.feature
+    assert out.galleries[0][-1].tobytes() == d.features[0].tobytes()
 
 
 def test_unmatched_object_counts_miss_keeps_gallery():
@@ -76,15 +89,14 @@ def test_unmatched_object_counts_miss_keeps_gallery():
 
 def test_exactly_one_counter_moves_each_update():
     tracks = table((1, True, 1, 2, 0), (2, True, 1, 0, 1))
-    out = update(tracks, [det()], AssignmentResult(matches=[(0, 0)], unmatched_objects=[1]), CFG, itertools.count(10))
+    out = update(tracks, det(), matches((0, 0)), CFG, itertools.count(10))
     assert out.hits.tolist() == [3, 0]
     assert out.misses.tolist() == [0, 2]
 
 
 def test_birth_tentative_and_instant_confirm():
-    low = Detection(BBox(10, 10, 5, 5), 0.98, patch())
-    high = Detection(BBox(20, 20, 5, 5), 0.995, patch())
-    out = update(TrackTable.empty(), [low, high], AssignmentResult(unmatched_detections=[0, 1]), CFG, itertools.count(5))
+    low_high = Detections(np.array([[10.0, 10, 5, 5], [20, 20, 5, 5]]), np.array([0.98, 0.995]), np.array([patch(), patch()]))
+    out = update(TrackTable.empty(), low_high, matches(), CFG, itertools.count(5))
     assert out.confirmed.tolist() == [False, True]
     assert out.ids.tolist() == [5, 6]
     assert out.boxes.tolist() == [[10, 10, 5, 5], [20, 20, 5, 5]]
@@ -94,9 +106,7 @@ def test_birth_tentative_and_instant_confirm():
 
 def test_newborn_rows_follow_survivors_in_detection_order():
     tracks = table((1, True, 1, 2, 0), (2, False, 1, 0, CFG.l_delete), (3, True, 1, 1, 0))
-    dets = [det(10.0), det(20.0), det(30.0)]
-    result = AssignmentResult(matches=[(2, 1)], unmatched_objects=[0, 1], unmatched_detections=[0, 2])
-    out = update(tracks, dets, result, CFG, itertools.count(7))
+    out = update(tracks, dets((10.0, 0.97), (20.0, 0.97), (30.0, 0.97)), matches((2, 1)), CFG, itertools.count(7))
     assert out.ids.tolist() == [1, 3, 7, 8]  # row 2 deleted, newborns last
     assert out.boxes[:, 0].tolist() == [50.0, 20.0, 10.0, 30.0]
 
@@ -144,7 +154,7 @@ def test_demoted_object_keeps_id_gallery_and_miss_clock():
 def test_deleted_is_absorbing_and_removed():
     ids = itertools.count(10)
     o = obj(1, confirmed=False, hits=0, misses=CFG.l_delete)
-    o = update(o, [det()], AssignmentResult(unmatched_objects=[0], unmatched_detections=[0]), CFG, ids)
+    o = update(o, det(), matches(), CFG, ids)
     assert o.ids.tolist() == [10]  # the deleted row is gone, the newborn takes a fresh id
     o = miss(o, ids)
     assert o.ids.tolist() == [10]
@@ -159,8 +169,8 @@ def test_matched_confirmed_object_stays_confirmed_forever():
 
 def test_new_ids_strictly_increase():
     ids = itertools.count(1)
-    first = update(TrackTable.empty(), [det()], AssignmentResult(unmatched_detections=[0]), CFG, ids)
-    second = update(first, [det(), det()], AssignmentResult(unmatched_objects=[0], unmatched_detections=[0, 1]), CFG, ids)
+    first = update(TrackTable.empty(), det(), matches(), CFG, ids)
+    second = update(first, dets((60.0, 0.97), (60.0, 0.97)), matches(), CFG, ids)
     seen = second.ids.tolist()
     assert seen == sorted(seen) and len(set(seen)) == len(seen) == 3
 

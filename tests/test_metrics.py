@@ -58,6 +58,19 @@ def test_empty_results():
     assert idf1(gt, []) == 0.0
 
 
+def test_empty_ground_truth_takes_trackeval_denominators():
+    # max(1, .) denominators: with no visible ground truth each FP costs 1,
+    # and two empty sides score 0, never -0
+    results = [result_row(1, 1), result_row(2, 1), result_row(2, 2, x=90.0)]
+    for gt in ([], [gt_row(1, 5, visible=False)]):
+        scores = clear_mot(gt, results)
+        assert (scores.mota, scores.moda, scores.fp, scores.gt_total) == (-3.0, -3.0, 3, 0)
+        assert idf1(gt, results) == 0.0
+    empty = clear_mot([], [])
+    for value in (empty.mota, empty.moda, idf1([], [])):
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
 def test_spurious_detection_drops_moda_by_one_over_gt():
     gt = track_gt(1, range(1, 11))
     perfect = as_results(gt)

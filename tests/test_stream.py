@@ -13,12 +13,12 @@ from mvtrack.stream import (
     GroundTruthEntry,
     MotionScript,
     ObjectScript,
+    OracleDetector,
     Scenario,
     ScenarioFormatError,
     StreamHeader,
     generate_scenario,
     gt_to_rows,
-    oracle_detect,
     read_mot_table,
     read_motchallenge,
     read_scenario,
@@ -147,22 +147,23 @@ def test_feature_cosine_structure():
 
 def test_oracle_noiseless_matches_gt():
     sc = generate_scenario(one_object(x=50, y=50, vx=3), HEADER, seed=1)
-    dets = oracle_detect(sc, 4, DetectorConfig(rng_seed=0))
+    dets = OracleDetector(sc, DetectorConfig(rng_seed=0))(4)
     gt4 = [r for r in sc.gt if r.frame == 4]
-    assert len(dets) == 1
-    assert (dets[0].bbox.x, dets[0].bbox.y) == (gt4[0].bbox.x, gt4[0].bbox.y)
-    assert 0.95 <= dets[0].confidence <= 1.0
+    assert len(dets.conf) == 1
+    assert dets.boxes[0, :2].tolist() == [gt4[0].bbox.x, gt4[0].bbox.y]
+    assert 0.95 <= dets.conf[0] <= 1.0
 
 
 def test_oracle_miss_rate_one_empty():
     sc = generate_scenario(one_object(), HEADER, seed=1)
-    assert oracle_detect(sc, 1, DetectorConfig(miss_rate=1.0)) == []
+    assert len(OracleDetector(sc, DetectorConfig(miss_rate=1.0))(1).conf) == 0
 
 
 def test_oracle_never_emits_occluded():
     sc = generate_scenario(one_object(occlusions=((3, 6),)), HEADER, seed=1)
-    assert oracle_detect(sc, 4, DetectorConfig()) == []
-    assert len(oracle_detect(sc, 2, DetectorConfig())) == 1
+    detector = OracleDetector(sc, DetectorConfig())
+    assert len(detector(4).conf) == 0
+    assert len(detector(2).conf) == 1
 
 
 def test_oracle_miss_rate_expectation():
@@ -171,7 +172,7 @@ def test_oracle_miss_rate_expectation():
     header = StreamHeader(width=640, height=128, block=16, gop=12)
     sc = generate_scenario(MotionScript(frames=2, objects=objs), header, seed=0)
     counts = [
-        len(oracle_detect(sc, 1, DetectorConfig(miss_rate=0.3, rng_seed=seed))) for seed in range(1000)
+        len(OracleDetector(sc, DetectorConfig(miss_rate=0.3, rng_seed=seed))(1).conf) for seed in range(1000)
     ]
     assert np.mean(counts) == pytest.approx(7.0, abs=0.5)
 
@@ -179,7 +180,7 @@ def test_oracle_miss_rate_expectation():
 def test_oracle_fp_rate_poisson_mean():
     sc = generate_scenario(one_object(), HEADER, seed=0)
     counts = [
-        len(oracle_detect(sc, 1, DetectorConfig(miss_rate=1.0, fp_rate=2.0, rng_seed=seed)))
+        len(OracleDetector(sc, DetectorConfig(miss_rate=1.0, fp_rate=2.0, rng_seed=seed))(1).conf)
         for seed in range(500)
     ]
     assert np.mean(counts) == pytest.approx(2.0, abs=0.3)
@@ -188,10 +189,67 @@ def test_oracle_fp_rate_poisson_mean():
 def test_oracle_deterministic_per_frame():
     sc = generate_scenario(one_object(), HEADER, seed=0)
     cfg = DetectorConfig(noise_center=0.05, feature_noise=0.1, rng_seed=9)
-    a = oracle_detect(sc, 4, cfg)
-    b = oracle_detect(sc, 4, cfg)
-    assert a[0].bbox == b[0].bbox and a[0].confidence == b[0].confidence
-    np.testing.assert_array_equal(a[0].feature, b[0].feature)
+    a = OracleDetector(sc, cfg)(4)
+    b = OracleDetector(sc, cfg)(4)
+    for column_a, column_b in zip(a, b):
+        assert column_a.tobytes() == column_b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_objects=st.integers(0, 5),
+    miss_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    fp_rate=st.sampled_from([0.0, 0.7, 3.0]),
+    noise=st.sampled_from([0.0, 0.05]),
+    feature_noise=st.sampled_from([0.0, 0.1]),
+    conf_min=st.sampled_from([0.5, 0.95]),
+)
+def test_oracle_detector_matches_per_row_oracle(seed, n_objects, miss_rate, fp_rate, noise, feature_noise, conf_min):
+    # shuffled ground-truth rows and occlusions, so the id sort and the
+    # visibility filter both matter; frame 9 is past the script and has no
+    # ground truth
+    rng = np.random.default_rng(seed)
+    frames = 8
+    objs = []
+    for obj_id in rng.permutation(np.arange(1, 40))[:n_objects].tolist():
+        enter = int(rng.integers(1, frames + 1))
+        start = int(rng.integers(1, frames + 1))
+        objs.append(ObjectScript(
+            id=obj_id, enter=enter, exit=int(rng.integers(enter, frames + 1)),
+            x=float(rng.uniform(10, 180)), y=float(rng.uniform(10, 120)),
+            w=float(rng.uniform(6, 40)), h=float(rng.uniform(6, 40)),
+            vx=float(rng.uniform(-3, 3)), vy=float(rng.uniform(-3, 3)),
+            occlusions=((start, start + 1),) if rng.random() < 0.5 else (),
+        ))
+    sc = generate_scenario(MotionScript(frames=frames, objects=tuple(objs)), HEADER, seed=seed)
+    sc.gt = [sc.gt[i] for i in rng.permutation(len(sc.gt))]
+    cfg = DetectorConfig(noise_center=noise, noise_size=noise, miss_rate=miss_rate, fp_rate=fp_rate,
+                         feature_noise=feature_noise, conf_min=conf_min, rng_seed=seed)
+    calls = []
+    feature_of = sc.feature_of
+    sc.feature_of = lambda *args: calls.append(args[0]) or feature_of(*args)
+    detector = OracleDetector(sc, cfg)
+    m, c = HEADER.feature_bins, HEADER.feature_channels
+    for t in range(1, frames + 2):
+        calls.clear()
+        got = detector(t)
+        got_calls = list(calls)
+        calls.clear()
+        want = oracles.oracle_detect(sc, t, cfg)
+        assert got_calls == calls
+        n = len(want)
+        assert (got.boxes.shape, got.conf.shape, got.features.shape) == ((n, 4), (n,), (n, m, m, c))
+        assert got.boxes.tobytes() == np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in want]).reshape(-1, 4).tobytes()
+        assert got.conf.tobytes() == np.array([d.confidence for d in want], dtype=float).tobytes()
+        assert got.features.tobytes() == np.array([d.feature for d in want]).reshape(-1, m, m, c).tobytes()
+
+
+def test_oracle_detector_empty_frame_shapes():
+    sc = generate_scenario(one_object(occlusions=((3, 6),)), HEADER, seed=1)
+    m, c = HEADER.feature_bins, HEADER.feature_channels
+    for dets in (OracleDetector(sc, DetectorConfig())(4), OracleDetector(sc, DetectorConfig(miss_rate=1.0))(1)):
+        assert (dets.boxes.shape, dets.conf.shape, dets.features.shape) == ((0, 4), (0,), (0, m, m, c))
 
 
 # --- scenario container I/O ---
@@ -530,6 +588,8 @@ def test_motchallenge_malformed_line_number(tmp_path):
         ("1,2,8.00,6.00,inf,8.00,1.00,-1,-1,-1", "line 2: non-finite"),
         ("1,2,8.00,6.00,0.00,8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
         ("1,2,8.00,6.00,4.00,-8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
+        ("0,2,8.00,6.00,4.00,8.00,1.00,-1,-1,-1", "line 2: MOTChallenge frames are 1-based, got 0"),
+        ("-4,2,8.00,6.00,4.00,8.00,1.00,-1,-1,-1", "line 2: MOTChallenge frames are 1-based, got -4"),
     ],
 )
 def test_motchallenge_rejects_bad_numbers(tmp_path, row, message):

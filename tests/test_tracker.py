@@ -212,8 +212,10 @@ def test_detector_boxes_and_rows_hold_float(models):
             ObjectScript(id=2, enter=1, exit=12, x=180, y=120, w=48, h=48, vx=-1))
     scenario = generate_scenario(MotionScript(frames=12, objects=objs), HEADER, seed=1)
     det = DetectorConfig(noise_center=0.02, noise_size=0.02, fp_rate=1.0, feature_noise=0.1, rng_seed=3)
-    boxes = [d.bbox for t in (1, 4, 7) for d in OracleDetector(scenario, det)(t)]
+    tables = [OracleDetector(scenario, det)(t) for t in (1, 4, 7)]
     rows, _ = track(scenario, OracleDetector(scenario, det), TrackerConfig(conf_min=0.95), models)
-    assert boxes and rows
-    for b in boxes + [b for _, _, b in rows]:
+    assert all(len(d.conf) for d in tables) and rows
+    for d in tables:
+        assert (d.boxes.dtype, d.conf.dtype, d.features.dtype) == (float,) * 3
+    for _, _, b in rows:
         assert [type(v) for v in (b.x, b.y, b.w, b.h)] == [float] * 4, repr(b)
