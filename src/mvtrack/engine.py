@@ -26,7 +26,6 @@ from .model import BBox, ConfigError, Detections, TrackerConfig, TrackTable, box
 from .motion import (
     FieldReadout,
     RegressorParams,
-    encode_motion,
     propagate_bbox_avg,
     propagate_pixel_shift,
 )
@@ -129,7 +128,7 @@ def make_propagator(cfg: TrackerConfig, models: TrackerModels):
         return propagate_pixel_shift
 
     def regress(boxes, frame, block):
-        return predict_boxes(FieldReadout(models.regressor, encode_motion(frame)).velocities(boxes, block), boxes)
+        return predict_boxes(FieldReadout(models.regressor, frame).velocities(boxes, block), boxes)
 
     return regress
 

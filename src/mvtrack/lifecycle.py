@@ -28,8 +28,9 @@ from .model import Detections, TrackTable, TrackerConfig
 def update(tracks: TrackTable, detections: Detections, matches, cfg: TrackerConfig, id_source) -> TrackTable:
     """Fold matches, (rows, cols) index arrays, into the table and run the state rules.
 
-    Matched rows take the detection's box, append its feature to their
-    gallery (the oldest entry falls out past capacity), and count a hit;
+    Matched rows take the detection's box, append a copy of its feature to
+    their gallery (a view would keep the key frame's whole features array
+    alive; the oldest entry falls out past capacity), and count a hit;
     unmatched rows count a miss and keep their box. The box array and the
     galleries of `tracks` are updated in place. Returns the next table:
     the surviving rows in their order, then one newborn row per unmatched
@@ -41,7 +42,7 @@ def update(tracks: TrackTable, detections: Detections, matches, cfg: TrackerConf
     matched[rows] = True
     tracks.boxes[rows] = detections.boxes[cols]
     for r, c in zip(rows.tolist(), cols.tolist()):
-        tracks.galleries[r].append(detections.features[c])
+        tracks.galleries[r].append(detections.features[c].copy())
     hits = np.where(matched, tracks.hits + 1, 0)
     misses = np.where(matched, 0, tracks.misses + 1)
     # at most one transition per key frame keeps the state sequence inside
@@ -57,5 +58,5 @@ def update(tracks: TrackTable, detections: Detections, matches, cfg: TrackerConf
         misses=np.concatenate([misses[keep], np.zeros(len(born), dtype=np.int64)]),
         boxes=np.concatenate([tracks.boxes[keep], detections.boxes[born]]),
         galleries=[g for g, k in zip(tracks.galleries, keep.tolist()) if k]
-        + [deque([detections.features[j]], maxlen=cfg.l_f) for j in born.tolist()],
+        + [deque([detections.features[j].copy()], maxlen=cfg.l_f) for j in born.tolist()],
     )

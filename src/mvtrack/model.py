@@ -231,17 +231,25 @@ def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarra
     return np.clip(edges, 0, (gw, gh, gw, gh)).astype(int)
 
 
+# One step's normalized velocity is clamped to these bounds, far past any real
+# frame-to-frame motion, so that any finite velocity gives a finite box of
+# positive size: no exp overflow, no side flushed to zero, no centre at infinity.
+MAX_STEP = 1e4  # box sides the centre may move in one step
+MAX_LOG_SCALE = math.log(1e4)  # a side grows or shrinks at most 1e4-fold in one step
+
+
 def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Advance (n, 4) x, y, w, h boxes by (n, 4) normalized velocities.
 
     The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
-    so sizes stay positive for any finite velocity unless exp underflows.
-    Raises ValueError for a non-finite velocity or a size that is not
-    positive.
+    each component first clamped to +-MAX_STEP and +-MAX_LOG_SCALE. Raises
+    ValueError for a non-finite velocity or a size that is not positive.
     """
     bad = np.argwhere(~np.isfinite(v))
     if len(bad):
         raise ValueError(f"velocity component {('vx', 'vy', 'vw', 'vh')[bad[0, 1]]} must be finite")
+    limit = np.array([MAX_STEP, MAX_STEP, MAX_LOG_SCALE, MAX_LOG_SCALE])
+    v = np.minimum(np.maximum(v, -limit), limit)
     size = boxes[:, 2:]
     # math.exp, not np.exp: the two round some inputs differently
     scale = np.array([math.exp(c) for c in v[:, 2:].ravel().tolist()]).reshape(-1, 2)

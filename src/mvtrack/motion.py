@@ -8,6 +8,9 @@ pooled over spatial bin (u, v), bins are averaged per component k in
 x, y, w, h order) and the pooled 4-vector is applied as a normalized
 velocity. The map stays affine so the fitting objective is convex and its
 gradients are exact. All three move one (n, 4) x, y, w, h box array.
+MV averaging and the regressor read only the cells their boxes cover
+(`pool`); a frame's full grid is only copied into a ring and, for the
+residual energy, summed once (`motion_table`).
 """
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ import numpy as np
 
 from .model import MotionFrame, box_array, box_corners, box_velocities, center_cells, corner_boxes
 
-# Per-cell motion statistics fed to the regressor: mean dx, mean dy, residual
-# energy, and the four finite-difference Jacobian entries of the MV field
-# (per cell index). The Jacobian terms make scale changes linearly
-# recoverable, which plain MV averaging cannot do.
+# Per-cell motion statistics fed to the regressor, in order: dx, dy, residual
+# energy, and the Jacobian of the MV field per cell index, d(dx)/dx, d(dy)/dy,
+# d(dx)/dy, d(dy)/dx, as central differences (one-sided at the grid border).
+# The Jacobian terms make scale changes linearly recoverable, which plain MV
+# averaging cannot do.
 F_IN = 7
 
 
@@ -47,48 +51,96 @@ class RegressorParams:
         return cls(np.zeros((4 * m * m, F_IN)), np.zeros(4 * m * m), m)
 
 
-def _integral(stats: np.ndarray) -> np.ndarray:
-    """Summed-area table over the grid axes of (F, gw, gh) statistics,
-    zero-padded at the origin: shape (F, gw + 1, gh + 1)."""
-    f, gw, gh = stats.shape
-    S = np.zeros((f, gw + 1, gh + 1))
-    inner = S[:, 1:, 1:]
-    np.cumsum(stats, axis=1, out=inner)
-    np.cumsum(inner, axis=2, out=inner)
-    return S
+def motion_table(frame: MotionFrame, stats: int = F_IN) -> tuple:
+    """What `pool` reads a frame's first `stats` (2 or F_IN) statistics from:
+    dx, dy as (2, gw + 2, gh + 2) floats in a ring, and the (gw + 1, gh + 1)
+    summed-area table of the residual energy (None for dx, dy alone). For the
+    full set a ring cell is 2*f[0] - f[1] (f[0] on an axis of one cell), so the
+    border's one-sided difference is the central one (f[i+1] - f[i-1]) / 2."""
+    gw, gh = frame.residual.shape
+    mv = np.zeros((2, gw + 2, gh + 2))
+    mv[:, 1:-1, 1:-1] = frame.mv
+    if stats == 2:
+        return mv, None
+    for ring in (mv[:, :, 1:-1], mv[:, 1:-1].transpose(0, 2, 1)):  # along x, then along y
+        k = min(1, ring.shape[1] - 3)
+        ring[:, 0], ring[:, -1] = 2 * ring[:, 1] - ring[:, 1 + k], 2 * ring[:, -2] - ring[:, -2 - k]
+    S = np.zeros((gw + 1, gh + 1))
+    np.cumsum(frame.residual, axis=0, dtype=float, out=S[1:, 1:])
+    np.cumsum(S[1:, 1:], axis=1, out=S[1:, 1:])
+    return mv, S
 
 
-def pool(S: np.ndarray, corners: np.ndarray, block: int, m: int):
-    """Position-sensitive pooling of many boxes out of one summed-area table.
+def pool(table: tuple, corners: np.ndarray, block: int, m: int):
+    """Position-sensitive pooling of many boxes' motion statistics.
 
     Each box's covered cells (see `center_cells`) are split into m x m bins:
     the cut between bins is the first cell whose center reaches the bin
     boundary. Returns A (n, m*m, F), the per-bin mean statistics divided by
     m*m, and e (n, m*m), 1/(m*m) for non-empty bins; empty bins are all-zero.
     Sum A[i] over bins and it is the mean over bins of box i's per-bin means.
+
+    Only the cells the boxes cover are read. Motion vectors are whole
+    pixels, so every dx and dy value is an integer and every derivative a
+    multiple of 0.5: their bin sums are exact in float64, in any order,
+    while the grid has fewer than 2**20 cells, and they are added straight
+    from the covered cells. Only the residual energy is read out of its
+    summed-area table.
     """
     n = len(corners)
-    f, gw1, gh1 = S.shape
-    scaled = corners / block
-    # x and y side by side: lo, hi, left, width are (n, 2) and the cuts (n, 2, m+1)
-    lo, hi = center_cells(corners, block, gw1 - 1, gh1 - 1).reshape(n, 2, 2).transpose(1, 0, 2)
-    left = scaled[:, :2]
-    width = scaled[:, 2:] - left
-    c = np.ceil(left[:, :, None] + np.arange(m + 1) * (width / m)[:, :, None] - 0.5).astype(int)
-    c[:, :, 0] = lo
-    c[:, :, m] = hi
+    mv, residual = table
+    gw, gh = mv.shape[1] - 2, mv.shape[2] - 2
+    # x and y side by side: lo, hi, left, right are (n, 2) and the cuts (n, 2, m+1)
+    lo, hi = center_cells(corners, block, gw, gh).reshape(n, 2, 2).transpose(1, 0, 2)
+    left, right = (corners / block).reshape(n, 2, 2).transpose(1, 0, 2)
+    c = np.ceil(left[:, :, None] + np.arange(m + 1) * ((right - left) / m)[:, :, None] - 0.5).astype(int)
+    c[:, :, 0], c[:, :, m] = lo, hi
     np.clip(c, lo[:, :, None], hi[:, :, None], out=c)
     np.maximum.accumulate(c, axis=2, out=c)
     c[~(lo < hi).all(axis=1)] = 0
-    d = np.diff(c, axis=2)
+    d = np.diff(c, axis=2)  # (n, 2, m) bin widths in cells
     counts = (d[:, 0, :, None] * d[:, 1, None, :]).reshape(n, m * m)
-    cols = S.reshape(f, -1)[:, c[:, 0, :, None] * gh1 + c[:, 1, None, :]]  # (F, n, m+1, m+1)
-    sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:]
-    sums -= cols[:, :, 1:, :-1]
-    sums += cols[:, :, :-1, :-1]
-    A = np.transpose(sums.reshape(f, n, m * m), (1, 2, 0))  # (n, m*m, F)
     nonempty = counts > 0
-    A = np.divide(A, counts[:, :, None] * (m * m), out=np.zeros_like(A), where=nonempty[:, :, None])
+    size = n * m * m
+
+    # the covered cells, box by box, x-major: each one's key box * m*m + u * m + v
+    # for bin (u, v), and its flat index into the ringed mv
+    first, span = c[:, :, 0], c[:, :, m] - c[:, :, 0]
+    cells = span[:, 0] * span[:, 1]
+    box, start, sy, x, y = np.repeat([np.arange(n), np.cumsum(cells) - cells, span[:, 1], *first.T], cells, axis=1)
+    ox, oy = np.divmod(np.arange(len(box)) - start, sy)
+    key = box * (m * m)
+    if m > 1:
+        # the bin of an offset along an axis is the number of inner cuts at or before it
+        s = int(span.max(initial=0)) + 1
+        cuts = (np.arange(0, 2 * n * s, s).reshape(n, 2, 1) + c[:, :, 1:m] - first[:, :, None]).ravel()
+        bins = np.cumsum(np.bincount(cuts, minlength=2 * n * s).reshape(n, 2, s), axis=2)
+        key += np.take(bins, 2 * s * box + ox) * m + np.take(bins, (2 * box + 1) * s + oy)
+    r = gh + 2  # the ringed mv's row length
+    at = (x + ox + 1) * r + y + oy + 1
+
+    # dx, dy and, for all seven statistics, their central differences
+    # d(dx)/dx, d(dx)/dy, d(dy)/dx, d(dy)/dy, added per bin into their
+    # channels of A
+    flat = mv.reshape(2, -1)
+    if residual is None:
+        f, exact, channel = 2, np.take(flat, at, axis=1), np.array([0, 1])
+    else:
+        g = np.take(flat, at + np.array([0, r, 1, -r, -1])[:, None], axis=1)  # (2, 5, cells)
+        f, exact = F_IN, np.concatenate([g[:, 0], ((g[:, 1:3] - g[:, 3:]) / 2).reshape(4, -1)])
+        channel = np.array([0, 1, 3, 5, 6, 4])
+    keys = (key * f + channel[:, None]).ravel()
+    filled = np.flatnonzero(nonempty)
+    sums = np.bincount(keys, weights=exact.ravel(), minlength=size * f).reshape(size, f)[filled]
+    if residual is not None:
+        corner = np.take(residual, c[:, 0, :, None] * (gh + 1) + c[:, 1, None, :])  # (n, m+1, m+1)
+        res = corner[:, 1:, 1:] - corner[:, :-1, 1:]
+        res -= corner[:, 1:, :-1]
+        res += corner[:, :-1, :-1]
+        sums[:, 2] = np.take(res, filled)
+    # C-contiguous: the einsum that reads A adds in an order that follows its layout
+    A = np.zeros((n, m * m, f))
+    A.reshape(size, f)[filled] = sums / (np.take(counts, filled) * (m * m))[:, None]
     return A, nonempty / (m * m)
 
 
@@ -100,7 +152,7 @@ def propagate_bbox_avg(boxes: np.ndarray, frame: MotionFrame, block: int) -> np.
     so scale changes are invisible to it. A box covering no cell center
     stays where it is.
     """
-    A, e = pool(_integral(frame.mv), box_corners(boxes), block, 1)
+    A, e = pool(motion_table(frame, 2), box_corners(boxes), block, 1)
     out = boxes.copy()
     covered = e[:, 0] > 0
     out[covered, :2] += A[covered, 0]
@@ -145,35 +197,6 @@ def propagate_pixel_shift(boxes: np.ndarray, frame: MotionFrame, block: int) -> 
     return out_boxes
 
 
-def encode_motion(frame: MotionFrame) -> np.ndarray:
-    """Per-cell motion statistics, shape (F_IN, gw, gh).
-
-    Channels: dx, dy, residual, d(dx)/dx, d(dy)/dy, d(dx)/dy, d(dy)/dx.
-    Derivatives are central differences over neighboring cells (one-sided at
-    borders), in displacement-pixels per cell index.
-    """
-    gw, gh = frame.residual.shape
-    out = np.zeros((F_IN, gw, gh))
-    out[:2] = frame.mv
-    out[2] = frame.residual
-    dx, dy, _, ddx_dx, ddy_dy, ddx_dy, ddy_dx = out
-    # np.gradient's arithmetic, written into place: (f[i+1] - f[i-1]) / 2 inside,
-    # one-sided differences at the two borders
-    if gw >= 2:
-        for f, g in ((dx, ddx_dx), (dy, ddy_dx)):
-            np.subtract(f[2:], f[:-2], out=g[1:-1])
-            g[1:-1] /= 2.0
-            g[0] = f[1] - f[0]
-            g[-1] = f[-1] - f[-2]
-    if gh >= 2:
-        for f, g in ((dy, ddy_dy), (dx, ddx_dy)):
-            np.subtract(f[:, 2:], f[:, :-2], out=g[:, 1:-1])
-            g[:, 1:-1] /= 2.0
-            g[:, 0] = f[:, 1] - f[:, 0]
-            g[:, -1] = f[:, -1] - f[:, -2]
-    return out
-
-
 def smooth_l1(x):
     """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise; elementwise on arrays."""
     ax = np.abs(x)
@@ -213,7 +236,7 @@ def _design(batch, block: int, m: int):
     """Training matrices of (MotionFrame, prev box, next box) samples: the
     pooled statistics A (n, m*m, F_IN) and e (n, m*m) of each previous box,
     and the target velocities V (n, 4) that carry it onto the next box.
-    Each frame is encoded once and pools all of its samples' boxes at once."""
+    Each frame's table is built once and pools all of its samples' boxes at once."""
     n = len(batch)
     A = np.zeros((n, m * m, F_IN))
     E = np.zeros((n, m * m))
@@ -222,25 +245,8 @@ def _design(batch, block: int, m: int):
         by_frame.setdefault(id(frame), (frame, []))[1].append(i)
     prev = box_array([s[1] for s in batch])
     for frame, rows in by_frame.values():
-        A[rows], E[rows] = pool(_integral(encode_motion(frame)), box_corners(prev[rows]), block, m)
+        A[rows], E[rows] = pool(motion_table(frame), box_corners(prev[rows]), block, m)
     return A, E, box_velocities(prev, box_array([s[2] for s in batch]))
-
-
-def regressor_grad(params: RegressorParams, batch, block: int):
-    """Closed-form gradient in (W, bias) of the mean summed smooth-L1 error
-    between the read-out and the target velocities; exact because the
-    readout is affine in the parameters."""
-    if not batch:
-        raise ValueError("empty training batch")
-    m = params.m
-    A, E, V = _design(batch, block, m)
-    W4 = params.W.reshape(4, m * m, F_IN)
-    b4 = params.bias.reshape(4, m * m)
-    v_hat = np.einsum("nuf,kuf->nk", A, W4) + np.einsum("nu,ku->nk", E, b4)
-    g = np.clip(v_hat - V, -1.0, 1.0) / len(batch)
-    dW = np.einsum("nk,nuf->kuf", g, A).reshape(4 * m * m, F_IN)
-    db = np.einsum("nk,nu->ku", g, E).reshape(4 * m * m)
-    return dW, db
 
 
 class FieldReadout:
@@ -251,16 +257,16 @@ class FieldReadout:
     same readout without materializing the 4*m*m-channel field.
     """
 
-    def __init__(self, params: RegressorParams, encoding: np.ndarray):
+    def __init__(self, params: RegressorParams, frame: MotionFrame):
         self.W4 = params.W.reshape(4, params.m * params.m, F_IN)
         self.b4 = params.bias.reshape(4, params.m * params.m)
         self.m = params.m
-        self.S = _integral(encoding)
+        self.table = motion_table(frame)
 
     def velocities(self, boxes, block: int) -> np.ndarray:
         """The (n, 4) normalized velocities vx, vy, vw, vh of the boxes
         (BBoxes or an (n, 4) x, y, w, h array), in order."""
-        A, e = pool(self.S, box_corners(boxes), block, self.m)
+        A, e = pool(self.table, box_corners(boxes), block, self.m)
         return np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
 
 

@@ -14,7 +14,8 @@ plus an elevated residual, so occlusion genuinely interrupts propagation.
 
 `OracleDetector` indexes the visible ground truth by frame once and returns
 each key frame's detections as one `Detections` table; the per-row
-reference it reproduces bit for bit lives in `tests/oracles.py`.
+reference it reproduces bit for bit lives in `tests/oracles.py`, as does
+`Scenario.feature_of` without its cache of each identity's base pattern.
 
 The container is line-delimited text. `read_scenario` walks the header and
 frame records in Python but parses the ground-truth, motion-vector and
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class Scenario:
     frames: list
     gt: list
     feature_seeds: dict
+    # base pattern of each (seed, m, c) drawn so far; not part of the value
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_frames(self) -> int:
@@ -94,18 +97,22 @@ class Scenario:
         """Appearance patch for an identity: a seeded base pattern plus noise.
 
         Two calls with the same id correlate strongly, different ids weakly.
+        The base pattern is drawn from the identity's seed once and cached;
+        every call returns a new array, so a caller may keep or change it.
         """
         try:
             seed = self.feature_seeds[obj_id]
         except KeyError:
             raise ValueError(f"object id {obj_id} has no latent feature seed")
         m, c = self.header.feature_bins, self.header.feature_channels
-        patch = np.random.default_rng(seed).standard_normal((m, m, c))
+        base = self._patterns.get((seed, m, c))
+        if base is None:
+            base = self._patterns[seed, m, c] = np.random.default_rng(seed).standard_normal((m, m, c))
         if noise > 0:
             if rng is None:
                 raise ValueError("an rng is required when noise > 0")
-            patch = patch + noise * rng.standard_normal((m, m, c))
-        return patch
+            return base + noise * rng.standard_normal((m, m, c))
+        return base.copy()
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,25 @@
 Box algebra: `Velocity`, `predict_bbox` and `inverse_velocity` move one
 box at a time with scalar arithmetic. The package moves (n, 4) box arrays
 (`mvtrack.model.predict_boxes` and its inverse `box_velocities`); the
-tests require the two to agree bit for bit.
+tests require the two to agree bit for bit while the velocity lies inside
+the package's per-step bounds, which `predict_bbox` does not apply.
 
 The regressor readout: the direct, per-box definitions apply the affine
 head to every grid cell, then average the box's cells bin by bin. The
-package instead pools summed-area tables of the raw statistics for many
-boxes at once (`mvtrack.motion.pool`); agreement between the two is what
-the readout and gradient tests assert. The cell rule is restated here on
-purpose, so the oracle does not share code with what it checks.
+package instead pools the raw statistics for many boxes at once
+(`mvtrack.motion.pool`); agreement between the two is what the readout and
+gradient tests assert. The cell rule is restated here on purpose, so the
+oracle does not share code with what it checks.
 
-The motion encoding: `encode_motion_gradient` builds the seven channels
-with np.gradient, which the package writes into one array in place.
+The full-grid readout: `encode_motion` computes the seven statistics of
+every cell, `integral` builds their summed-area table and `pool` reads
+every bin of every box as four table entries per channel. The package
+reads dx, dy and their differences straight from the cells the boxes
+cover and only the residual out of a table (`mvtrack.motion.pool`);
+`field_velocities` is the readout over the full grid, and the tests
+require the two to agree bit for bit. `encode_motion_gradient` builds the
+seven channels with np.gradient, which `encode_motion` writes into one
+array in place.
 
 Appearance affinity: the per-pair definitions score one gallery entry
 against one detection patch at a time, normalizing both on every call. The
@@ -37,6 +45,11 @@ Readers: `read_scenario` and `read_motchallenge` convert one token at a
 time with `int()` and `float()`. The package parses each table of records
 (ground truth, motion vectors, residuals, MOTChallenge rows) with one
 `np.loadtxt` call; the tests require equal results, bit for bit.
+
+Appearance patches: `feature_of` draws an identity's base pattern from its
+seed on every call; `mvtrack.stream.Scenario.feature_of` draws it once and
+caches it; the tests require equal patches, bit for bit, and the same
+draws from the caller's rng.
 
 The detector: `oracle_detect` scans the ground truth for the frame and
 builds one `Detection` record per emitted row. The package's
@@ -64,8 +77,9 @@ import numpy as np
 from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
 from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, iou_matrix
-from mvtrack.motion import F_IN, FieldReadout, RegressorParams, _integral, encode_motion, pool, smooth_l1
+from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, center_cells, iou_matrix
+from mvtrack.model import box_corners as box_corners_array
+from mvtrack.motion import F_IN, RegressorParams, _design, smooth_l1
 from mvtrack.stream import DetectorConfig, GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
@@ -119,7 +133,7 @@ def inverse_velocity(prev: BBox, next: BBox) -> Velocity:
 
 
 def encode_motion_gradient(frame) -> np.ndarray:
-    """`mvtrack.motion.encode_motion` by np.gradient and np.stack: the same
+    """`encode_motion` by np.gradient and np.stack: the same
     seven channels, with the same arithmetic, so the two agree bit for bit."""
     dx = frame.mv[0].astype(float)
     dy = frame.mv[1].astype(float)
@@ -130,6 +144,81 @@ def encode_motion_gradient(frame) -> np.ndarray:
         return np.gradient(f, axis=axis)
 
     return np.stack([dx, dy, frame.residual, grad(dx, 0), grad(dy, 1), grad(dx, 1), grad(dy, 0)])
+
+
+def encode_motion(frame: MotionFrame) -> np.ndarray:
+    """Per-cell motion statistics, shape (F_IN, gw, gh).
+
+    Channels: dx, dy, residual, d(dx)/dx, d(dy)/dy, d(dx)/dy, d(dy)/dx.
+    Derivatives are central differences over neighboring cells (one-sided at
+    borders), in displacement-pixels per cell index.
+    """
+    gw, gh = frame.residual.shape
+    out = np.zeros((F_IN, gw, gh))
+    out[:2] = frame.mv
+    out[2] = frame.residual
+    dx, dy, _, ddx_dx, ddy_dy, ddx_dy, ddy_dx = out
+    # np.gradient's arithmetic, written into place: (f[i+1] - f[i-1]) / 2 inside,
+    # one-sided differences at the two borders
+    if gw >= 2:
+        for f, g in ((dx, ddx_dx), (dy, ddy_dx)):
+            np.subtract(f[2:], f[:-2], out=g[1:-1])
+            g[1:-1] /= 2.0
+            g[0] = f[1] - f[0]
+            g[-1] = f[-1] - f[-2]
+    if gh >= 2:
+        for f, g in ((dy, ddy_dy), (dx, ddx_dy)):
+            np.subtract(f[:, 2:], f[:, :-2], out=g[:, 1:-1])
+            g[:, 1:-1] /= 2.0
+            g[:, 0] = f[:, 1] - f[:, 0]
+            g[:, -1] = f[:, -1] - f[:, -2]
+    return out
+
+
+def integral(stats: np.ndarray) -> np.ndarray:
+    """Summed-area table over the grid axes of (F, gw, gh) statistics,
+    zero-padded at the origin: shape (F, gw + 1, gh + 1)."""
+    f, gw, gh = stats.shape
+    S = np.zeros((f, gw + 1, gh + 1))
+    inner = S[:, 1:, 1:]
+    np.cumsum(stats, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
+    return S
+
+
+def pool(S: np.ndarray, corners: np.ndarray, block: int, m: int):
+    """`mvtrack.motion.pool` over the full-grid summed-area table of every
+    channel: every bin is four table reads, whatever it covers."""
+    n = len(corners)
+    f, gw1, gh1 = S.shape
+    scaled = corners / block
+    lo, hi = center_cells(corners, block, gw1 - 1, gh1 - 1).reshape(n, 2, 2).transpose(1, 0, 2)
+    left = scaled[:, :2]
+    width = scaled[:, 2:] - left
+    c = np.ceil(left[:, :, None] + np.arange(m + 1) * (width / m)[:, :, None] - 0.5).astype(int)
+    c[:, :, 0] = lo
+    c[:, :, m] = hi
+    np.clip(c, lo[:, :, None], hi[:, :, None], out=c)
+    np.maximum.accumulate(c, axis=2, out=c)
+    c[~(lo < hi).all(axis=1)] = 0
+    d = np.diff(c, axis=2)
+    counts = (d[:, 0, :, None] * d[:, 1, None, :]).reshape(n, m * m)
+    cols = S.reshape(f, -1)[:, c[:, 0, :, None] * gh1 + c[:, 1, None, :]]  # (F, n, m+1, m+1)
+    sums = cols[:, :, 1:, 1:] - cols[:, :, :-1, 1:]
+    sums -= cols[:, :, 1:, :-1]
+    sums += cols[:, :, :-1, :-1]
+    A = np.transpose(sums.reshape(f, n, m * m), (1, 2, 0))  # (n, m*m, F)
+    nonempty = counts > 0
+    A = np.divide(A, counts[:, :, None] * (m * m), out=np.zeros_like(A), where=nonempty[:, :, None])
+    return A, nonempty / (m * m)
+
+
+def field_velocities(params: RegressorParams, frame: MotionFrame, boxes, block: int) -> np.ndarray:
+    """`mvtrack.motion.FieldReadout(params, frame).velocities(boxes, block)`
+    by encoding the whole grid and pooling its seven-channel table."""
+    m = params.m
+    A, e = pool(integral(encode_motion(frame)), box_corners_array(boxes), block, m)
+    return np.einsum("nuf,kuf->nk", A, params.W.reshape(4, m * m, F_IN)) + e @ params.bias.reshape(4, m * m).T
 
 
 def velocity_field(params: RegressorParams, encoding: np.ndarray) -> VelocityField:
@@ -200,6 +289,24 @@ def regressor_loss(params: RegressorParams, batch, block: int) -> float:
         for a, b in ((v.vx, v_hat.vx), (v.vy, v_hat.vy), (v.vw, v_hat.vw), (v.vh, v_hat.vh)):
             total += smooth_l1(a - b)
     return total / len(batch)
+
+
+def regressor_grad(params: RegressorParams, batch, block: int):
+    """Closed-form gradient in (W, bias) of `regressor_loss`, the mean
+    summed smooth-L1 error between the read-out and the target velocities;
+    exact because the readout is affine in the parameters. The package's
+    fit descends the same objective in whitened coordinates."""
+    if not batch:
+        raise ValueError("empty training batch")
+    m = params.m
+    A, E, V = _design(batch, block, m)
+    W4 = params.W.reshape(4, m * m, F_IN)
+    b4 = params.bias.reshape(4, m * m)
+    v_hat = np.einsum("nuf,kuf->nk", A, W4) + np.einsum("nu,ku->nk", E, b4)
+    g = np.clip(v_hat - V, -1.0, 1.0) / len(batch)
+    dW = np.einsum("nk,nuf->kuf", g, A).reshape(4 * m * m, F_IN)
+    db = np.einsum("nk,nu->ku", g, E).reshape(4 * m * m)
+    return dW, db
 
 
 def ps_maps(fi: FeaturePatch, fj: FeaturePatch):
@@ -589,6 +696,22 @@ def read_motchallenge(path) -> list:
 # The per-row detector
 
 
+def feature_of(scenario: Scenario, obj_id: int, noise: float, rng=None) -> FeaturePatch:
+    """`Scenario.feature_of` drawing the identity's base pattern from its
+    seed on every call, as it did before the pattern was cached."""
+    try:
+        seed = scenario.feature_seeds[obj_id]
+    except KeyError:
+        raise ValueError(f"object id {obj_id} has no latent feature seed")
+    m, c = scenario.header.feature_bins, scenario.header.feature_channels
+    patch = np.random.default_rng(seed).standard_normal((m, m, c))
+    if noise > 0:
+        if rng is None:
+            raise ValueError("an rng is required when noise > 0")
+        patch = patch + noise * rng.standard_normal((m, m, c))
+    return patch
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detector output: box, confidence in [0, 1], appearance patch."""
@@ -704,9 +827,9 @@ def box_corners(boxes) -> np.ndarray:
     return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def velocities(readout: FieldReadout, boxes, block: int) -> list:
+def velocities(params: RegressorParams, frame: MotionFrame, boxes, block: int) -> list:
     """One Velocity per box, in order."""
-    return [Velocity(*row) for row in readout.velocities(boxes, block).tolist()]
+    return [Velocity(*row) for row in field_velocities(params, frame, boxes, block).tolist()]
 
 
 def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
@@ -716,7 +839,7 @@ def propagate_bbox_avg(boxes, frame: MotionFrame, block: int) -> list:
     so scale changes are invisible to it. A box covering no cell center
     stays where it is.
     """
-    A, e = pool(_integral(frame.mv), box_corners(boxes), block, 1)
+    A, e = pool(integral(frame.mv), box_corners(boxes), block, 1)
     return [
         BBox(b.x + float(dx), b.y + float(dy), b.w, b.h) if covered else b
         for b, (dx, dy), covered in zip(boxes, A[:, 0], e[:, 0])
@@ -899,8 +1022,7 @@ def track(scenario: Scenario, detector, cfg: TrackerConfig, models) -> list:
                     obj.bbox = propagate_pixel_shift(obj.bbox, frame_data, block)
             else:
                 if objects:
-                    readout = FieldReadout(models.regressor, encode_motion(frame_data))
-                    vels = velocities(readout, [obj.bbox for obj in objects], block)
+                    vels = velocities(models.regressor, frame_data, [obj.bbox for obj in objects], block)
                     for obj, vel in zip(objects, vels):
                         obj.bbox = predict_bbox(vel, obj.bbox)
 

@@ -20,7 +20,6 @@ from mvtrack.motion import (
     FitHyper,
     RegressorParams,
     fit_regressor,
-    regressor_grad,
     smooth_l1,
 )
 from mvtrack.stream import (
@@ -33,7 +32,7 @@ from mvtrack.stream import (
     write_motchallenge,
 )
 import oracles
-from oracles import bbox_iou, exhaustive_idf1, ps_maps, regressor_loss
+from oracles import bbox_iou, exhaustive_idf1, ps_maps, regressor_grad, regressor_loss
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

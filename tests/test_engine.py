@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtrack.engine import (
     FileDetector,
@@ -9,13 +10,14 @@ from mvtrack.engine import (
     OracleDetector,
     TrackerModels,
     is_key_frame,
+    make_propagator,
     speedup_model,
     track,
     write_timing_report,
 )
 from mvtrack.metrics import clear_mot
-from mvtrack.model import ConfigError, Detections, TrackerConfig, box_array
-from mvtrack.motion import FitHyper, fit_regressor
+from mvtrack.model import BBox, ConfigError, Detections, MotionFrame, TrackerConfig, box_array, predict_boxes
+from mvtrack.motion import F_IN, FitHyper, RegressorParams, fit_regressor
 from mvtrack.stream import (
     DetectorConfig,
     MotionScript,
@@ -332,3 +334,38 @@ def test_timing_report_written(tmp_path):
     text = p.read_text()
     assert "speedup_modeled\tK=3\t2.5000" in text
     assert "speedup_measured\tK=3\t2.1000" in text
+
+
+# finite velocities far past any real step, with the three that once raised
+# or left the frame: exp overflow, a size flushed to zero, an infinite centre
+EXTREME = st.one_of(
+    st.sampled_from([720.0, -800.0, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(BBox, st.floats(0, 480), st.floats(0, 360), st.floats(1, 400), st.floats(1, 400)),
+            st.tuples(EXTREME, EXTREME, EXTREME, EXTREME),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_box_step_is_total_on_finite_velocities(rows):
+    boxes = box_array([b for b, _ in rows])
+    v = np.array([v for _, v in rows])
+    out = predict_boxes(v, boxes)
+    assert np.isfinite(out).all() and (out[:, 2:] > 0).all()
+
+    # the regressor's step: a bias-only head at m = 1 reads its bias out as
+    # the velocity of every box that covers a cell center
+    frame = MotionFrame(1, "P", np.zeros((2, *HEADER.grid), dtype=np.int32), np.zeros(HEADER.grid))
+    cfg = TrackerConfig(propagator="regressor")
+    for vel in v:
+        step = make_propagator(cfg, TrackerModels(regressor=RegressorParams(np.zeros((4, F_IN)), vel, 1)))
+        out = step(boxes, frame, HEADER.block)
+        assert np.isfinite(out).all() and (out[:, 2:] > 0).all()

@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.model import BBox, MotionFrame, box_array, predict_boxes
+from mvtrack.model import BBox, MotionFrame, box_array, box_corners, predict_boxes
 from mvtrack.motion import (
     F_IN,
     FieldReadout,
     FitHyper,
     RegressorParams,
-    encode_motion,
     fit_regressor,
+    motion_table,
+    pool,
     propagate_bbox_avg,
     propagate_pixel_shift,
     propagation_samples,
-    regressor_grad,
     smooth_l1,
 )
 from mvtrack.stream import MotionScript, ObjectScript, StreamHeader, generate_scenario
 import oracles
-from oracles import encode_motion_gradient, psroi_readout, regressor_loss, velocity_field
+from oracles import encode_motion, encode_motion_gradient, psroi_readout, regressor_grad, regressor_loss, velocity_field
 
 BLOCK = 16
 
@@ -116,6 +116,56 @@ def test_bbox_avg_matches_list_oracle_bit_for_bit(case):
     got = propagate_bbox_avg(box_array(boxes), frame, block)
     want = box_array(oracles.propagate_bbox_avg(boxes, frame, block))
     assert got.tobytes() == want.tobytes()
+
+
+INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def grids_and_boxes(draw):
+    """A P-frame with int32 motion vectors up to +-(2**31 - 1) and float
+    residuals, on grids down to one cell, and boxes inside, across, wholly
+    off the grid and between cell centers."""
+    block = draw(st.sampled_from([16, 10, 7, 1]))
+    gw, gh = draw(st.sampled_from([(1, 1), (1, 6), (6, 1), (2, 2)]) | st.tuples(st.integers(1, 9), st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.sampled_from([20, INT32_MAX]))
+    mv = rng.integers(-bound, bound, (2, gw, gh), endpoint=True).astype(np.int32)
+    cell = st.tuples(st.integers(0, 1), st.integers(0, gw - 1), st.integers(0, gh - 1))
+    for k, x, y in draw(st.lists(cell, max_size=4)):
+        mv[k, x, y] = draw(st.sampled_from([INT32_MAX, -INT32_MAX]))
+    residual = rng.standard_normal((gw, gh)) * draw(st.sampled_from([0.0, 1.0, 1e3]))
+    coord = st.one_of(
+        st.floats(-3 * block, (max(gw, gh) + 3) * block, allow_nan=False),
+        st.integers(-3, max(gw, gh) + 3).map(lambda c: float(c * block)),
+    )
+    size = st.one_of(st.floats(0.01, 6 * block), st.integers(1, 6).map(lambda c: float(c * block)))
+    boxes = draw(st.lists(st.builds(BBox, coord, coord, size, size), max_size=8))
+    return MotionFrame(1, "P", mv, residual), box_array(boxes), block
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_boxes(), st.sampled_from([1, 3, 7]), st.integers(0, 2**32 - 1))
+def test_covered_cell_readout_matches_full_grid_oracle_bit_for_bit(case, m, seed):
+    frame, boxes, block = case
+    corners = box_corners(boxes)
+    A, e = pool(motion_table(frame), corners, block, m)
+    A0, e0 = oracles.pool(oracles.integral(encode_motion(frame)), corners, block, m)
+    assert A.shape == A0.shape == (len(boxes), m * m, F_IN)
+    assert A.tobytes() == A0.tobytes() and e.tobytes() == e0.tobytes()
+
+    rng = np.random.default_rng(seed)
+    params = RegressorParams(rng.standard_normal((4 * m * m, F_IN)), rng.standard_normal(4 * m * m), m)
+    got = FieldReadout(params, frame).velocities(boxes, block)
+    assert got.tobytes() == oracles.field_velocities(params, frame, boxes, block).tobytes()
+
+    # dx and dy alone at m = 1: MV averaging's readout
+    A, e = pool(motion_table(frame, 2), corners, block, 1)
+    A0, e0 = oracles.pool(oracles.integral(frame.mv), corners, block, 1)
+    assert A.tobytes() == A0.tobytes() and e.tobytes() == e0.tobytes()
+    moved = propagate_bbox_avg(boxes, frame, block)
+    want = box_array(oracles.propagate_bbox_avg([BBox(*b) for b in boxes.tolist()], frame, block))
+    assert moved.tobytes() == want.tobytes()
 
 
 # --- encoding ---
@@ -247,7 +297,7 @@ def test_readout_paths_agree():
     fr = MotionFrame(1, "P", mv, np.abs(rng.standard_normal((gw, gh))))
     enc = encode_motion(fr)
     field = velocity_field(params, enc)
-    readout = FieldReadout(params, enc)
+    readout = FieldReadout(params, fr)
     boxes = [
         BBox(float(rng.uniform(0, 480)), float(rng.uniform(0, 320)), float(rng.uniform(5, 300)), float(rng.uniform(5, 300)))
         for _ in range(40)
@@ -407,7 +457,7 @@ def test_fit_translations_reproduces_mean_mv():
         fr = MotionFrame(1, "P", mv, np.zeros((gw, gh)))
         for off in (0.0, 5.3, 11.8):
             b = BBox(200 + off, 170 + off / 2, 128, 128)
-            v = FieldReadout(params, encode_motion(fr)).velocities([b], BLOCK)
+            v = FieldReadout(params, fr).velocities([b], BLOCK)
             (x, y, w, h), = predict_boxes(v, box_array([b])).tolist()
             worst = max(worst, abs(x - b.x - dx), abs(y - b.y - dy), abs(w - b.w), abs(h - b.h))
     assert worst < 1e-3
@@ -418,7 +468,7 @@ def test_fit_zero_motion_degenerate():
     sc = generate_scenario(MotionScript(frames=13, objects=objs), HEADER, seed=0)
     params, loss = fit_regressor([sc], FitHyper(lr=1.0, epochs=200))
     assert loss < 1e-6
-    (v,) = FieldReadout(params, encode_motion(sc.frames[1])).velocities([BBox(240, 180, 128, 128)], BLOCK)
+    (v,) = FieldReadout(params, sc.frames[1]).velocities([BBox(240, 180, 128, 128)], BLOCK)
     assert np.abs(v).max() < 1e-3
 
 
@@ -456,7 +506,7 @@ def test_fit_zoom_beats_averaging_on_scale():
     )
     fr = ev.frames[4]
     prev = {r.frame: r.bbox for r in ev.gt}[4]
-    ((_, _, vw, _),) = FieldReadout(params, encode_motion(fr)).velocities([prev], BLOCK)
+    ((_, _, vw, _),) = FieldReadout(params, fr).velocities([prev], BLOCK)
     assert vw > 0.02  # sees the scale change
     ((_, _, w, _),) = propagate_bbox_avg(box_array([prev]), fr, BLOCK)
     assert w == prev.w  # the averaging baseline cannot

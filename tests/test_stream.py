@@ -126,6 +126,35 @@ def test_feature_of_determinism_and_shape():
         sc.feature_of(99, 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**62), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_feature_of_cache_matches_uncached_oracle_bit_for_bit(seeds, ids, noise, rng_seed):
+    sc = Scenario(HEADER, [], [], dict(enumerate(seeds)))
+    fresh = Scenario(HEADER, [], [], dict(enumerate(seeds)))
+    rng, oracle_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    for obj_id in ids:
+        if obj_id >= len(seeds):
+            with pytest.raises(ValueError, match="no latent feature seed"):
+                sc.feature_of(obj_id, noise, rng)
+            continue
+        got = sc.feature_of(obj_id, noise, rng)
+        want = oracles.feature_of(sc, obj_id, noise, oracle_rng)
+        assert got.shape == want.shape == (7, 7, 16)
+        assert got.tobytes() == want.tobytes()
+        got += 1.0  # a caller's patch is its own: the next call must not see this
+    # the same draws from the caller's rng, in the same order
+    assert rng.random() == oracle_rng.random()
+    with pytest.raises(ValueError, match="an rng is required"):
+        sc.feature_of(0, 0.5)
+    # the cache is not part of the scenario's value
+    assert sc == fresh and repr(sc) == repr(fresh)
+
+
 def test_feature_cosine_structure():
     # same id ~ 1, different ids ~ 0 as c grows: Monte Carlo over 1000 id pairs
     header = StreamHeader(width=192, height=128, block=16, gop=12, feature_channels=64)
