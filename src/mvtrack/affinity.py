@@ -4,9 +4,12 @@ Patches are (m, m, c) grids, L2-normalized along channels. "withps" compares
 every bin of one patch with every bin of the other and averages each bin's
 best match, both ways; "nops" averages aligned bins only. A logistic head
 maps that statistic to a same-object probability. `appearance_cost` scores
-all gallery entries against one detection at a time in one stacked product,
-picks each object's best entry on the statistic (the head is monotone in it)
-and runs the head once per cell. The per-pair oracles are in tests/oracles.py.
+only the (object, detection) cells a mask leaves live: it normalizes the
+live objects' gallery entries and the live detections once, gathers the
+(entry, detection) pair of every live cell and scores the pairs in stacked
+products, each pair its own matrix product; it then picks each cell's best
+entry on the statistic (the head is monotone in it) and runs the head once
+per live cell. The per-pair oracles are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -18,6 +21,9 @@ import numpy as np
 from .model import FeaturePatch
 
 MODES = ("withps", "nops")
+# scratch per chunk of pairs (two gathered stacks and the maps); chunks that
+# stay in a core's L2 cache score pairs faster than larger ones
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,23 +52,34 @@ def _bins(patches) -> np.ndarray:
     return stack.reshape(len(stack), -1, stack.shape[-1])
 
 
-def _statistics(entries: np.ndarray, dets: np.ndarray, mode: str) -> np.ndarray:
-    """(g, d) statistic of normalized (g, m*m, c) `entries` against (d, m*m, c) `dets`.
-    Each pair's map is its own matrix product, the same BLAS call a single pair
-    makes, so a pair's statistic does not depend on the others scored with it."""
-    g, bins, c = entries.shape
+def _statistics(entries: np.ndarray, dets: np.ndarray, mode: str, pair_entry, pair_det, chunk: int) -> np.ndarray:
+    """Statistic of each pair (entries[pair_entry[i]], dets[pair_det[i]]) of
+    normalized (., m*m, c) bin stacks, `chunk` pairs at a time. Each pair's
+    map is its own matrix product, the same BLAS call a single pair makes,
+    so a pair's statistic does not depend on the others scored with it."""
+    _, bins, c = entries.shape
     if dets.shape[1:] != (bins, c):
         raise ValueError(f"patch shapes differ: {(bins, c)} vs {dets.shape[1:]} (bins, channels)")
+    # per pair and bin: each entry bin's best match, then each detection
+    # bin's ("withps"); the aligned bins' products ("nops")
+    scores = np.empty((2, len(pair_entry), bins))
+    gathered = np.empty((2, chunk, bins, c))
+    maps = np.empty((chunk, bins, bins))  # [pair, entry bin, detection bin]
+    row_starts = np.arange(0, chunk * bins * bins, bins)
+    for lo in range(0, len(pair_entry), chunk):
+        k = min(chunk, len(pair_entry) - lo)
+        e = entries.take(pair_entry[lo:lo + k], axis=0, out=gathered[0, :k], mode="clip")
+        d = dets.take(pair_det[lo:lo + k], axis=0, out=gathered[1, :k], mode="clip")
+        if mode == "nops":
+            np.einsum("kpc,kpc->kp", e, d, out=scores[0, lo:lo + k])
+            continue
+        np.matmul(e, d.transpose(0, 2, 1), out=maps[:k])
+        # reduceat is ~2x faster than max(axis=-1) on short rows
+        np.maximum.reduceat(maps[:k].ravel(), row_starts[:k * bins], out=scores[0, lo:lo + k].reshape(-1))
+        np.maximum.reduce(maps[:k], axis=1, out=scores[1, lo:lo + k])
     if mode == "nops":
-        return np.einsum("gpc,dpc->gdp", entries, dets).mean(axis=-1)
-    stats = np.empty((g, len(dets)))
-    maps = np.empty((g, bins, bins))  # [entry, entry bin, detection bin], one detection at a time
-    for j, det in enumerate(dets):
-        np.matmul(entries, det.T, out=maps)
-        # each entry bin's best match; reduceat is ~2x faster than max(axis=-1) on short rows
-        rows = np.maximum.reduceat(maps.ravel(), np.arange(0, maps.size, bins)).reshape(g, bins)
-        stats[:, j] = (rows.mean(axis=-1) + maps.max(axis=1).mean(axis=-1)) / 2
-    return stats
+        return np.add.reduce(scores[0], axis=-1) / bins
+    return (np.add.reduce(scores[0], axis=-1) / bins + np.add.reduce(scores[1], axis=-1) / bins) / 2
 
 
 def _logistic(z: float) -> float:
@@ -72,23 +89,52 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def appearance_cost(params: AffinityHeadParams, galleries, features) -> np.ndarray:
+def appearance_cost(params: AffinityHeadParams, galleries, features, live=None) -> np.ndarray:
     """(n, d) matrix: 1 - the best affinity between object i's gallery and
     detection patch j. `galleries` holds one non-empty sequence of patches
-    per object, `features` is the (d, m, m, c) array of detection patches."""
-    if not len(galleries) or not len(features):
-        return np.empty((len(galleries), len(features)))
-    if not all(galleries):
+    per object, `features` is the (d, m, m, c) array of detection patches.
+    Only the cells of the (n, d) boolean mask `live` (default: all) are
+    scored; the others are 0."""
+    cost = np.zeros((len(galleries), len(features)))
+    if not cost.size:
+        return cost
+    lengths = np.array([len(gallery) for gallery in galleries])
+    if not lengths.all():
         raise ValueError("appearance cost is undefined for an empty gallery")
-    entries = _bins([f for gallery in galleries for f in gallery])
-    starts = np.cumsum([0] + [len(gallery) for gallery in galleries[:-1]])
+    live = np.ones(cost.shape, dtype=bool) if live is None else live
+    obj, det = np.nonzero(live)
+    if not len(obj):
+        return cost
+    live_objs, live_dets = live.any(axis=1), live.any(axis=0)
+    entries = _bins([f for i in np.flatnonzero(live_objs).tolist() for f in galleries[i]])
+    patches = _bins(np.asarray(features)[live_dets])
+    # the (entry, detection) pairs of every live cell, cell after cell, as
+    # rows of `entries` and `patches`
+    counts = lengths[obj]
+    first = np.cumsum(counts) - counts
+    entry_start = np.cumsum(lengths * live_objs) - lengths
+    pair_entry = np.arange(first[-1] + counts[-1]) + np.repeat(entry_start[obj] - first, counts)
+    pair_det = np.repeat((np.cumsum(live_dets) - 1)[det], counts)
+    # chunks of about CHUNK_BYTES of scratch, and never more pairs than the
+    # call has entries, so the maps never outgrow those of one detection
+    # against every entry
+    _, bins, c = entries.shape
+    chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()), len(pair_entry))
+    stats = _statistics(entries, patches, params.mode, pair_entry, pair_det, chunk)
     best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
-    stats = best.reduceat(_statistics(entries, _bins(features), params.mode), starts)
-    return 1.0 - np.array([[_logistic(params.w * s + params.b) for s in row] for row in stats.tolist()])
+    cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in best.reduceat(stats, first).tolist()])
+    return cost
 
 
 def _pair_statistics(pairs, mode: str) -> np.ndarray:
-    return np.array([_statistics(_bins([fi]), _bins([fj]), mode)[0, 0] for fi, fj, _ in pairs])
+    """The statistic of each (patch, patch, label) pair, normalized 256 pairs
+    at a time."""
+    stats = []
+    for lo in range(0, len(pairs), 256):
+        chunk = pairs[lo:lo + 256]
+        rows = np.arange(len(chunk))
+        stats.append(_statistics(_bins([p[0] for p in chunk]), _bins([p[1] for p in chunk]), mode, rows, rows, len(chunk)))
+    return np.concatenate(stats)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Matching runs on cost matrices gated by a threshold: pairs above the gate
 are forbidden (sentinel cost) and any residual sentinel match is discarded,
 so a returned match never exceeds its gate. Both procedures score the
 track table's box array and galleries against a `Detections` table's
-columns. Matches are two index arrays (rows, cols), track-table rows in
-ascending order and the detection row each one takes.
+columns. One-step association gates first: it scores appearance only for
+the cells whose geometric term alone can still pass the gate. Matches are
+two index arrays (rows, cols), track-table rows in ascending order and the
+detection row each one takes.
 """
 from __future__ import annotations
 
@@ -48,8 +50,9 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
     confirmed = np.flatnonzero(tracks.confirmed)
     rows, cols = gated_assign(_iou_cost(tracks.boxes[confirmed], detections.boxes), cfg.tau_iou)
     rows = confirmed[rows]
-    obj_left = np.setdiff1d(np.arange(len(tracks)), rows)
-    det_left = np.setdiff1d(np.arange(len(detections.conf)), cols)
+    obj_left, det_left = np.ones(len(tracks), dtype=bool), np.ones(len(detections.conf), dtype=bool)
+    obj_left[rows] = det_left[cols] = False
+    obj_left, det_left = np.flatnonzero(obj_left), np.flatnonzero(det_left)
 
     r2, c2 = gated_assign(
         appearance_cost(params, [tracks.galleries[i] for i in obj_left.tolist()], detections.features[det_left]),
@@ -63,13 +66,20 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
 def associate_one_step(tracks: TrackTable, detections: Detections, params: AffinityHeadParams, alpha: float, cfg: TrackerConfig) -> tuple:
     """Single assignment on the blended cost alpha*iou + (1-alpha)*appearance,
     gated at the equally blended threshold. alpha=1 is IoU-only, alpha=0 is
-    appearance-only."""
+    appearance-only.
+
+    Appearance costs are never negative, so a cell whose geometric term
+    alone exceeds the gate is forbidden whatever its appearance: only the
+    other cells are scored, and the forbidden ones keep the geometric term,
+    which `gated_assign` forbids the same way.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     cost = alpha * _iou_cost(tracks.boxes, detections.boxes)
-    if alpha < 1.0:
-        cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.galleries, detections.features)
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
+    if alpha < 1.0:
+        live = ~(cost > threshold)
+        cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.galleries, detections.features, live)
     return gated_assign(cost, threshold)
 
 

@@ -167,20 +167,28 @@ def propagate_pixel_shift(boxes: np.ndarray, frame: MotionFrame, block: int) -> 
     move by zero. Uniform fields translate the box; diverging fields stretch
     it. A box whose span covers no block keeps its place.
     """
-    gw, gh = frame.mv.shape[1:]
+    grid = np.array(frame.mv.shape[1:])  # gw, gh
     corners = box_corners(boxes)
     lo = np.floor(corners[:, :2] / block)  # first block column, row
     hi = np.ceil(corners[:, 2:] / block)  # one past the last
-    span = int((hi - lo).max(initial=0))
-    cells = lo[:, :, None] + np.arange(span)  # (n, 2, span) block indices
-    # the piece [p0, p1) of each box inside each block, along x (index 0) and y (1)
-    p0 = np.maximum(corners[:, :2, None], cells * block)
-    p1 = np.minimum(corners[:, 2:, None], (cells + 1) * block)
-    valid = (cells < hi[:, :, None]) & (p1 > p0)
+    # every block off the grid moves by zero, so each side's off-grid blocks
+    # merge into one piece, cell -1 or g of a ring of zero motion around the
+    # grid: at most g + 2 cells per axis, however wide the box
+    first, last = np.clip(lo, -1, grid), np.clip(hi - 1, -1, grid)
+    span = int((last - first).max(initial=0)) + 1
+    cells = first[:, :, None] + np.arange(span)  # (n, 2, span) cell indices
+    # the piece [p0, p1) of each box inside each cell, along x (index 0) and y
+    # (1): the first piece starts at the box's first block, the last ends
+    # where its last block does
+    start = cells * block
+    start[:, :, 0] = lo * block
+    p0 = np.maximum(corners[:, :2, None], start)
+    p1 = np.minimum(corners[:, 2:, None], np.where(cells == last[:, :, None], hi[:, :, None], cells + 1) * block)
+    valid = (cells <= last[:, :, None]) & (p1 > p0)
     valid = valid[:, 0, :, None] & valid[:, 1, None, :]  # (n, span, span)
-    # a ring of zero motion around the grid stands for every block off it
-    ring = np.pad(frame.mv, ((0, 0), (1, 1), (1, 1))).astype(float)
-    ix = (np.clip(cells, -1, np.array([gw, gh])[:, None]) + 1).astype(int)
+    ring = np.zeros((2, *(grid + 2)))
+    ring[:, 1:-1, 1:-1] = frame.mv
+    ix = (np.minimum(cells, grid[:, None]) + 1).astype(int)
     dx, dy = ring[:, ix[:, 0, :, None], ix[:, 1, None, :]]  # (n, span, span) each, [box, x cell, y cell]
     out = np.stack(
         [

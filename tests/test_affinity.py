@@ -225,8 +225,9 @@ def test_cost_ranges():
     w=st.one_of(st.just(0.0), st.floats(-30.0, -0.01), st.floats(0.01, 30.0)),
     b=st.floats(-20.0, 20.0),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    live_share=st.sampled_from([None, 0.0, 0.1, 0.5, 1.0]),
 )
-def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery, shape, mode, w, b, zero_share):
+def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery, shape, mode, w, b, zero_share, live_share):
     rng = np.random.default_rng(seed)
     m, c = shape
 
@@ -236,10 +237,13 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
     galleries = [[patch() for _ in range(rng.integers(1, max_gallery + 1))] for _ in range(n)]
     features = [patch() for _ in range(d)]
     params = AffinityHeadParams(w, b, mode)
-    cost = appearance_cost_matrix(params, galleries, features)
+    # None scores every cell; a mask scores its live cells and leaves the rest 0
+    live = np.ones((n, d), dtype=bool) if live_share is None else rng.random((n, d)) < live_share
+    cost = appearance_cost_matrix(params, galleries, features, None if live_share is None else live)
     expected = np.array([[appearance_cost(params, g, f) for f in features] for g in galleries]).reshape(n, d)
     assert cost.shape == (n, d)
-    np.testing.assert_allclose(cost, expected, rtol=0, atol=1e-12)
+    # each pair is its own BLAS product, so a cell has the oracle's bits whatever else is scored
+    assert cost.tobytes() == np.where(live, expected, 0.0).tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -3,8 +3,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvtrack.affinity import AffinityFitHyper, appearance_cost as appearance_matrix, fit_affinity_head
+from mvtrack import association
+from mvtrack.affinity import MODES, AffinityFitHyper, AffinityHeadParams, appearance_cost as appearance_matrix, fit_affinity_head
 from mvtrack.association import (
     associate_one_step,
     associate_two_step,
@@ -320,3 +322,58 @@ def test_permutation_changes_only_ties(head):
     cost_p = sum(iou_cost(objects_p[i][1], det_boxes[j]) for i, j in pairs(res_p))
     assert len(pairs(res_p)) == len(pairs(res))
     assert cost_p == pytest.approx(base_cost)
+
+
+@st.composite
+def one_step_cases(draw):
+    """Random track tables and detections close enough to overlap, small
+    patches, a head of either sign, and gates that sometimes sit exactly on
+    a cell's geometric term."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    boxes = np.column_stack([rng.uniform(0, 60, (n + d, 2)), rng.uniform(4, 40, (n + d, 2))])
+    tracks = TrackTable(
+        ids=np.arange(n, dtype=np.int64),
+        confirmed=rng.random(n) < 0.5,
+        hits=np.zeros(n, dtype=np.int64),
+        misses=np.zeros(n, dtype=np.int64),
+        boxes=boxes[:n],
+        galleries=[deque(rng.standard_normal((rng.integers(1, 5), m, m, c))) for _ in range(n)],
+    )
+    detections = Detections(boxes[n:], np.full(d, 0.96), rng.standard_normal((d, m, m, c)))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    params = AffinityHeadParams(
+        draw(st.one_of(st.floats(-30.0, -0.01), st.just(0.0), st.floats(0.01, 30.0))),
+        draw(st.one_of(st.floats(-20.0, 20.0), st.just(40.0))),  # b = 40 makes appearance costs exactly 0
+        draw(st.sampled_from(MODES)),
+    )
+    geometric = _iou_cost(tracks.boxes, detections.boxes)
+    if n and d and draw(st.booleans()):
+        # tau_app = 0 puts the gate exactly on one cell's geometric term
+        cfg = TrackerConfig(tau_iou=float(geometric[rng.integers(n), rng.integers(d)]), tau_app=0.0)
+    else:
+        cfg = TrackerConfig(tau_iou=draw(st.floats(0.0, 1.0)), tau_app=draw(st.floats(0.0, 1.0)))
+    return tracks, detections, params, alpha, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_step_cases())
+def test_gated_one_step_matches_dense_scoring(case):
+    tracks, detections, params, alpha, cfg = case
+    handed = []
+
+    def recording(cost):
+        handed.append(np.array(cost))
+        return hungarian(cost)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(association, "hungarian", recording)
+        rows, cols = associate_one_step(tracks, detections, params, alpha, cfg)
+        dense = alpha * _iou_cost(tracks.boxes, detections.boxes)
+        if alpha < 1.0:
+            dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.galleries, detections.features)
+        want_rows, want_cols = gated_assign(dense, alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app)
+    gated, dense = handed
+    assert gated.tobytes() == dense.tobytes()
+    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mvtrack.affinity
+import mvtrack.engine
 from mvtrack.engine import (
     FileDetector,
     FrameTimings,
@@ -16,7 +18,17 @@ from mvtrack.engine import (
     write_timing_report,
 )
 from mvtrack.metrics import clear_mot
-from mvtrack.model import BBox, ConfigError, Detections, MotionFrame, TrackerConfig, box_array, predict_boxes
+from mvtrack.model import (
+    BBox,
+    ConfigError,
+    Detections,
+    MotionFrame,
+    TrackerConfig,
+    box_array,
+    box_corners,
+    iou_matrix,
+    predict_boxes,
+)
 from mvtrack.motion import F_IN, FitHyper, RegressorParams, fit_regressor
 from mvtrack.stream import (
     DetectorConfig,
@@ -369,3 +381,44 @@ def test_box_step_is_total_on_finite_velocities(rows):
         step = make_propagator(cfg, TrackerModels(regressor=RegressorParams(np.zeros((4, F_IN)), vel, 1)))
         out = step(boxes, frame, HEADER.block)
         assert np.isfinite(out).all() and (out[:, 2:] > 0).all()
+
+
+def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, monkeypatch):
+    # two pairs of objects cross in adjacent lanes; most (object, detection)
+    # cells lie too far apart for IoU alone to pass the blended gate, and the
+    # appearance kernel must score exactly the gallery entries of the others
+    frames = 36
+    script = MotionScript(
+        frames=frames,
+        objects=(
+            ObjectScript(id=1, enter=1, exit=frames, x=60, y=90, w=64, h=64, vx=4),
+            ObjectScript(id=2, enter=1, exit=frames, x=420, y=120, w=64, h=64, vx=-4),
+            ObjectScript(id=3, enter=1, exit=frames, x=60, y=240, w=64, h=64, vx=3),
+            ObjectScript(id=4, enter=1, exit=frames, x=420, y=270, w=64, h=64, vx=-3),
+        ),
+    )
+    sc = generate_scenario(script, HEADER, seed=4)
+    cfg = TrackerConfig(K=3, propagator="pixelshift", association_mode="onestep", alpha=0.5)
+    threshold = cfg.alpha * cfg.tau_iou + (1.0 - cfg.alpha) * cfg.tau_app
+    counts = {"scored": 0, "live": 0, "all": 0}
+
+    statistics = mvtrack.affinity._statistics
+
+    def counting_statistics(entries, dets, mode, pair_entry, *args):
+        counts["scored"] += len(pair_entry)
+        return statistics(entries, dets, mode, pair_entry, *args)
+
+    associate = mvtrack.engine.associate
+
+    def counting_associate(tracks, detections, params, cfg):
+        geometric = cfg.alpha * (1.0 - iou_matrix(box_corners(tracks.boxes), box_corners(detections.boxes)))
+        lengths = np.array([len(g) for g in tracks.galleries], dtype=int)
+        counts["live"] += int(lengths @ (~(geometric > threshold)).sum(axis=1))
+        counts["all"] += int(lengths.sum()) * len(detections.conf)
+        return associate(tracks, detections, params, cfg)
+
+    monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
+    monkeypatch.setattr(mvtrack.engine, "associate", counting_associate)
+    rows, _ = track(sc, OracleDetector(sc, DetectorConfig(feature_noise=0.1, rng_seed=3)), cfg, TrackerModels(affinity=head7))
+    assert rows
+    assert 0 < counts["scored"] == counts["live"] < counts["all"] / 2

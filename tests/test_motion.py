@@ -84,7 +84,8 @@ def test_pixel_shift_zero_identity():
 @st.composite
 def frames_and_boxes(draw):
     """A P-frame and boxes on it: inside, partly or wholly off the grid,
-    smaller than a block, on block edges, at any block size."""
+    wider than the grid on both sides, smaller than a block, on block edges,
+    at any block size."""
     block = draw(st.sampled_from([16, 10, 7, 1]))
     gw, gh = draw(st.integers(1, 9)), draw(st.integers(1, 7))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -95,7 +96,11 @@ def frames_and_boxes(draw):
         st.floats(-3 * block, (max(gw, gh) + 3) * block, allow_nan=False),
         st.integers(-3, max(gw, gh) + 3).map(lambda c: float(c * block)),
     )
-    size = st.one_of(st.floats(0.01, 6 * block), st.integers(1, 6).map(lambda c: float(c * block)))
+    size = st.one_of(
+        st.floats(0.01, 6 * block),
+        st.integers(1, 6).map(lambda c: float(c * block)),
+        st.floats(0.01, (max(gw, gh) + 8) * block),
+    )
     boxes = draw(st.lists(st.builds(BBox, coord, coord, size, size), min_size=1, max_size=8))
     return frame, boxes, block
 
@@ -107,6 +112,24 @@ def test_pixel_shift_matches_scalar_oracle_bit_for_bit(case):
     got = propagate_pixel_shift(box_array(boxes), frame, block)
     want = box_array([oracles.propagate_pixel_shift(b, frame, block) for b in boxes])
     assert got.tobytes() == want.tobytes()
+
+
+def test_pixel_shift_scratch_is_bounded_by_the_grid():
+    # off-grid blocks merge into one piece per side, so a box 16,000 px wide
+    # costs no more than one as wide as the grid (span 1,000 blocks took 25 MB)
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    frame = MotionFrame(1, "P", rng.integers(-8, 9, (2, 60, 34)).astype(np.int32), np.zeros((60, 34)))
+    boxes = np.array([[480.0, 270.0, 16_000.0, 300.0]])
+    tracemalloc.start()
+    try:
+        out = propagate_pixel_shift(boxes, frame, BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert out.tobytes() == box_array([oracles.propagate_pixel_shift(BBox(*boxes[0]), frame, BLOCK)]).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,7 +162,11 @@ def grids_and_boxes(draw):
         st.floats(-3 * block, (max(gw, gh) + 3) * block, allow_nan=False),
         st.integers(-3, max(gw, gh) + 3).map(lambda c: float(c * block)),
     )
-    size = st.one_of(st.floats(0.01, 6 * block), st.integers(1, 6).map(lambda c: float(c * block)))
+    size = st.one_of(
+        st.floats(0.01, 6 * block),
+        st.integers(1, 6).map(lambda c: float(c * block)),
+        st.floats(0.01, (max(gw, gh) + 8) * block),
+    )
     boxes = draw(st.lists(st.builds(BBox, coord, coord, size, size), max_size=8))
     return MotionFrame(1, "P", mv, residual), box_array(boxes), block
 
