@@ -38,7 +38,6 @@ METRIC_COLUMNS = ["MOTA", "MOTP", "IDF1", "MT", "ML", "FP", "FN", "IDS", "Frag",
 def _cmd_generate(args) -> int:
     if args.check_K is not None and (args.check_K < 1 or args.gop % args.check_K != 0):
         raise ConfigError(f"key-frame period {args.check_K} must be a positive divisor of gop {args.gop}")
-    script = load_script(args.script)
     header = StreamHeader(
         width=args.width,
         height=args.height,
@@ -48,6 +47,7 @@ def _cmd_generate(args) -> int:
         feature_channels=args.channels,
         feature_bins=args.bins,
     )
+    script = load_script(args.script)
     scenario = generate_scenario(script, header, args.seed)
     write_scenario(scenario, args.out)
     n_i = sum(1 for f in scenario.frames if f.kind == "I")
@@ -78,6 +78,14 @@ def _affinity_pairs(scenarios, noise: float, per_id: int, rng) -> list:
 
 
 def _cmd_fit(args) -> int:
+    if args.lr is not None and not (math.isfinite(args.lr) and args.lr > 0):
+        raise ConfigError(f"--lr must be positive and finite, got {args.lr}")
+    if args.epochs is not None and args.epochs < 0:
+        raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
+    if not 0 < args.holdout < 1:
+        raise ConfigError(f"--holdout must lie in (0, 1), got {args.holdout}")
+    if args.pairs_per_id < 1:
+        raise ConfigError(f"--pairs-per-id must be >= 1, got {args.pairs_per_id}")
     scenarios = [read_scenario(p) for p in args.scenarios]
     try:
         models = read_models(args.out)
@@ -132,17 +140,17 @@ def _load_models(args) -> TrackerModels:
     return read_models(args.models)
 
 
-def _make_detector(args, scenario):
+def _make_detector(args, scenario, det_cfg: DetectorConfig):
     if args.detections is not None:
         return FileDetector(args.detections, scenario.header, seed=args.det_seed)
-    return OracleDetector(scenario, _detector_config(args))
+    return OracleDetector(scenario, det_cfg)
 
 
 def _cmd_track(args) -> int:
+    cfg, det_cfg = _tracker_config(args), _detector_config(args)
     scenario = read_scenario(args.scenario)
-    cfg = _tracker_config(args)
     models = _load_models(args)
-    detector = _make_detector(args, scenario)
+    detector = _make_detector(args, scenario, det_cfg)
     rows, timings = track(scenario, detector, cfg, models)
     write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], args.out)
     if args.timing_out is not None:
@@ -198,11 +206,11 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"--force-ratio must be positive and finite, got {ratio}")
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
+    base_cfg, det_cfg = _tracker_config(args), _detector_config(args)
     scenario = read_scenario(args.scenario)
     models = _load_models(args)
-    detector = _make_detector(args, scenario)
+    detector = _make_detector(args, scenario, det_cfg)
     gt = scenario.gt
-    base_cfg = _tracker_config(args)
 
     propagate = None
     if ratio is not None:

@@ -134,11 +134,16 @@ def make_propagator(cfg: TrackerConfig, models: TrackerModels):
 
 
 def _checked(t: int, detections: Detections) -> Detections:
-    """Frame t's table, once its confidences lie in [0, 1] and its box sizes are positive."""
-    conf, size = detections.conf, detections.boxes[:, 2:]
+    """Frame t's table, once its confidences lie in [0, 1] and its boxes are
+    finite with positive sizes."""
+    conf, boxes, size = detections.conf, detections.boxes, detections.boxes[:, 2:]
     bad = np.flatnonzero(~((conf >= 0) & (conf <= 1)))
     if len(bad):
         raise ValueError(f"frame {t}: detection confidence must lie in [0, 1], got {conf[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(boxes).all(axis=1))
+    if len(bad):
+        x, y, w, h = boxes[bad[0]].tolist()
+        raise ValueError(f"frame {t}: detection box must be finite, got x={x} y={y} w={w} h={h}")
     bad = np.flatnonzero(~(size > 0).all(axis=1))
     if len(bad):
         raise ValueError(f"frame {t}: detection box size must be positive, got w={size[bad[0], 0]} h={size[bad[0], 1]}")
@@ -166,8 +171,9 @@ def track(
     """Run the tracker over a scenario.
 
     `detector` is any callable mapping a 1-based frame number to a
-    `Detections` table; a confidence outside [0, 1] or a box without
-    positive width and height raises ValueError naming the frame.
+    `Detections` table; a confidence outside [0, 1], a non-finite box
+    coordinate or a box without positive width and height raises ValueError
+    naming the frame.
     `propagate` is the non-key-frame step, called once per non-key frame
     with tracked rows (see `make_propagator`, its default).
     Returns (rows, timings) where rows are (frame, id, BBox) for confirmed

@@ -6,7 +6,8 @@ gated Hungarian assignment on 1 - IoU. Ground-truth rows flagged invisible
 are ignored entirely (neither matchable nor counted), so occluded spans are
 "don't care" regions. Each side is a `MotTable` of columns, ground truth
 counting the rows whose conf exceeds 0.5, or rows: `GroundTruthEntry` for
-the ground truth, (frame, id, BBox) for the hypotheses.
+the ground truth, (frame, id, BBox) for the hypotheses, which `mot_table`
+turns into one.
 
 Conventions (MOTChallenge): MOTP is the mean IoU over matches; MT/ML count
 ground-truth tracks matched in >= 80% / <= 20% of their visible frames;
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import gated_assign, hungarian
-from .model import ConfigError, MotTable, box_array, box_corners, frame_spans, iou_matrix
+from .model import ConfigError, MotTable, box_corners, first_repeat, frame_spans, iou_matrix, mot_table
 from .stream import gt_to_rows
 
 
@@ -47,14 +48,10 @@ def _frame_groups(rows, gt: bool) -> tuple:
     and {frame: slice} of each frame's group in them; a (frame, id) in two
     rows, counted or not, is an error naming the first repeat."""
     if not isinstance(rows, MotTable):  # GroundTruthEntry or (frame, id, BBox) rows
-        rows = gt_to_rows(rows) if gt else [(f, i, b, 1.0) for f, i, b in rows]
-        frame, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
-        rows = MotTable(np.array(frame, int), np.array(ids, int), box_array(boxes), np.array(conf))
+        rows = mot_table(gt_to_rows(rows) if gt else [(f, i, b, 1.0) for f, i, b in rows])
     frame, ids = rows.frame, rows.id
-    order = np.lexsort((np.arange(len(frame)), ids, frame))
-    repeat = order[1:][(np.diff(frame[order]) == 0) & (np.diff(ids[order]) == 0)]
-    if len(repeat):
-        row = repeat.min()
+    row = first_repeat(frame, ids)
+    if row is not None:
         raise ValueError(f"duplicate {'ground-truth' if gt else 'hypothesis'} id {ids[row]} in frame {frame[row]}")
     kept = np.flatnonzero(rows.conf > 0.5) if gt else np.arange(len(frame))
     kept = kept[np.argsort(frame[kept], kind="stable")]

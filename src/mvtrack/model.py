@@ -5,7 +5,8 @@ coordinates; discretization happens only at file I/O. Object ids are
 monotonically increasing and never reused, even after deletion. The
 tracker's state is one `TrackTable` of columns, boxes an (n, 4) array; a
 key frame's detections arrive as one `Detections` table and a MOTChallenge
-file reads as one `MotTable`, both of columns.
+file reads as one `MotTable`, both of columns; `mot_table` is the one place
+where (frame, id, BBox, conf) rows become a `MotTable`.
 """
 from __future__ import annotations
 
@@ -182,9 +183,22 @@ def frame_spans(frames: np.ndarray) -> dict:
     return {f: slice(a, a + n) for f, a, n in zip(values.tolist(), starts.tolist(), counts.tolist())}
 
 
+def first_repeat(frame: np.ndarray, ids: np.ndarray):
+    """The first row whose (frame, id) an earlier row already has, or None."""
+    order = np.lexsort((ids, frame))  # stable: each repeat sorts after its first row
+    repeat = order[1:][(np.diff(frame[order]) == 0) & (np.diff(ids[order]) == 0)]
+    return int(repeat.min()) if len(repeat) else None
+
+
 def box_array(boxes) -> np.ndarray:
     """x, y, w, h of each BBox as an (n, 4) float array."""
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def mot_table(rows) -> MotTable:
+    """(frame, id, BBox, conf) rows as one MotTable, in row order."""
+    frame, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
+    return MotTable(np.array(frame, np.int64), np.array(ids, np.int64), box_array(boxes), np.array(conf, float))
 
 
 def box_corners(boxes) -> np.ndarray:

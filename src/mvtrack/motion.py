@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MotionFrame, box_array, box_corners, box_velocities, center_cells, corner_boxes
+from .model import MotionFrame, box_corners, box_velocities, center_cells, corner_boxes, frame_spans, mot_table
+from .stream import gt_to_rows
 
 # Per-cell motion statistics fed to the regressor, in order: dx, dy, residual
 # energy, and the Jacobian of the MV field per cell index, d(dx)/dx, d(dy)/dy,
@@ -186,8 +187,7 @@ def propagate_pixel_shift(boxes: np.ndarray, frame: MotionFrame, block: int) -> 
     p1 = np.minimum(corners[:, 2:, None], np.where(cells == last[:, :, None], hi[:, :, None], cells + 1) * block)
     valid = (cells <= last[:, :, None]) & (p1 > p0)
     valid = valid[:, 0, :, None] & valid[:, 1, None, :]  # (n, span, span)
-    ring = np.zeros((2, *(grid + 2)))
-    ring[:, 1:-1, 1:-1] = frame.mv
+    ring, _ = motion_table(frame, 2)
     ix = (np.minimum(cells, grid[:, None]) + 1).astype(int)
     dx, dy = ring[:, ix[:, 0, :, None], ix[:, 1, None, :]]  # (n, span, span) each, [box, x cell, y cell]
     out = np.stack(
@@ -212,49 +212,37 @@ def smooth_l1(x):
     return out.item() if np.ndim(x) == 0 else out
 
 
-def propagation_samples(scenario) -> list:
-    """(MotionFrame, prev box, next box) triples from consecutive-frame GT.
-
-    Objects present (and visible) in only one of the two frames contribute
-    nothing; occluded spans carry no usable motion.
-    """
-    by_key = {(r.frame, r.id): r for r in scenario.gt}
-    ids = sorted({r.id for r in scenario.gt})
-    out = []
-    for fr in scenario.frames:
-        if fr.kind != "P":
-            continue
-        t_prev, t_cur = fr.index, fr.index + 1
-        for obj_id in ids:
-            a = by_key.get((t_prev, obj_id))
-            b = by_key.get((t_cur, obj_id))
-            if a is None or b is None or not (a.visible and b.visible):
-                continue
-            out.append((fr, a.bbox, b.bbox))
-    return out
-
-
 @dataclass(frozen=True)
 class FitHyper:
     lr: float = 1e-2
     epochs: int = 200
 
 
-def _design(batch, block: int, m: int):
-    """Training matrices of (MotionFrame, prev box, next box) samples: the
-    pooled statistics A (n, m*m, F_IN) and e (n, m*m) of each previous box,
-    and the target velocities V (n, 4) that carry it onto the next box.
-    Each frame's table is built once and pools all of its samples' boxes at once."""
-    n = len(batch)
-    A = np.zeros((n, m * m, F_IN))
-    E = np.zeros((n, m * m))
-    by_frame = {}
-    for i, (frame, _, _) in enumerate(batch):
-        by_frame.setdefault(id(frame), (frame, []))[1].append(i)
-    prev = box_array([s[1] for s in batch])
-    for frame, rows in by_frame.values():
-        A[rows], E[rows] = pool(motion_table(frame), box_corners(prev[rows]), block, m)
-    return A, E, box_velocities(prev, box_array([s[2] for s in batch]))
+def training_matrices(scenario, m: int):
+    """A scenario's training matrices, one row per sample in (frame, id)
+    order: the pooled statistics A (n, m*m, F_IN) and e (n, m*m) of a
+    visible ground-truth box in frame t, and the target velocities V (n, 4)
+    that carry it onto the same id's visible box in frame t + 1, for each P
+    frame t (which bridges the two). Occluded spans carry no usable motion,
+    so an id hidden in either frame gives no sample. Each frame's table is
+    built once and pools all of its samples' boxes at once."""
+    gt = mot_table(gt_to_rows(scenario.gt))
+    seen = gt.conf > 0.5
+    frame, ids, boxes = gt.frame[seen], gt.id[seen], gt.boxes[seen]
+    # each row next to the same id's row one frame later, in (id, frame)
+    # order; a frame past the stream reads the False at the end of p_frame
+    order = np.lexsort((frame, ids))
+    a, b = order[:-1], order[1:]
+    p_frame = np.array([fr.kind == "P" for fr in scenario.frames] + [False])
+    pair = (ids[a] == ids[b]) & (frame[b] == frame[a] + 1) & np.take(p_frame, frame[a], mode="clip")
+    a, b = a[pair], b[pair]
+    back = np.lexsort((ids[a], frame[a]))  # back to (frame, id) order
+    a, b = a[back], b[back]
+    prev = boxes[a]
+    A, E = np.zeros((len(a), m * m, F_IN)), np.zeros((len(a), m * m))
+    for t, span in frame_spans(frame[a]).items():
+        A[span], E[span] = pool(motion_table(scenario.frames[t]), box_corners(prev[span]), scenario.header.block, m)
+    return A, E, box_velocities(prev, boxes[b])
 
 
 class FieldReadout:
@@ -290,10 +278,7 @@ def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None)
         raise ValueError("no training scenarios")
     if m is None:
         m = scenarios[0].header.feature_bins
-    A, E, V = (
-        np.concatenate(parts)
-        for parts in zip(*(_design(propagation_samples(sc), sc.header.block, m) for sc in scenarios))
-    )
+    A, E, V = (np.concatenate(parts) for parts in zip(*(training_matrices(sc, m) for sc in scenarios)))
     n = len(V)
     if not n:
         raise ValueError("training scenarios contain no propagation samples")

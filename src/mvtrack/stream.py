@@ -12,10 +12,11 @@ object's integer-rounded displacement, background blocks carry the global
 camera displacement. Blocks of an occluded object carry background motion
 plus an elevated residual, so occlusion genuinely interrupts propagation.
 
-`OracleDetector` indexes the visible ground truth by frame once and returns
-each key frame's detections as one `Detections` table; the per-row
-reference it reproduces bit for bit lives in `tests/oracles.py`, as does
-`Scenario.feature_of` without its cache of each identity's base pattern.
+`OracleDetector` indexes the visible ground truth by frame once, in the
+columns of `mot_table(gt_to_rows(gt))`, and returns each key frame's
+detections as one `Detections` table; the per-row reference it reproduces
+bit for bit lives in `tests/oracles.py`, as does `Scenario.feature_of`
+without its cache of each identity's base pattern.
 
 The container is line-delimited text. `read_scenario` walks the header and
 frame records in Python but parses the ground-truth, motion-vector and
@@ -34,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BBox, Detections, FeaturePatch, MotionFrame, MotTable, box_array, box_corners, center_cells, frame_spans
+from .model import BBox, ConfigError, Detections, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
+from .model import first_repeat, frame_spans, mot_table
 
 
 class ScenarioFormatError(ValueError):
@@ -53,15 +55,15 @@ class StreamHeader:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be positive")
+            raise ConfigError(f"frame dimensions must be positive, got {self.width}x{self.height}")
         if self.block < 1:
-            raise ValueError("block size must be >= 1")
+            raise ConfigError(f"block size must be >= 1, got {self.block}")
         if self.gop < 1:
-            raise ValueError("gop must be >= 1")
+            raise ConfigError(f"gop must be >= 1, got {self.gop}")
         if not 0 < self.fps < math.inf:
-            raise ValueError("fps must be positive and finite")
+            raise ConfigError(f"fps must be positive and finite, got {self.fps}")
         if self.feature_bins < 1 or self.feature_channels < 1:
-            raise ValueError("feature shape must be positive")
+            raise ConfigError(f"feature shape must be positive, got m={self.feature_bins} c={self.feature_channels}")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -293,14 +295,16 @@ class DetectorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError("miss_rate must lie in [0,1]")
-        if self.fp_rate < 0 or self.noise_center < 0 or self.noise_size < 0 or self.feature_noise < 0:
-            raise ValueError("rates and noise levels must be non-negative")
-        if not 0.0 <= self.conf_min <= 1.0:
-            raise ValueError("conf_min must lie in [0,1]")
+        for name in ("miss_rate", "conf_min"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{name} must lie in [0,1], got {v}")
+        for name in ("fp_rate", "noise_center", "noise_size", "feature_noise"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, got {v}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 class OracleDetector:
@@ -315,12 +319,11 @@ class OracleDetector:
 
     def __init__(self, scenario: Scenario, cfg: DetectorConfig = DetectorConfig()):
         self.scenario, self.cfg = scenario, cfg
-        visible = [r for r in scenario.gt if r.visible]
-        frame, ids = np.array([(r.frame, r.id) for r in visible], dtype=np.int64).reshape(-1, 2).T
-        order = np.lexsort((ids, frame))
-        self._ids = ids[order]
-        self._boxes = box_array([r.bbox for r in visible])[order]
-        self._spans = frame_spans(frame[order])
+        gt = mot_table(gt_to_rows(scenario.gt))
+        visible = np.flatnonzero(gt.conf > 0.5)
+        order = visible[np.lexsort((gt.id[visible], gt.frame[visible]))]
+        self._ids, self._boxes = gt.id[order], gt.boxes[order]
+        self._spans = frame_spans(gt.frame[order])
 
     def __call__(self, frame: int) -> Detections:
         cfg, header = self.cfg, self.scenario.header
@@ -448,7 +451,8 @@ _GT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (
 def read_scenario(path) -> Scenario:
     """Read a scenario file. The gt, mv and res records are each parsed as one
     numpy table; a malformed file raises ScenarioFormatError naming the bad
-    line, or for a truncated file its last complete frame."""
+    line (for a ground-truth (frame, id) given twice, the second), or for a
+    truncated file its last complete frame."""
     with open(path) as fh:
         lines = fh.read().splitlines()
 
@@ -555,6 +559,11 @@ def read_scenario(path) -> Scenario:
         res = _load_table(lines, [i + 1 for i in mv_rows], np.float64, check_grid(gw * gh), "res record", skip=4, ndmin=2)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
+    row = first_repeat(table["frame"], table["id"])
+    if row is not None:
+        raise ScenarioFormatError(
+            f"line {gt_rows.start + row + 1}: duplicate ground-truth id {table['id'][row]} in frame {table['frame'][row]}"
+        )
 
     gt = [
         GroundTruthEntry(frame, obj_id, BBox(*box), visible == 1)

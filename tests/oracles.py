@@ -13,6 +13,13 @@ package instead pools the raw statistics for many boxes at once
 gradient tests assert. The cell rule is restated here on purpose, so the
 oracle does not share code with what it checks.
 
+Regressor training data: `propagation_samples` walks the ground-truth rows
+through a (frame, id) dict into (frame, previous box, next box) samples,
+and `_design` groups them by frame and pools each group. The package pairs
+the rows of one `MotTable` with a sort and pools each frame's boxes
+(`mvtrack.motion.training_matrices`); the tests require equal matrices, bit
+for bit, and the loss and gradient oracles read `_design`.
+
 The full-grid readout: `encode_motion` computes the seven statistics of
 every cell, `integral` builds their summed-area table and `pool` reads
 every bin of every box as four table entries per channel. The package
@@ -77,9 +84,10 @@ import numpy as np
 from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
 from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, center_cells, iou_matrix
+from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, box_array, box_velocities, center_cells, iou_matrix
 from mvtrack.model import box_corners as box_corners_array
-from mvtrack.motion import F_IN, RegressorParams, _design, smooth_l1
+from mvtrack.motion import F_IN, RegressorParams, motion_table, smooth_l1
+from mvtrack.motion import pool as pool_cells
 from mvtrack.stream import DetectorConfig, GroundTruthEntry, Scenario, ScenarioFormatError, StreamHeader
 
 VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
@@ -272,6 +280,45 @@ def psroi_readout(field: VelocityField, bbox: BBox, block: int) -> Velocity:
     pooled[:, nonempty] = sums[:, nonempty] / counts[nonempty]
     comp = pooled.reshape(4, -1).sum(axis=1) / (m * m)
     return Velocity(*(float(c) for c in comp))
+
+
+def propagation_samples(scenario) -> list:
+    """(MotionFrame, prev box, next box) triples from consecutive-frame GT.
+
+    Objects present (and visible) in only one of the two frames contribute
+    nothing; occluded spans carry no usable motion.
+    """
+    by_key = {(r.frame, r.id): r for r in scenario.gt}
+    ids = sorted({r.id for r in scenario.gt})
+    out = []
+    for fr in scenario.frames:
+        if fr.kind != "P":
+            continue
+        t_prev, t_cur = fr.index, fr.index + 1
+        for obj_id in ids:
+            a = by_key.get((t_prev, obj_id))
+            b = by_key.get((t_cur, obj_id))
+            if a is None or b is None or not (a.visible and b.visible):
+                continue
+            out.append((fr, a.bbox, b.bbox))
+    return out
+
+
+def _design(batch, block: int, m: int):
+    """Training matrices of (MotionFrame, prev box, next box) samples: the
+    pooled statistics A (n, m*m, F_IN) and e (n, m*m) of each previous box,
+    and the target velocities V (n, 4) that carry it onto the next box.
+    Each frame's table is built once and pools all of its samples' boxes at once."""
+    n = len(batch)
+    A = np.zeros((n, m * m, F_IN))
+    E = np.zeros((n, m * m))
+    by_frame = {}
+    for i, (frame, _, _) in enumerate(batch):
+        by_frame.setdefault(id(frame), (frame, []))[1].append(i)
+    prev = box_array([s[1] for s in batch])
+    for frame, rows in by_frame.values():
+        A[rows], E[rows] = pool_cells(motion_table(frame), box_corners_array(prev[rows]), block, m)
+    return A, E, box_velocities(prev, box_array([s[2] for s in batch]))
 
 
 def regressor_loss(params: RegressorParams, batch, block: int) -> float:
@@ -606,7 +653,7 @@ def read_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ScenarioFormatError(f"line {pos}: malformed seed record: {exc}") from exc
 
-    gt = []
+    gt, seen = [], set()
     for _ in range(n_gt):
         line = next_line()
         if line is None or not line.startswith("gt "):
@@ -623,6 +670,9 @@ def read_scenario(path) -> Scenario:
             raise ScenarioFormatError(f"line {pos}: ground-truth frame {row.frame} outside 1..{n_frames}")
         if row.id not in seeds:
             raise ScenarioFormatError(f"line {pos}: ground-truth id {row.id} has no feature seed")
+        if (row.frame, row.id) in seen:
+            raise ScenarioFormatError(f"line {pos}: duplicate ground-truth id {row.id} in frame {row.frame}")
+        seen.add((row.frame, row.id))
         gt.append(row)
 
     gw, gh = header.grid

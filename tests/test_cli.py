@@ -127,12 +127,22 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["generate", "--out", "x.scn", "--check-K", "-3"], "key-frame period -3 must be a positive divisor of gop 12"),
         (["bench", "--repeat", "0"], "--repeat must be >= 1, got 0"),
         (["bench", "--repeat", "-1"], "--repeat must be >= 1, got -1"),
+        (["generate", "--out", "x.scn", "--width", "0"], "frame dimensions must be positive, got 0x540"),
+        (["track", "--out", "x.txt", "--det-miss-rate", "1.5"], "miss_rate must lie in [0,1], got 1.5"),
+        (["track", "--out", "x.txt", "--det-fp-rate", "-1"], "fp_rate must be non-negative and finite, got -1.0"),
+        (["bench", "--det-noise-center", "inf"], "noise_center must be non-negative and finite, got inf"),
+        (["fit", "--target", "regressor", "--out", "m.txt", "--lr", "nan"], "--lr must be positive and finite, got nan"),
+        (["fit", "--target", "regressor", "--out", "m.txt", "--lr", "0"], "--lr must be positive and finite, got 0.0"),
+        (["fit", "--target", "regressor", "--out", "m.txt", "--epochs", "-3"], "--epochs must be >= 0, got -3"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--holdout", "1.5"], "--holdout must lie in (0, 1), got 1.5"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--holdout", "0"], "--holdout must lie in (0, 1), got 0.0"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--pairs-per-id", "0"], "--pairs-per-id must be >= 1, got 0"),
     ],
 )
 def test_nonpositive_check_K_and_repeat_exit_2_before_reading(tmp_path, capsys, argv, message):
     # the input paths do not exist: the flag is rejected before any file is read
     missing = str(tmp_path / "missing")
-    inputs = ["--script", missing] if argv[0] == "generate" else ["--scenario", missing]
+    inputs = ["--" + {"generate": "script", "fit": "scenarios"}.get(argv[0], "scenario"), missing]
     assert main([*argv, *inputs]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 

@@ -129,24 +129,27 @@ def test_tentative_objects_never_emitted(head7):
     assert {frame for frame, _, _ in rows} == set(range(4, 14))
 
 
-@pytest.mark.parametrize(
-    "conf, w, message",
-    [
-        (1.5, 20.0, "frame 4: detection confidence must lie in [0, 1], got 1.5"),
-        (float("nan"), 20.0, "frame 4: detection confidence must lie in [0, 1], got nan"),
-        (0.97, 0.0, "frame 4: detection box size must be positive, got w=0.0 h=20.0"),
-    ],
-)
-def test_track_rejects_bad_detection_naming_frame(head7, conf, w, message):
+BAD_DETECTIONS = [  # conf, x and w of the bad row, and the error
+    (1.5, 200.0, 20.0, "frame 4: detection confidence must lie in [0, 1], got 1.5"),
+    (float("nan"), 200.0, 20.0, "frame 4: detection confidence must lie in [0, 1], got nan"),
+    (0.97, 200.0, 0.0, "frame 4: detection box size must be positive, got w=0.0 h=20.0"),
+    (0.97, float("nan"), 20.0, "frame 4: detection box must be finite, got x=nan y=100.0 w=20.0 h=20.0"),
+    (0.97, 200.0, float("inf"), "frame 4: detection box must be finite, got x=200.0 y=100.0 w=inf h=20.0"),
+]
+
+
+# each id is conf-w-error; the error names a bad x
+@pytest.mark.parametrize("conf, x, w, message", BAD_DETECTIONS, ids=[f"{c}-{w}-{e}" for c, _, w, e in BAD_DETECTIONS])
+def test_track_rejects_bad_detection_naming_frame(head7, conf, x, w, message):
     # the bad row is the second row of the second key frame; conf_min 0.99
-    # drops every row with conf 0.97, so the zero-width row shows that rows
-    # are checked before the confidence filter
+    # drops every row with conf 0.97, so the rows with a bad box show that
+    # rows are checked before the confidence filter
     sc = scenario_translation(frames=6)
     m, c = sc.header.feature_bins, sc.header.feature_channels
 
     def detector(frame):
-        bad = (conf, w) if frame == 4 else (0.97, 20.0)
-        boxes = np.array([[100.0, 100.0, 20.0, 20.0], [200.0, 100.0, bad[1], 20.0]])
+        bad = (conf, x, w) if frame == 4 else (0.97, 200.0, 20.0)
+        boxes = np.array([[100.0, 100.0, 20.0, 20.0], [bad[1], 100.0, bad[2], 20.0]])
         return Detections(boxes, np.array([0.97, bad[0]]), np.zeros((2, m, m, c)))
 
     cfg = TrackerConfig(K=3, propagator="bboxavg", conf_min=0.99)

@@ -17,12 +17,20 @@ from mvtrack.motion import (
     pool,
     propagate_bbox_avg,
     propagate_pixel_shift,
-    propagation_samples,
     smooth_l1,
+    training_matrices,
 )
 from mvtrack.stream import MotionScript, ObjectScript, StreamHeader, generate_scenario
 import oracles
-from oracles import encode_motion, encode_motion_gradient, psroi_readout, regressor_grad, regressor_loss, velocity_field
+from oracles import (
+    encode_motion,
+    encode_motion_gradient,
+    propagation_samples,
+    psroi_readout,
+    regressor_grad,
+    regressor_loss,
+    velocity_field,
+)
 
 BLOCK = 16
 
@@ -550,6 +558,37 @@ def test_propagation_samples_skip_occluded_and_single_frame():
     frames_used = {fr.index for fr, _, _ in samples}
     assert 4 not in frames_used and 5 not in frames_used and 7 not in frames_used
     assert 2 in frames_used and 8 in frames_used
+
+
+@st.composite
+def scripted_scenarios(draw):
+    """A generated scenario with late entries, early exits, occlusions,
+    zooms other than 1 and an I frame every `gop` frames."""
+    frames = draw(st.integers(2, 16))
+    header = StreamHeader(width=160, height=128, block=16, gop=draw(st.sampled_from([2, 3, 5, 12])))
+    coord = st.floats(-20, 180, allow_nan=False)
+    objects = []
+    for _ in range(draw(st.integers(1, 5))):
+        enter = draw(st.integers(1, frames))
+        exit = draw(st.integers(enter, frames))
+        start = draw(st.integers(enter, exit))
+        occlusions = ((start, draw(st.integers(start, exit))),) if draw(st.booleans()) else ()
+        objects.append(ObjectScript(
+            id=draw(st.integers(1, 50).filter(lambda v: v not in {o.id for o in objects})), enter=enter, exit=exit,
+            x=draw(coord), y=draw(coord), w=draw(st.floats(4, 40)), h=draw(st.floats(4, 40)),
+            vx=draw(st.floats(-6, 6)), vy=draw(st.floats(-6, 6)),
+            zoom=draw(st.sampled_from([1.0, 0.96, 1.04]) | st.floats(0.95, 1.05)), occlusions=occlusions,
+        ))
+    return generate_scenario(MotionScript(frames=frames, objects=tuple(objects)), header, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scripted_scenarios(), st.integers(1, 4))
+def test_training_matrices_match_per_sample_oracle_bit_for_bit(sc, m):
+    got = training_matrices(sc, m)
+    want = oracles._design(propagation_samples(sc), sc.header.block, m)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_fit_diverges_reports_epoch():

@@ -448,6 +448,23 @@ def test_duplicate_seed_id_names_line(tmp_path):
         read_scenario(tmp_path / "bad.txt")
 
 
+def test_repeated_ground_truth_frame_and_id_names_line_of_the_repeat(tmp_path):
+    # gt rows are lines 6-11: (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2);
+    # line 10 becomes a second (2, 2) row, after the first on line 9
+    script = MotionScript(frames=3, objects=tuple(ObjectScript(id=i, enter=1, exit=3, x=40 * i, y=64, w=32, h=32) for i in (1, 2)))
+    p = tmp_path / "s.txt"
+    write_scenario(generate_scenario(script, HEADER, seed=4), p)
+    lines = p.read_text().splitlines()
+    assert lines[9].startswith("gt 3 1 ")
+    lines[9] = lines[9].replace("gt 3 1 ", "gt 2 2 ")
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    message = "line 10: duplicate ground-truth id 2 in frame 2"
+    for reader in (read_scenario, oracles.read_scenario):
+        with pytest.raises(ScenarioFormatError) as exc:
+            reader(tmp_path / "bad.txt")
+        assert str(exc.value) == message
+
+
 def _scenario_bytes(sc, path):
     write_scenario(sc, path)
     return path.read_bytes()
@@ -523,7 +540,8 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 
 
 @st.composite
 def hand_built(draw):
-    """A scenario with arbitrary int32 motion vectors, float64 residuals and gt boxes."""
+    """A scenario with arbitrary int32 motion vectors, float64 residuals and gt
+    boxes; a (frame, id) appears in at most one gt row, as a file requires."""
     gw, gh, gop = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     header = StreamHeader(width=16 * gw - draw(st.integers(0, 15)), height=16 * gh, block=16, gop=gop)
     floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL)
@@ -543,7 +561,7 @@ def hand_built(draw):
         st.sampled_from(sorted(seeds)),
         st.builds(BBox, floats, floats, sizes, sizes),
         st.booleans(),
-    ), max_size=6))
+    ), max_size=6, unique_by=lambda r: (r.frame, r.id)))
     return Scenario(header, frames, gt, seeds)
 
 
