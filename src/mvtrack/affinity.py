@@ -3,13 +3,18 @@
 Patches are (m, m, c) grids, L2-normalized along channels. "withps" compares
 every bin of one patch with every bin of the other and averages each bin's
 best match, both ways; "nops" averages aligned bins only. A logistic head
-maps that statistic to a same-object probability. `appearance_cost` scores
-only the (object, detection) cells a mask leaves live: it normalizes the
-live objects' gallery entries and the live detections once, gathers the
-(entry, detection) pair of every live cell and scores the pairs in stacked
-products, each pair its own matrix product; it then picks each cell's best
-entry on the statistic (the head is monotone in it) and runs the head once
-per live cell. The per-pair oracles are in tests/oracles.py.
+maps that statistic to a same-object probability.
+
+The track table's galleries live in one `GalleryStore`: each row holds a
+slot, a ring of entries in one array of (m*m, c) bins that does not move
+when the table is rebuilt. An entry is normalized in place the first time an
+appearance call reads it, and never again. `appearance_cost` scores only
+the (object, detection) cells a mask leaves live: it normalizes the live
+detections, gathers the (entry, detection) pair of every live cell straight
+from the store and scores the pairs in stacked products, each pair its own
+matrix product; it then picks each cell's best entry on the statistic (the
+head is monotone in it) and runs the head once per live cell. The per-pair
+oracles are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -47,9 +52,98 @@ def normalize_channels(f: FeaturePatch) -> FeaturePatch:
 
 
 def _bins(patches) -> np.ndarray:
-    """Stack patches into normalized (k, m*m, c) bins."""
-    stack = normalize_channels(np.stack(patches))
+    """Normalized (k, m*m, c) bins of k patches."""
+    stack = normalize_channels(np.asarray(patches))
     return stack.reshape(len(stack), -1, stack.shape[-1])
+
+
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """`a` followed by n rows of zeros."""
+    return np.concatenate([a, np.zeros((n, *a.shape[1:]), dtype=a.dtype)])
+
+
+class GalleryStore:
+    """The galleries of every track-table row, in one array of entries.
+
+    A row's gallery is a slot: a ring of at most `capacity` entries in which
+    each write past capacity replaces the oldest. Entries are raw (m*m, c)
+    bins until an appearance call first reads them (`normalize`); the first
+    write fixes the patch shape (m, m, c). Slots and entries freed by
+    `release` are reused lowest first, so the entries in use stay packed at
+    the start of the entry array, which grows, by one copy, only when every
+    entry is in use; its pages are not touched before an entry is written.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.shape = None  # (m, m, c) of every patch
+        self.bins = np.empty((0, 0, 0))  # (entries, m*m, c)
+        self.normalized = np.zeros(0, dtype=bool)  # per entry
+        self.used = np.zeros(0, dtype=bool)  # per entry
+        self.ring = np.zeros((0, capacity), dtype=np.intp)  # per slot: the entry at each ring position
+        self.writes = np.zeros(0, dtype=np.int64)  # per slot: patches written since it was taken
+        self.taken = np.zeros(0, dtype=bool)  # per slot
+
+    def lengths(self, slots) -> np.ndarray:
+        return np.minimum(self.writes[slots], self.capacity)
+
+    def entries(self, slots) -> np.ndarray:
+        """The entries the slots hold, slot after slot, each in ring order."""
+        return self.ring[slots][np.arange(self.capacity) < self.lengths(slots)[:, None]]
+
+    def take(self, n: int) -> np.ndarray:
+        """n free slots, each with an empty gallery."""
+        if n > len(self.taken) - np.count_nonzero(self.taken):
+            grow = max(len(self.taken), n)
+            self.ring, self.writes, self.taken = (_padded(a, grow) for a in (self.ring, self.writes, self.taken))
+        slots = np.flatnonzero(~self.taken)[:n]
+        self.taken[slots] = True
+        self.writes[slots] = 0
+        return slots
+
+    def release(self, slots) -> None:
+        """Free the slots and their entries."""
+        self.used[self.entries(slots)] = False
+        self.taken[slots] = False
+
+    def append(self, slots, patches: np.ndarray) -> None:
+        """Write patches[i], an (m, m, c) patch, to the gallery of slots[i];
+        the slots are distinct."""
+        if self.shape is None:
+            self.shape = patches.shape[1:]
+            self.bins = np.empty((0, self.shape[0] * self.shape[1], self.shape[2]))
+        if patches.shape[1:] != self.shape:
+            raise ValueError(f"patch shapes differ: {self.shape} vs {patches.shape[1:]}")
+        writes = self.writes[slots]
+        position = writes % self.capacity
+        fresh = writes < self.capacity
+        if fresh.any():
+            self.ring[slots[fresh], position[fresh]] = self._allocate(np.count_nonzero(fresh))
+        entries = self.ring[slots, position]
+        self.bins[entries] = patches.reshape(len(entries), *self.bins.shape[1:])
+        self.normalized[entries] = False
+        self.writes[slots] = writes + 1
+
+    def _allocate(self, n: int) -> np.ndarray:
+        if n > len(self.used) - np.count_nonzero(self.used):
+            # room for a full gallery in every taken slot and half as many
+            # again, so that later births seldom force another copy
+            size = max(2 * len(self.used), len(self.used) + n, self.capacity * np.count_nonzero(self.taken) * 3 // 2)
+            bins = np.empty((size, *self.bins.shape[1:]))
+            bins[:len(self.bins)] = self.bins
+            self.bins = bins
+            self.normalized, self.used = (_padded(a, size - len(a)) for a in (self.normalized, self.used))
+        entries = np.flatnonzero(~self.used)[:n]
+        self.used[entries] = True
+        return entries
+
+    def normalize(self, slots) -> None:
+        """Normalize, in place, the entries of the slots that are still raw."""
+        entries = self.entries(slots)
+        raw = entries[~self.normalized[entries]]
+        if len(raw):
+            self.bins[raw] = normalize_channels(self.bins[raw])
+            self.normalized[raw] = True
 
 
 def _statistics(entries: np.ndarray, dets: np.ndarray, mode: str, pair_entry, pair_det, chunk: int) -> np.ndarray:
@@ -89,38 +183,38 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def appearance_cost(params: AffinityHeadParams, galleries, features, live=None) -> np.ndarray:
-    """(n, d) matrix: 1 - the best affinity between object i's gallery and
-    detection patch j. `galleries` holds one non-empty sequence of patches
-    per object, `features` is the (d, m, m, c) array of detection patches.
+def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None) -> np.ndarray:
+    """(n, d) matrix: 1 - the best affinity between the gallery of store
+    slot slots[i] and detection patch j. Every slot holds at least one
+    entry, and `features` is the (d, m, m, c) array of detection patches.
     Only the cells of the (n, d) boolean mask `live` (default: all) are
-    scored; the others are 0."""
-    cost = np.zeros((len(galleries), len(features)))
+    scored; the others are 0. The live rows' raw entries are normalized in
+    the store first."""
+    cost = np.zeros((len(slots), len(features)))
     if not cost.size:
         return cost
-    lengths = np.array([len(gallery) for gallery in galleries])
+    lengths = store.lengths(slots)
     if not lengths.all():
         raise ValueError("appearance cost is undefined for an empty gallery")
     live = np.ones(cost.shape, dtype=bool) if live is None else live
     obj, det = np.nonzero(live)
     if not len(obj):
         return cost
-    live_objs, live_dets = live.any(axis=1), live.any(axis=0)
-    entries = _bins([f for i in np.flatnonzero(live_objs).tolist() for f in galleries[i]])
+    live_dets = live.any(axis=0)
+    store.normalize(slots[live.any(axis=1)])
     patches = _bins(np.asarray(features)[live_dets])
     # the (entry, detection) pairs of every live cell, cell after cell, as
-    # rows of `entries` and `patches`
+    # rows of the store and of `patches`
     counts = lengths[obj]
     first = np.cumsum(counts) - counts
-    entry_start = np.cumsum(lengths * live_objs) - lengths
-    pair_entry = np.arange(first[-1] + counts[-1]) + np.repeat(entry_start[obj] - first, counts)
+    pair_entry = store.entries(slots[obj])
     pair_det = np.repeat((np.cumsum(live_dets) - 1)[det], counts)
     # chunks of about CHUNK_BYTES of scratch, and never more pairs than the
     # call has entries, so the maps never outgrow those of one detection
     # against every entry
-    _, bins, c = entries.shape
+    _, bins, c = store.bins.shape
     chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()), len(pair_entry))
-    stats = _statistics(entries, patches, params.mode, pair_entry, pair_det, chunk)
+    stats = _statistics(store.bins, patches, params.mode, pair_entry, pair_det, chunk)
     best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
     cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in best.reduceat(stats, first).tolist()])
     return cost

@@ -3,7 +3,7 @@
 Matching runs on cost matrices gated by a threshold: pairs above the gate
 are forbidden (sentinel cost) and any residual sentinel match is discarded,
 so a returned match never exceeds its gate. Both procedures score the
-track table's box array and galleries against a `Detections` table's
+track table's box array and gallery slots against a `Detections` table's
 columns. One-step association gates first: it scores appearance only for
 the cells whose geometric term alone can still pass the gate. Matches are
 two index arrays (rows, cols), track-table rows in ascending order and the
@@ -55,7 +55,7 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
     obj_left, det_left = np.flatnonzero(obj_left), np.flatnonzero(det_left)
 
     r2, c2 = gated_assign(
-        appearance_cost(params, [tracks.galleries[i] for i in obj_left.tolist()], detections.features[det_left]),
+        appearance_cost(params, tracks.gallery, tracks.slots[obj_left], detections.features[det_left]),
         cfg.tau_app,
     )
     rows, cols = np.concatenate([rows, obj_left[r2]]), np.concatenate([cols, det_left[c2]])
@@ -79,7 +79,7 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
     if alpha < 1.0:
         live = ~(cost > threshold)
-        cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.galleries, detections.features, live)
+        cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, live)
     return gated_assign(cost, threshold)
 
 

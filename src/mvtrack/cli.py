@@ -104,6 +104,11 @@ def _cmd_fit(args) -> int:
         n_hold = max(1, int(len(pairs) * args.holdout))
         hold = [pairs[i] for i in order[:n_hold]]
         train = [pairs[i] for i in order[n_hold:]]
+        if len({label for _, _, label in train}) < 2:
+            raise ConfigError(
+                f"--holdout {args.holdout} and --pairs-per-id {args.pairs_per_id} leave {len(train)} training "
+                "pairs with one label; lower --holdout or raise --pairs-per-id"
+            )
         params, ce = fit_affinity_head(train, hyper, mode=args.mode)
         models.affinity = params
         acc = affinity_accuracy(params, hold)

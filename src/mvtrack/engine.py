@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityHeadParams
+from .affinity import AffinityHeadParams, GalleryStore
 from .association import associate
 from .lifecycle import update
 from .model import BBox, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
@@ -133,10 +133,18 @@ def make_propagator(cfg: TrackerConfig, models: TrackerModels):
     return regress
 
 
-def _checked(t: int, detections: Detections) -> Detections:
-    """Frame t's table, once its confidences lie in [0, 1] and its boxes are
-    finite with positive sizes."""
-    conf, boxes, size = detections.conf, detections.boxes, detections.boxes[:, 2:]
+def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
+    """Frame t's table, once its columns hold one confidence, one box and one
+    patch of the stream's (m, m, c) `shape` per row, its confidences lie in
+    [0, 1] and its boxes are finite with positive sizes."""
+    conf, boxes = detections.conf, detections.boxes
+    n = len(conf)
+    if np.ndim(conf) != 1:
+        raise ValueError(f"frame {t}: detection confidences must have shape ({n},), got {np.shape(conf)}")
+    if np.shape(boxes) != (n, 4):
+        raise ValueError(f"frame {t}: detection boxes must have shape {(n, 4)}, got {np.shape(boxes)}")
+    if np.shape(detections.features) != (n, *shape):
+        raise ValueError(f"frame {t}: detection features must have shape {(n, *shape)}, got {np.shape(detections.features)}")
     bad = np.flatnonzero(~((conf >= 0) & (conf <= 1)))
     if len(bad):
         raise ValueError(f"frame {t}: detection confidence must lie in [0, 1], got {conf[bad[0]]}")
@@ -144,6 +152,7 @@ def _checked(t: int, detections: Detections) -> Detections:
     if len(bad):
         x, y, w, h = boxes[bad[0]].tolist()
         raise ValueError(f"frame {t}: detection box must be finite, got x={x} y={y} w={w} h={h}")
+    size = boxes[:, 2:]
     bad = np.flatnonzero(~(size > 0).all(axis=1))
     if len(bad):
         raise ValueError(f"frame {t}: detection box size must be positive, got w={size[bad[0], 0]} h={size[bad[0], 1]}")
@@ -171,9 +180,10 @@ def track(
     """Run the tracker over a scenario.
 
     `detector` is any callable mapping a 1-based frame number to a
-    `Detections` table; a confidence outside [0, 1], a non-finite box
-    coordinate or a box without positive width and height raises ValueError
-    naming the frame.
+    `Detections` table; columns whose shapes disagree (one confidence, one
+    box and one patch of the stream header's shape per row), a confidence
+    outside [0, 1], a non-finite box coordinate or a box without positive
+    width and height raise ValueError naming the frame.
     `propagate` is the non-key-frame step, called once per non-key frame
     with tracked rows (see `make_propagator`, its default).
     Returns (rows, timings) where rows are (frame, id, BBox) for confirmed
@@ -183,7 +193,8 @@ def track(
     header = scenario.header
     if propagate is None:
         propagate = make_propagator(cfg, models)
-    tracks = TrackTable.empty()
+    shape = (header.feature_bins, header.feature_bins, header.feature_channels)
+    tracks = TrackTable.empty(GalleryStore(cfg.l_f))
     id_source = itertools.count(1)
     rows = []
     tm = FrameTimings()
@@ -193,7 +204,7 @@ def track(
         if is_key_frame(t, cfg.K):
             tm.key_frames += 1
             t0 = time.perf_counter()
-            detections = _checked(t, detector(t))
+            detections = _checked(t, detector(t), shape)
             keep = detections.conf >= cfg.conf_min
             if not keep.all():
                 detections = Detections(*(column[keep] for column in detections))

@@ -80,7 +80,9 @@ class TrackTable:
 
     `hits`/`misses` count consecutive key frames with/without an associated
     detection; each key-frame update increments exactly one and resets the
-    other. Deleted objects leave the table.
+    other. Deleted objects leave the table. Each row's appearance gallery
+    is slot `slots[i]` of `gallery`, an `affinity.GalleryStore` that every
+    table of one run shares, so rebuilding the table moves no patch.
     """
 
     ids: np.ndarray  # (n,) int
@@ -88,12 +90,13 @@ class TrackTable:
     hits: np.ndarray  # (n,) int
     misses: np.ndarray  # (n,) int
     boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
-    galleries: list  # n deques of FeaturePatch, maxlen l_f
+    slots: np.ndarray  # (n,) int, each row's slot in `gallery`
+    gallery: object  # the GalleryStore, capacity l_f
 
     @classmethod
-    def empty(cls) -> "TrackTable":
+    def empty(cls, gallery) -> "TrackTable":
         n = np.zeros(0, dtype=np.int64)
-        return cls(n, np.zeros(0, dtype=bool), n, n, np.zeros((0, 4)), [])
+        return cls(n, np.zeros(0, dtype=bool), n, n, np.zeros((0, 4)), n, gallery)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -32,9 +32,11 @@ array in place.
 
 Appearance affinity: the per-pair definitions score one gallery entry
 against one detection patch at a time, normalizing both on every call. The
-package builds the whole objects x detections matrix at once, scoring all
-gallery entries against one detection per stacked product
-(`mvtrack.affinity.appearance_cost`); the tests require the two to agree.
+package keeps every gallery in one store of entries, normalizes each entry
+once, when an appearance call first reads it, and scores the live cells'
+(entry, detection) pairs in stacked products
+(`mvtrack.affinity.GalleryStore`, `mvtrack.affinity.appearance_cost`); the
+tests require the two to agree bit for bit.
 
 IoU: `bbox_iou` scores one pair of boxes with scalar arithmetic. The
 package scores all pairs of two corner arrays at once
@@ -65,11 +67,13 @@ one table of columns; the tests require equal boxes, confidences and
 feature patches, in order, bit for bit.
 
 The tracking loop: `track` keeps one `TrackedObject` record per object,
-associates, updates and propagates them one at a time (pixel shift with a
-scalar double loop per box) and clips each emitted box on its own. The
-package keeps the tracker's state in one table of columns
-(`mvtrack.model.TrackTable`) and moves, updates and clips all rows at
-once; the tests require equal rows, bit for bit.
+its gallery a `deque` of raw patches, associates, updates and propagates
+them one at a time (appearance with the per-pair `appearance_cost`, pixel
+shift with a scalar double loop per box) and clips each emitted box on its
+own. The package keeps the tracker's state in one table of columns
+(`mvtrack.model.TrackTable`) and its galleries in one store, and moves,
+updates and clips all rows at once; the tests require equal rows, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -81,7 +85,7 @@ from enum import Enum
 
 import numpy as np
 
-from mvtrack.affinity import AffinityHeadParams, _logistic, appearance_cost as appearance_matrix, normalize_channels
+from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
 from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
 from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, box_array, box_velocities, center_cells, iou_matrix
@@ -936,7 +940,8 @@ def _iou_cost(objects, detections) -> np.ndarray:
 
 
 def _appearance_matrix(params, objects, detections) -> np.ndarray:
-    return appearance_matrix(params, [o.gallery for o in objects], [d.feature for d in detections])
+    cost = [[appearance_cost(params, o.gallery, d.feature) for d in detections] for o in objects]
+    return np.array(cost, dtype=float).reshape(len(objects), len(detections))
 
 
 def associate_two_step(objects, detections, params: AffinityHeadParams, cfg: TrackerConfig) -> Assignment:

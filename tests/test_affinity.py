@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from mvtrack.affinity import (
     MODES,
     AffinityFitHyper,
     AffinityHeadParams,
+    GalleryStore,
     affinity_accuracy,
     fit_affinity_head,
     normalize_channels,
@@ -13,6 +16,7 @@ from mvtrack.affinity import (
 from mvtrack.affinity import appearance_cost as appearance_cost_matrix
 from mvtrack.model import BBox
 from oracles import _statistic, affinity, appearance_cost, iou_cost, ps_maps
+from tables import gallery_store
 
 
 def random_patch(rng, m=7, c=16):
@@ -235,11 +239,12 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
         return np.zeros((m, m, c)) if rng.random() < zero_share else rng.standard_normal((m, m, c))
 
     galleries = [[patch() for _ in range(rng.integers(1, max_gallery + 1))] for _ in range(n)]
-    features = [patch() for _ in range(d)]
+    features = np.array([patch() for _ in range(d)]).reshape(d, m, m, c)
     params = AffinityHeadParams(w, b, mode)
     # None scores every cell; a mask scores its live cells and leaves the rest 0
     live = np.ones((n, d), dtype=bool) if live_share is None else rng.random((n, d)) < live_share
-    cost = appearance_cost_matrix(params, galleries, features, None if live_share is None else live)
+    store, slots = gallery_store(galleries)
+    cost = appearance_cost_matrix(params, store, slots, features, None if live_share is None else live)
     expected = np.array([[appearance_cost(params, g, f) for f in features] for g in galleries]).reshape(n, d)
     assert cost.shape == (n, d)
     # each pair is its own BLAS product, so a cell has the oracle's bits whatever else is scored
@@ -250,12 +255,57 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
 def test_appearance_cost_matrix_rejects_bad_input(mode):
     rng = np.random.default_rng(13)
     params = AffinityHeadParams(1.0, 0.0, mode)
-    probe = [random_patch(rng)]
-    with pytest.raises(ValueError):
-        appearance_cost_matrix(params, [[random_patch(rng)], []], probe)
-    with pytest.raises(ValueError):
-        appearance_cost_matrix(params, [[random_patch(rng, 5, 16)]], probe)
-    with pytest.raises(ValueError):
-        appearance_cost_matrix(params, [[random_patch(rng, 7, 8)]], probe)
-    with pytest.raises(ValueError):
-        appearance_cost_matrix(params, [[random_patch(rng), random_patch(rng, 5, 16)]], probe)
+    probe = random_patch(rng)[None]
+    for galleries in ([[random_patch(rng)], []], [[random_patch(rng, 5, 16)]], [[random_patch(rng, 7, 8)]]):
+        with pytest.raises(ValueError):
+            appearance_cost_matrix(params, *gallery_store(galleries), probe)
+    # the first write fixes the store's patch shape
+    with pytest.raises(ValueError, match="patch shapes differ"):
+        gallery_store([[random_patch(rng), random_patch(rng, 5, 16)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l_f=st.sampled_from([1, 2, 3, 4, 24]),
+    steps=st.integers(1, 16),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    mode=st.sampled_from(MODES),
+    w=st.one_of(st.just(0.0), st.floats(-30.0, -0.01), st.floats(0.01, 30.0)),
+    b=st.floats(-20.0, 20.0),
+    zero_share=st.sampled_from([0.0, 0.3]),
+)
+def test_gallery_store_matches_deques(seed, l_f, steps, shape, mode, w, b, zero_share):
+    # the store and one deque(maxlen=l_f) per row take the same deletions,
+    # births and appends; after each update an appearance call over a random
+    # live mask must give the per-pair oracle's costs over the deques
+    rng = np.random.default_rng(seed)
+    m, c = shape
+    params = AffinityHeadParams(w, b, mode)
+
+    def patches(k):
+        out = rng.standard_normal((k, m, m, c))
+        out[rng.random(k) < zero_share] = 0.0
+        return out
+
+    store, slots, deques = GalleryStore(l_f), np.zeros(0, dtype=np.intp), []
+    for _ in range(steps):
+        gone = rng.random(len(deques)) < 0.25
+        store.release(slots[gone])
+        slots, deques = slots[~gone], [g for g, x in zip(deques, gone.tolist()) if not x]
+        born = store.take(int(rng.integers(0, 4)))
+        assert not set(born.tolist()) & set(slots.tolist())
+        slots, deques = np.concatenate([slots, born]), deques + [deque(maxlen=l_f) for _ in born]
+        # every newborn gets its first patch, most older rows one more
+        written = np.flatnonzero((rng.random(len(deques)) < 0.8) | (np.arange(len(deques)) >= len(deques) - len(born)))
+        new = patches(len(written))
+        store.append(slots[written], new)
+        for i, p in zip(written.tolist(), new):
+            deques[i].append(p)
+        # released entries are free again: the store holds only the rows' entries
+        assert np.count_nonzero(store.used) == store.lengths(slots).sum() == sum(map(len, deques))
+        features = patches(int(rng.integers(0, 4)))
+        live = rng.random((len(deques), len(features))) < rng.choice([0.0, 0.4, 1.0])
+        cost = appearance_cost_matrix(params, store, slots, features, live)
+        expected = np.array([[appearance_cost(params, g, f) for f in features] for g in deques]).reshape(live.shape)
+        assert cost.tobytes() == np.where(live, expected, 0.0).tobytes()

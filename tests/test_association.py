@@ -1,12 +1,11 @@
 import itertools
-from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtrack import association
-from mvtrack.affinity import MODES, AffinityFitHyper, AffinityHeadParams, appearance_cost as appearance_matrix, fit_affinity_head
+from mvtrack.affinity import MODES, AffinityFitHyper, AffinityHeadParams, GalleryStore, appearance_cost as appearance_matrix, fit_affinity_head
 from mvtrack.association import (
     associate_one_step,
     associate_two_step,
@@ -16,6 +15,7 @@ from mvtrack.association import (
 )
 from mvtrack.model import BBox, Detections, TrackTable, TrackerConfig, box_array
 from oracles import appearance_cost, iou_cost
+from tables import track_table
 
 
 def pairs(matches):
@@ -136,20 +136,17 @@ def make_patch(base=None, noise=0.1):
     return base + noise * RNG.standard_normal((7, 7, 16))
 
 
-def make_object(obj_id, bbox, confirmed, gallery_bases, l_f=24):
-    return obj_id, bbox, confirmed, deque([make_patch(b) for b in gallery_bases], maxlen=l_f)
+def make_object(obj_id, bbox, confirmed, gallery_bases):
+    return obj_id, bbox, confirmed, [make_patch(b) for b in gallery_bases]
 
 
 def make_tracks(objects):
     """A track table with one row per make_object tuple, in order."""
-    n = len(objects)
-    return TrackTable(
-        ids=np.array([o[0] for o in objects], dtype=np.int64),
-        confirmed=np.array([o[2] for o in objects], dtype=bool),
-        hits=np.zeros(n, dtype=np.int64),
-        misses=np.zeros(n, dtype=np.int64),
+    return track_table(
+        [o[3] for o in objects],
+        ids=[o[0] for o in objects],
+        confirmed=[o[2] for o in objects],
         boxes=box_array([o[1] for o in objects]),
-        galleries=[o[3] for o in objects],
     )
 
 
@@ -189,7 +186,7 @@ def test_matrix_helpers_agree_with_costs(head):
     )
     tracks = make_tracks(objects)
     iou_m = _iou_cost(tracks.boxes, detections.boxes)
-    app_m = appearance_matrix(head, tracks.galleries, detections.features)
+    app_m = appearance_matrix(head, tracks.gallery, tracks.slots, detections.features)
     for i, (_, bbox, _, gallery) in enumerate(objects):
         for j, (box, feature) in enumerate(zip(detections.boxes.tolist(), detections.features)):
             assert iou_m[i, j] == pytest.approx(iou_cost(bbox, BBox(*box)), abs=1e-12)
@@ -286,8 +283,9 @@ def test_one_step_alpha_zero_is_gated_appearance(head):
         (BBox(400, 200, 20, 20), make_patch(bases[1])),
         (BBox(300, 300, 20, 20), make_patch(bases[0])),
     )
-    res = associate_one_step(make_tracks(objects), detections, head, 0.0, CFG)
-    expected = gated_assign(appearance_matrix(head, [o[3] for o in objects], detections.features), CFG.tau_app)
+    tracks = make_tracks(objects)
+    res = associate_one_step(tracks, detections, head, 0.0, CFG)
+    expected = gated_assign(appearance_matrix(head, tracks.gallery, tracks.slots, detections.features), CFG.tau_app)
     assert pairs(res) == pairs(expected)
     assert pairs(res) == [(0, 1), (1, 0)]  # appearance crosses the geometry
 
@@ -302,7 +300,7 @@ def test_one_step_blended_gate_example(head):
 
 def test_one_step_rejects_bad_alpha(head):
     with pytest.raises(ValueError):
-        associate_one_step(TrackTable.empty(), make_detections(), head, 1.5, CFG)
+        associate_one_step(TrackTable.empty(GalleryStore(CFG.l_f)), make_detections(), head, 1.5, CFG)
 
 
 def test_permutation_changes_only_ties(head):
@@ -333,13 +331,10 @@ def one_step_cases(draw):
     n, d = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     boxes = np.column_stack([rng.uniform(0, 60, (n + d, 2)), rng.uniform(4, 40, (n + d, 2))])
-    tracks = TrackTable(
-        ids=np.arange(n, dtype=np.int64),
+    tracks = track_table(
+        [rng.standard_normal((rng.integers(1, 5), m, m, c)) for _ in range(n)],
         confirmed=rng.random(n) < 0.5,
-        hits=np.zeros(n, dtype=np.int64),
-        misses=np.zeros(n, dtype=np.int64),
         boxes=boxes[:n],
-        galleries=[deque(rng.standard_normal((rng.integers(1, 5), m, m, c))) for _ in range(n)],
     )
     detections = Detections(boxes[n:], np.full(d, 0.96), rng.standard_normal((d, m, m, c)))
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -372,7 +367,7 @@ def test_gated_one_step_matches_dense_scoring(case):
         rows, cols = associate_one_step(tracks, detections, params, alpha, cfg)
         dense = alpha * _iou_cost(tracks.boxes, detections.boxes)
         if alpha < 1.0:
-            dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.galleries, detections.features)
+            dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.gallery, tracks.slots, detections.features)
         want_rows, want_cols = gated_assign(dense, alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app)
     gated, dense = handed
     assert gated.tobytes() == dense.tobytes()

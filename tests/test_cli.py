@@ -327,6 +327,25 @@ def test_fit_epochs_zero(tmp_path, capsys):
     assert not stored.regressor.W.any()
 
 
+def test_fit_affinity_split_with_one_training_label_exit_2(tmp_path, capsys):
+    # 2 identities x 1 pair each: 4 pairs, of which --holdout 0.9 holds out 3
+    script = write_script(tmp_path / "s.json", frames=13)
+    scn = tmp_path / "s.scn"
+    main(["generate", "--script", str(script), "--out", str(scn), "--width", "480", "--height", "360"])
+    capsys.readouterr()
+    models = tmp_path / "m.txt"
+    argv = ["fit", "--scenarios", str(scn), "--target", "affinity", "--out", str(models), "--pairs-per-id", "1"]
+    assert main([*argv, "--holdout", "0.9"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --holdout 0.9 and --pairs-per-id 1 leave 1 training pairs with one label; "
+        "lower --holdout or raise --pairs-per-id\n"
+    )
+    assert not models.exists()
+    # the same pairs split at 0.25 train on both labels
+    assert main([*argv, "--holdout", "0.25"]) == 0
+    assert "affinity head fitted" in capsys.readouterr().out
+
+
 def test_missing_file_runtime_error(tmp_path, capsys):
     assert main(["evaluate", "--gt", str(tmp_path / "none.txt"), "--results", str(tmp_path / "none.txt")]) == 1
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -129,18 +130,24 @@ def test_tentative_objects_never_emitted(head7):
     assert {frame for frame, _, _ in rows} == set(range(4, 14))
 
 
-BAD_DETECTIONS = [  # conf, x and w of the bad row, and the error
-    (1.5, 200.0, 20.0, "frame 4: detection confidence must lie in [0, 1], got 1.5"),
-    (float("nan"), 200.0, 20.0, "frame 4: detection confidence must lie in [0, 1], got nan"),
-    (0.97, 200.0, 0.0, "frame 4: detection box size must be positive, got w=0.0 h=20.0"),
-    (0.97, float("nan"), 20.0, "frame 4: detection box must be finite, got x=nan y=100.0 w=20.0 h=20.0"),
-    (0.97, 200.0, float("inf"), "frame 4: detection box must be finite, got x=200.0 y=100.0 w=inf h=20.0"),
+BAD_DETECTIONS = [  # conf, x and w of the bad row, a change to the whole table, and the error
+    (1.5, 200.0, 20.0, None, "frame 4: detection confidence must lie in [0, 1], got 1.5"),
+    (float("nan"), 200.0, 20.0, None, "frame 4: detection confidence must lie in [0, 1], got nan"),
+    (0.97, 200.0, 0.0, None, "frame 4: detection box size must be positive, got w=0.0 h=20.0"),
+    (0.97, float("nan"), 20.0, None, "frame 4: detection box must be finite, got x=nan y=100.0 w=20.0 h=20.0"),
+    (0.97, 200.0, float("inf"), None, "frame 4: detection box must be finite, got x=200.0 y=100.0 w=inf h=20.0"),
+    (0.97, 200.0, 20.0, lambda d: d._replace(conf=d.conf[:, None]), "frame 4: detection confidences must have shape (2,), got (2, 1)"),
+    (0.97, 200.0, 20.0, lambda d: d._replace(boxes=d.boxes[:, :3]), "frame 4: detection boxes must have shape (2, 4), got (2, 3)"),
+    (0.97, 200.0, 20.0, lambda d: d._replace(boxes=d.boxes[:1]), "frame 4: detection boxes must have shape (2, 4), got (1, 4)"),
+    # one patch fewer than confidences, checked before the bad confidence
+    (1.5, 200.0, 20.0, lambda d: d._replace(features=d.features[:1]), "frame 4: detection features must have shape (2, 7, 7, 16), got (1, 7, 7, 16)"),
+    (0.97, 200.0, 20.0, lambda d: d._replace(features=d.features[..., :8]), "frame 4: detection features must have shape (2, 7, 7, 16), got (2, 7, 7, 8)"),
 ]
 
 
 # each id is conf-w-error; the error names a bad x
-@pytest.mark.parametrize("conf, x, w, message", BAD_DETECTIONS, ids=[f"{c}-{w}-{e}" for c, _, w, e in BAD_DETECTIONS])
-def test_track_rejects_bad_detection_naming_frame(head7, conf, x, w, message):
+@pytest.mark.parametrize("conf, x, w, change, message", BAD_DETECTIONS, ids=[f"{c}-{w}-{e}" for c, _, w, _, e in BAD_DETECTIONS])
+def test_track_rejects_bad_detection_naming_frame(head7, conf, x, w, change, message):
     # the bad row is the second row of the second key frame; conf_min 0.99
     # drops every row with conf 0.97, so the rows with a bad box show that
     # rows are checked before the confidence filter
@@ -150,7 +157,8 @@ def test_track_rejects_bad_detection_naming_frame(head7, conf, x, w, message):
     def detector(frame):
         bad = (conf, x, w) if frame == 4 else (0.97, 200.0, 20.0)
         boxes = np.array([[100.0, 100.0, 20.0, 20.0], [bad[1], 100.0, bad[2], 20.0]])
-        return Detections(boxes, np.array([0.97, bad[0]]), np.zeros((2, m, m, c)))
+        d = Detections(boxes, np.array([0.97, bad[0]]), np.zeros((2, m, m, c)))
+        return change(d) if change and frame == 4 else d
 
     cfg = TrackerConfig(K=3, propagator="bboxavg", conf_min=0.99)
     with pytest.raises(ValueError) as exc:
@@ -415,7 +423,7 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
 
     def counting_associate(tracks, detections, params, cfg):
         geometric = cfg.alpha * (1.0 - iou_matrix(box_corners(tracks.boxes), box_corners(detections.boxes)))
-        lengths = np.array([len(g) for g in tracks.galleries], dtype=int)
+        lengths = tracks.gallery.lengths(tracks.slots)
         counts["live"] += int(lengths @ (~(geometric > threshold)).sum(axis=1))
         counts["all"] += int(lengths.sum()) * len(detections.conf)
         return associate(tracks, detections, params, cfg)
@@ -425,3 +433,44 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
     rows, _ = track(sc, OracleDetector(sc, DetectorConfig(feature_noise=0.1, rng_seed=3)), cfg, TrackerModels(affinity=head7))
     assert rows
     assert 0 < counts["scored"] == counts["live"] < counts["all"] / 2
+
+
+def patch_counts(arrays) -> Counter:
+    return Counter(row.tobytes() for a in arrays for row in np.reshape(a, (len(a), -1)))
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_stored_entries_are_normalized_once_and_only_when_read(head7, monkeypatch, noisy):
+    # every patch handed to normalize_channels is counted, as the benchmark's
+    # tracer counts the calls, and the detection patches an appearance call
+    # scores are counted apart; what is left came from the gallery store
+    normalized, scored = [], []
+    normalize, bins = mvtrack.affinity.normalize_channels, mvtrack.affinity._bins
+
+    def counting_normalize(f):
+        normalized.append(np.array(f))
+        return normalize(f)
+
+    def counting_bins(patches):
+        scored.append(np.array(patches))
+        return bins(patches)
+
+    monkeypatch.setattr(mvtrack.affinity, "normalize_channels", counting_normalize)
+    monkeypatch.setattr(mvtrack.affinity, "_bins", counting_bins)
+    sc = scenario_translation(frames=36)
+    if noisy:
+        det_cfg = DetectorConfig(noise_center=0.03, miss_rate=0.2, fp_rate=1.0, feature_noise=0.1, rng_seed=3)
+    else:
+        # every detection confirms at birth, so step 1 matches each one by IoU
+        det_cfg = DetectorConfig(noise_center=0.01, conf_min=0.995, feature_noise=0.1, rng_seed=3)
+    cfg = TrackerConfig(K=3, propagator="bboxavg", association_mode="twostep", conf_min=det_cfg.conf_min)
+    rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(affinity=head7))
+    assert rows
+    stored = patch_counts(normalized) - patch_counts(scored)
+    if noisy:
+        # step 2 reads stored entries, each one the first time only; a patch
+        # is normalized at most once as a detection and once as an entry
+        assert max(patch_counts(normalized).values()) == 2
+        assert stored and max(stored.values()) == 1
+    else:
+        assert not normalized

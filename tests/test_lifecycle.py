@@ -1,10 +1,11 @@
 import itertools
-from collections import deque
 
 import numpy as np
 
+from mvtrack.affinity import GalleryStore
 from mvtrack.lifecycle import update
 from mvtrack.model import Detections, TrackTable, TrackerConfig
+from tables import gallery, track_table
 
 CFG = TrackerConfig()
 RNG = np.random.default_rng(0)
@@ -14,22 +15,21 @@ def patch():
     return RNG.standard_normal((7, 7, 16))
 
 
-def table(*rows):
-    """A track table of (id, confirmed, n_gallery, hits, misses[, l_f]) rows,
-    every box at (50, 50, 20, 20)."""
-    rows = [r + (24,) * (6 - len(r)) for r in rows]
-    return TrackTable(
-        ids=np.array([r[0] for r in rows], dtype=np.int64),
-        confirmed=np.array([r[1] for r in rows], dtype=bool),
-        hits=np.array([r[3] for r in rows], dtype=np.int64),
-        misses=np.array([r[4] for r in rows], dtype=np.int64),
-        boxes=np.tile([50.0, 50.0, 20.0, 20.0], (len(rows), 1)),
-        galleries=[deque([patch() for _ in range(r[2])], maxlen=r[5]) for r in rows],
+def table(*rows, l_f=24):
+    """A track table of (id, confirmed, n_gallery, hits, misses) rows, every
+    box at (50, 50, 20, 20), galleries of capacity l_f."""
+    return track_table(
+        [[patch() for _ in range(r[2])] for r in rows],
+        l_f,
+        ids=[r[0] for r in rows],
+        confirmed=[r[1] for r in rows],
+        hits=[r[3] for r in rows],
+        misses=[r[4] for r in rows],
     )
 
 
 def obj(obj_id, confirmed=True, n_gallery=1, hits=1, misses=0, l_f=24):
-    return table((obj_id, confirmed, n_gallery, hits, misses, l_f))
+    return table((obj_id, confirmed, n_gallery, hits, misses), l_f=l_f)
 
 
 def dets(*rows):
@@ -62,27 +62,29 @@ def test_match_succeeds_bbox_and_gallery():
     d = det()
     out = hit(obj(1, n_gallery=2, hits=2), d)
     assert out.boxes[0].tolist() == d.boxes[0].tolist()
-    assert len(out.galleries[0]) == 3
-    assert out.galleries[0][-1].tobytes() == d.features[0].tobytes()
+    assert len(gallery(out, 0)) == 3
+    assert gallery(out, 0)[-1].tobytes() == d.features[0].tobytes()
     assert (out.hits[0], out.misses[0]) == (3, 0)
 
 
 def test_gallery_capacity_evicts_oldest():
     o = obj(1, n_gallery=24, l_f=24)
-    oldest = o.galleries[0][0]
+    before = gallery(o, 0)
     d = det()
     out = hit(o, d)
-    assert len(out.galleries[0]) == 24
-    assert all(g is not oldest for g in out.galleries[0])
-    assert out.galleries[0][-1].tobytes() == d.features[0].tobytes()
+    after = gallery(out, 0)
+    assert len(after) == 24
+    # the oldest entry fell out and the others kept their order
+    assert after[:-1].tobytes() == before[1:].tobytes()
+    assert after[-1].tobytes() == d.features[0].tobytes()
 
 
 def test_unmatched_object_counts_miss_keeps_gallery():
     o = obj(1, n_gallery=3, hits=5)
-    before = list(o.galleries[0])
+    before = gallery(o, 0)
     box_before = o.boxes.copy()
     out = miss(o)
-    assert list(out.galleries[0]) == before
+    assert gallery(out, 0).tobytes() == before.tobytes()
     assert out.boxes.tobytes() == box_before.tobytes()
     assert (out.hits[0], out.misses[0]) == (0, 1)
 
@@ -96,19 +98,29 @@ def test_exactly_one_counter_moves_each_update():
 
 def test_birth_tentative_and_instant_confirm():
     low_high = Detections(np.array([[10.0, 10, 5, 5], [20, 20, 5, 5]]), np.array([0.98, 0.995]), np.array([patch(), patch()]))
-    out = update(TrackTable.empty(), low_high, matches(), CFG, itertools.count(5))
+    out = update(TrackTable.empty(GalleryStore(CFG.l_f)), low_high, matches(), CFG, itertools.count(5))
     assert out.confirmed.tolist() == [False, True]
     assert out.ids.tolist() == [5, 6]
     assert out.boxes.tolist() == [[10, 10, 5, 5], [20, 20, 5, 5]]
-    assert [len(g) for g in out.galleries] == [1, 1]
+    assert [gallery(out, i).tobytes() for i in range(2)] == [f.tobytes() for f in low_high.features]
     assert out.hits.tolist() == [1, 1] and out.misses.tolist() == [0, 0]
 
 
 def test_newborn_rows_follow_survivors_in_detection_order():
     tracks = table((1, True, 1, 2, 0), (2, False, 1, 0, CFG.l_delete), (3, True, 1, 1, 0))
-    out = update(tracks, dets((10.0, 0.97), (20.0, 0.97), (30.0, 0.97)), matches((2, 1)), CFG, itertools.count(7))
+    before = [gallery(tracks, i) for i in range(3)]
+    d = dets((10.0, 0.97), (20.0, 0.97), (30.0, 0.97))
+    out = update(tracks, d, matches((2, 1)), CFG, itertools.count(7))
     assert out.ids.tolist() == [1, 3, 7, 8]  # row 2 deleted, newborns last
     assert out.boxes[:, 0].tolist() == [50.0, 20.0, 10.0, 30.0]
+    # a newborn takes the deleted row's slot; no other gallery changes
+    assert tracks.slots[1] in out.slots[2:]
+    assert [gallery(out, i).tobytes() for i in range(4)] == [
+        before[0].tobytes(),
+        np.concatenate([before[2], d.features[1:2]]).tobytes(),
+        d.features[0:1].tobytes(),
+        d.features[2:3].tobytes(),
+    ]
 
 
 def test_confirm_after_more_than_l_confirm_hits():
@@ -135,7 +147,7 @@ def test_demoted_object_keeps_id_gallery_and_miss_clock():
     # a confirmed object that keeps missing eventually demotes then deletes,
     # with the miss counter carrying across the demotion
     o = obj(1, n_gallery=4, hits=0, misses=0)
-    gallery_before = list(o.galleries[0])
+    gallery_before = gallery(o, 0)
     states = []
     for _ in range(CFG.l_delete + 2):
         last = o
@@ -147,7 +159,7 @@ def test_demoted_object_keeps_id_gallery_and_miss_clock():
     assert states[: CFG.l_demote] == ["confirmed"] * CFG.l_demote
     assert states[CFG.l_demote] == "tentative"
     assert states[-1] == "deleted"
-    assert last.ids.tolist() == [1] and list(last.galleries[0]) == gallery_before
+    assert last.ids.tolist() == [1] and gallery(last, 0).tobytes() == gallery_before.tobytes()
     assert last.misses[0] == CFG.l_delete
 
 
@@ -169,7 +181,7 @@ def test_matched_confirmed_object_stays_confirmed_forever():
 
 def test_new_ids_strictly_increase():
     ids = itertools.count(1)
-    first = update(TrackTable.empty(), det(), matches(), CFG, ids)
+    first = update(TrackTable.empty(GalleryStore(CFG.l_f)), det(), matches(), CFG, ids)
     second = update(first, dets((60.0, 0.97), (60.0, 0.97)), matches(), CFG, ids)
     seen = second.ids.tolist()
     assert seen == sorted(seen) and len(set(seen)) == len(seen) == 3
