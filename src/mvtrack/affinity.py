@@ -13,8 +13,11 @@ the (object, detection) cells a mask leaves live: it normalizes the live
 detections, gathers the (entry, detection) pair of every live cell straight
 from the store and scores the pairs in stacked products, each pair its own
 matrix product; it then picks each cell's best entry on the statistic (the
-head is monotone in it) and runs the head once per live cell. The per-pair
-oracles are in tests/oracles.py.
+head is monotone in it) and runs the head once per live cell. Given a gate,
+it scores a gallery entry only where the triangle inequality, from the
+statistic of the row's newest entry, cannot rule out a cost at or under the
+gate: cells that pass keep their bits, and the others stay over the gate.
+The per-pair oracles are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .model import FeaturePatch
 
@@ -90,6 +94,10 @@ class GalleryStore:
     def entries(self, slots) -> np.ndarray:
         """The entries the slots hold, slot after slot, each in ring order."""
         return self.ring[slots][np.arange(self.capacity) < self.lengths(slots)[:, None]]
+
+    def newest(self, slots) -> np.ndarray:
+        """The entry each slot wrote last."""
+        return self.ring[slots, (self.writes[slots] - 1) % self.capacity]
 
     def take(self, n: int) -> np.ndarray:
         """n free slots, each with an empty gallery."""
@@ -183,13 +191,26 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None) -> np.ndarray:
+def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None, gate=None) -> np.ndarray:
     """(n, d) matrix: 1 - the best affinity between the gallery of store
     slot slots[i] and detection patch j. Every slot holds at least one
-    entry, and `features` is the (d, m, m, c) array of detection patches.
-    Only the cells of the (n, d) boolean mask `live` (default: all) are
-    scored; the others are 0. The live rows' raw entries are normalized in
-    the store first."""
+    entry, and `features` is the (d, m, m, c) array of finite detection
+    patches. Only the cells of the (n, d) boolean mask `live` (default: all)
+    are scored; the others are 0. The live rows' raw entries are normalized
+    in the store first.
+
+    With a `gate`, a cell whose cost is at most the gate has the same bits
+    as without one, and any other cell only comes out above the gate. Each
+    live cell is scored against its row's newest entry `a` first, and
+    another entry `e` only if `s_a + r_e` (`s_a - r_e` when w < 0) could
+    still give a cost at or under the gate, where
+    `r_e = (mean_i |e_i - a_i| + max_i |e_i - a_i|) / 2` over the bins
+    ("nops": the mean alone). The bound is exact: a detection bin has norm
+    at most 1, so each map value moves by at most `|e_i - a_i|`, and a mean
+    or max of bins moves by at most the mean or max of its bins' moves. A
+    skipped entry costs more than the gate, so it is never the best entry
+    of a cell at or under the gate, and a cell over the gate stays over it,
+    because the head is monotone in the statistic."""
     cost = np.zeros((len(slots), len(features)))
     if not cost.size:
         return cost
@@ -200,23 +221,56 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     obj, det = np.nonzero(live)
     if not len(obj):
         return cost
-    live_dets = live.any(axis=0)
-    store.normalize(slots[live.any(axis=1)])
+    live_rows, live_dets = live.any(axis=1), live.any(axis=0)
+    store.normalize(slots[live_rows])
     patches = _bins(np.asarray(features)[live_dets])
-    # the (entry, detection) pairs of every live cell, cell after cell, as
-    # rows of the store and of `patches`
-    counts = lengths[obj]
-    first = np.cumsum(counts) - counts
-    pair_entry = store.entries(slots[obj])
-    pair_det = np.repeat((np.cumsum(live_dets) - 1)[det], counts)
+    cell_det = (np.cumsum(live_dets) - 1)[det]  # each live cell's row of `patches`
     # chunks of about CHUNK_BYTES of scratch, and never more pairs than the
     # call has entries, so the maps never outgrow those of one detection
     # against every entry
     _, bins, c = store.bins.shape
-    chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()), len(pair_entry))
-    stats = _statistics(store.bins, patches, params.mode, pair_entry, pair_det, chunk)
+    chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()))
     best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
-    cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in best.reduceat(stats, first).tolist()])
+    if gate is None:
+        # every (entry, detection) pair of every live cell, cell after cell
+        counts = lengths[obj]
+        pair_entry = store.entries(slots[obj])
+        stats = _statistics(store.bins, patches, params.mode, pair_entry, np.repeat(cell_det, counts), min(chunk, len(pair_entry)))
+        stat = best.reduceat(stats, np.cumsum(counts) - counts)
+    else:
+        newest = store.newest(slots[live_rows])
+        cell_row = (np.cumsum(live_rows) - 1)[obj]  # each live cell's row of `newest`
+        stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det, min(chunk, len(obj)))
+        # every live row's older entries, row after row, and each one's radius
+        # around its row's newest entry, in chunks of a quarter of CHUNK_BYTES
+        # of bins (larger ones raised the peak resident memory)
+        older = store.entries(slots[live_rows])
+        anchor = np.repeat(newest, lengths[live_rows])
+        is_older = older != anchor
+        older, anchor = older[is_older], anchor[is_older]
+        radius = np.empty(len(older))
+        step = CHUNK_BYTES // (32 * bins * c) or 1
+        for lo in range(0, len(older), step):
+            moved = store.bins[older[lo:lo + step]]
+            moved -= store.bins[anchor[lo:lo + step]]
+            norms = np.sqrt(np.einsum("kpc,kpc->kp", moved, moved))
+            radius[lo:lo + step] = norms.mean(axis=1) if params.mode == "nops" else (norms.mean(axis=1) + norms.max(axis=1)) / 2
+        # each live cell against its row's older entries, cell after cell; an
+        # entry is scored unless its bound costs more than the gate. The
+        # margins lie far above the rounding of the statistics and the radii
+        # (about 1e-15) and of `expit` against `_logistic`
+        row_older = lengths[live_rows] - 1
+        pair_cell, k = np.nonzero(np.arange(row_older.max()) < row_older[cell_row][:, None])
+        pair_older = (np.cumsum(row_older) - row_older)[cell_row[pair_cell]] + k
+        bound = stat[pair_cell] + np.copysign(radius[pair_older] + 1e-9, params.w)
+        scored = ~(1.0 - expit(params.w * bound + params.b) > gate + 1e-12)
+        pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
+        if len(pair_cell):
+            stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
+            starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
+            cells = pair_cell[starts]
+            stat[cells] = best(stat[cells], best.reduceat(stats, starts))
+    cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in stat.tolist()])
     return cost
 
 

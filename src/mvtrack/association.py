@@ -5,9 +5,11 @@ are forbidden (sentinel cost) and any residual sentinel match is discarded,
 so a returned match never exceeds its gate. Both procedures score the
 track table's box array and gallery slots against a `Detections` table's
 columns. One-step association gates first: it scores appearance only for
-the cells whose geometric term alone can still pass the gate. Matches are
-two index arrays (rows, cols), track-table rows in ascending order and the
-detection row each one takes.
+the cells whose geometric term alone can still pass the gate. Two-step's
+step 2 hands its gate to the appearance kernel, which skips the gallery
+entries that provably cannot pass it. Matches are two index arrays (rows,
+cols), track-table rows in ascending order and the detection row each one
+takes.
 """
 from __future__ import annotations
 
@@ -44,8 +46,9 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
 
     Step 1 assigns detections to confirmed rows by IoU cost (gate tau_iou).
     Step 2 assigns the detections left over to every row step 1 left
-    unmatched, tentative or confirmed, by appearance cost (gate tau_app).
-    Appearance never overrides a geometric match.
+    unmatched, tentative or confirmed, by appearance cost (gate tau_app),
+    and is skipped when step 1 leaves no row or no detection. Appearance
+    never overrides a geometric match.
     """
     confirmed = np.flatnonzero(tracks.confirmed)
     rows, cols = gated_assign(_iou_cost(tracks.boxes[confirmed], detections.boxes), cfg.tau_iou)
@@ -53,9 +56,11 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
     obj_left, det_left = np.ones(len(tracks), dtype=bool), np.ones(len(detections.conf), dtype=bool)
     obj_left[rows] = det_left[cols] = False
     obj_left, det_left = np.flatnonzero(obj_left), np.flatnonzero(det_left)
+    if not (len(obj_left) and len(det_left)):
+        return rows, cols
 
     r2, c2 = gated_assign(
-        appearance_cost(params, tracks.gallery, tracks.slots[obj_left], detections.features[det_left]),
+        appearance_cost(params, tracks.gallery, tracks.slots[obj_left], detections.features[det_left], gate=cfg.tau_app),
         cfg.tau_app,
     )
     rows, cols = np.concatenate([rows, obj_left[r2]]), np.concatenate([cols, det_left[c2]])

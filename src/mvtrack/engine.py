@@ -135,8 +135,9 @@ def make_propagator(cfg: TrackerConfig, models: TrackerModels):
 
 def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
     """Frame t's table, once its columns hold one confidence, one box and one
-    patch of the stream's (m, m, c) `shape` per row, its confidences lie in
-    [0, 1] and its boxes are finite with positive sizes."""
+    patch of the stream's (m, m, c) `shape` per row, its patches are finite,
+    its confidences lie in [0, 1] and its boxes are finite with positive
+    sizes."""
     conf, boxes = detections.conf, detections.boxes
     n = len(conf)
     if np.ndim(conf) != 1:
@@ -145,6 +146,8 @@ def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
         raise ValueError(f"frame {t}: detection boxes must have shape {(n, 4)}, got {np.shape(boxes)}")
     if np.shape(detections.features) != (n, *shape):
         raise ValueError(f"frame {t}: detection features must have shape {(n, *shape)}, got {np.shape(detections.features)}")
+    if not np.isfinite(detections.features).all():
+        raise ValueError(f"frame {t}: detection features must be finite")
     bad = np.flatnonzero(~((conf >= 0) & (conf <= 1)))
     if len(bad):
         raise ValueError(f"frame {t}: detection confidence must lie in [0, 1], got {conf[bad[0]]}")
@@ -181,9 +184,10 @@ def track(
 
     `detector` is any callable mapping a 1-based frame number to a
     `Detections` table; columns whose shapes disagree (one confidence, one
-    box and one patch of the stream header's shape per row), a confidence
-    outside [0, 1], a non-finite box coordinate or a box without positive
-    width and height raise ValueError naming the frame.
+    box and one patch of the stream header's shape per row), a non-finite
+    patch value, a confidence outside [0, 1], a non-finite box coordinate or
+    a box without positive width and height raise ValueError naming the
+    frame.
     `propagate` is the non-key-frame step, called once per non-key frame
     with tracked rows (see `make_propagator`, its default).
     Returns (rows, timings) where rows are (frame, id, BBox) for confirmed

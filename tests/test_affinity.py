@@ -14,6 +14,7 @@ from mvtrack.affinity import (
     normalize_channels,
 )
 from mvtrack.affinity import appearance_cost as appearance_cost_matrix
+from mvtrack.association import gated_assign
 from mvtrack.model import BBox
 from oracles import _statistic, affinity, appearance_cost, iou_cost, ps_maps
 from tables import gallery_store
@@ -249,6 +250,67 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
     assert cost.shape == (n, d)
     # each pair is its own BLAS product, so a cell has the oracle's bits whatever else is scored
     assert cost.tobytes() == np.where(live, expected, 0.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    d=st.integers(1, 6),
+    l_f=st.sampled_from([1, 2, 3, 4, 24]),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 8)),
+    mode=st.sampled_from(MODES),
+    w=st.one_of(st.just(0.0), st.floats(-30.0, -0.01), st.floats(0.01, 30.0)),
+    b=st.floats(-20.0, 20.0),
+    spread=st.sampled_from([0.02, 0.3, 1.0]),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    gate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.just("on a cell")),
+)
+def test_gated_appearance_cost_keeps_the_cells_that_pass(seed, n, d, l_f, shape, mode, w, b, spread, zero_share, gate):
+    # galleries of noisy copies of one identity each, up to twice as long as
+    # the ring holds; detections copy a row's identity or a new one. A cell
+    # at or under the gate has the ungated bits, any other stays above it;
+    # a gate on a cell's cost keeps that cell exactly
+    rng = np.random.default_rng(seed)
+    m, c = shape
+    identities = rng.standard_normal((n + d, m, m, c))
+
+    def patch(identity):
+        return np.zeros((m, m, c)) if rng.random() < zero_share else identities[identity] + spread * rng.standard_normal((m, m, c))
+
+    galleries = [[patch(i) for _ in range(rng.integers(1, 2 * l_f + 3))] for i in range(n)]
+    features = np.array([patch(rng.integers(n + d)) for _ in range(d)])
+    params = AffinityHeadParams(w, b, mode)
+    store, slots = gallery_store(galleries, l_f)
+    ungated = appearance_cost_matrix(params, store, slots, features)
+    if gate == "on a cell":
+        gate = float(rng.choice(ungated.ravel()))
+    gated = appearance_cost_matrix(params, store, slots, features, gate=gate)
+    same = gated.view(np.int64) == ungated.view(np.int64)
+    assert np.all(same | ((gated > gate) & (ungated > gate)))
+    assert [a.tolist() for a in gated_assign(gated, gate)] == [a.tolist() for a in gated_assign(ungated, gate)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("w", [8.0, -8.0])
+def test_gate_keeps_an_entry_whose_bound_is_tight(mode, w):
+    # four bins; "high" differs from "low" in bin 0 alone, by sqrt(2), and
+    # every detection bin points along that move, so the statistics of the
+    # two entries differ by exactly the radius: the mean of the bin moves
+    # ("nops"), or the mean and max of them halved ("withps"). The older
+    # entry is the better one, and with the gate on the cell's cost it must
+    # be scored
+    low = np.tile([0.0, 1.0], (2, 2, 1))
+    high = low.copy()
+    high[0, 0] = (1.0, 0.0)
+    older, newest = (high, low) if w > 0 else (low, high)
+    detection = np.tile(np.array([1.0, -1.0]) / np.sqrt(2), (1, 2, 2, 1))
+    params = AffinityHeadParams(w, 0.0, mode)
+    store, slots = gallery_store([[older, newest]])
+    ungated = appearance_cost_matrix(params, store, slots, detection)
+    assert ungated.tobytes() == appearance_cost_matrix(params, *gallery_store([[older]]), detection).tobytes()
+    gated = appearance_cost_matrix(params, store, slots, detection, gate=float(ungated[0, 0]))
+    assert gated.tobytes() == ungated.tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -259,6 +259,21 @@ def test_two_step_step1_unaffected_by_tentative(head):
     assert (0, 0) in pairs(res_with) and pairs(res_without) == [(0, 0)]
 
 
+def test_two_step_skips_step_two_when_step_one_leaves_nothing(head, monkeypatch):
+    # step 2 scores nothing and assigns nothing when step 1 leaves no
+    # detection (taken, or none given) or no row
+    scored = []
+    monkeypatch.setattr(association, "appearance_cost", lambda *args, **kwargs: scored.append(args) or appearance_matrix(*args, **kwargs))
+    base = RNG.standard_normal((7, 7, 16))
+    conf = make_object(1, BBox(50, 50, 20, 20), True, [base])
+    tent = make_object(2, BBox(200, 50, 20, 20), False, [base])
+    det = (BBox(51, 50, 20, 20), make_patch(base))
+    assert pairs(associate_two_step(make_tracks([conf, tent]), make_detections(det), head, CFG)) == [(0, 0)]
+    assert pairs(associate_two_step(make_tracks([conf, tent]), make_detections(), head, CFG)) == []
+    assert pairs(associate_two_step(TrackTable.empty(GalleryStore(CFG.l_f)), make_detections(det), head, CFG)) == []
+    assert not scored
+
+
 def test_one_step_alpha_one_is_gated_iou(head):
     objects = [
         make_object(1, BBox(50, 50, 20, 20), True, [RNG.standard_normal((7, 7, 16))]),

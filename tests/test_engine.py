@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mvtrack.affinity
+import mvtrack.association
 import mvtrack.engine
 from mvtrack.engine import (
     FileDetector,
@@ -142,6 +143,9 @@ BAD_DETECTIONS = [  # conf, x and w of the bad row, a change to the whole table,
     # one patch fewer than confidences, checked before the bad confidence
     (1.5, 200.0, 20.0, lambda d: d._replace(features=d.features[:1]), "frame 4: detection features must have shape (2, 7, 7, 16), got (1, 7, 7, 16)"),
     (0.97, 200.0, 20.0, lambda d: d._replace(features=d.features[..., :8]), "frame 4: detection features must have shape (2, 7, 7, 16), got (2, 7, 7, 8)"),
+    # a non-finite patch value, checked before the bad confidence, in a row the confidence filter would drop
+    (1.5, 200.0, 20.0, lambda d: d._replace(features=d.features + np.array([0.0, np.inf])[:, None, None, None]), "frame 4: detection features must be finite"),
+    (0.97, 200.0, 20.0, lambda d: d._replace(features=np.where(np.arange(16) == 3, np.nan, d.features)), "frame 4: detection features must be finite"),
 ]
 
 
@@ -433,6 +437,39 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
     rows, _ = track(sc, OracleDetector(sc, DetectorConfig(feature_noise=0.1, rng_seed=3)), cfg, TrackerModels(affinity=head7))
     assert rows
     assert 0 < counts["scored"] == counts["live"] < counts["all"] / 2
+
+
+def test_two_step_gate_skips_entries_that_cannot_pass(head7, monkeypatch):
+    # a noisy stream leaves rows with several gallery entries to step 2; the
+    # gate skips the entries that cannot pass it, so fewer (entry, detection)
+    # pairs are scored than its cells hold, and the rows are those of
+    # scoring every pair
+    sc = scenario_translation(frames=36)
+    det_cfg = DetectorConfig(noise_center=0.03, miss_rate=0.2, fp_rate=1.0, feature_noise=0.1, rng_seed=3)
+    cfg = TrackerConfig(K=1, propagator="bboxavg", association_mode="twostep")
+    statistics, appearance_cost = mvtrack.affinity._statistics, mvtrack.association.appearance_cost
+    runs = {}
+    for gated in (True, False):
+        counts = Counter()
+
+        def counting_statistics(entries, dets, mode, pair_entry, *args):
+            counts["scored"] += len(pair_entry)
+            return statistics(entries, dets, mode, pair_entry, *args)
+
+        def counting_cost(params, store, slots, features, live=None, gate=None):
+            lengths = store.lengths(slots)
+            counts["pairs"] += int(lengths.sum()) * len(features)
+            counts["multi-entry cells"] += int(np.count_nonzero(lengths > 1)) * len(features)
+            return appearance_cost(params, store, slots, features, live, gate if gated else None)
+
+        monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
+        monkeypatch.setattr(mvtrack.association, "appearance_cost", counting_cost)
+        rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(affinity=head7))
+        runs[gated] = rows, counts
+    (rows, gated), (every_rows, every) = runs[True], runs[False]
+    assert rows and rows == every_rows
+    assert gated["multi-entry cells"] > 0
+    assert gated["scored"] < gated["pairs"] == every["scored"] == every["pairs"]
 
 
 def patch_counts(arrays) -> Counter:

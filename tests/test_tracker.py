@@ -5,9 +5,10 @@
 key-frame period; and its output must keep the tracker's invariants.
 """
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import mvtrack.association
 import mvtrack.engine
 import oracles
 from mvtrack.engine import OracleDetector, TrackerModels, track
@@ -115,6 +116,30 @@ def test_engine_matches_object_loop_oracle(models, propagator, assoc, K, case):
     rows, _ = track(scenario, OracleDetector(scenario, det), cfg, models)
     want = oracles.track(scenario, OracleDetector(scenario, det), cfg, models)
     assert bits(rows) == bits(want)
+
+
+def test_object_loop_differential_meets_multi_entry_rows_in_step_two(models):
+    # the differential above tests the gate of two-step's step 2 only where
+    # its draws leave rows with more than one gallery entry to that step;
+    # as many draws as it takes per setting must include one
+    appearance_cost = mvtrack.association.appearance_cost
+
+    def meets(case):
+        scenario, det, lifecycle = case
+        met = []
+
+        def cost(params, store, slots, features, *args, **kwargs):
+            met.append(len(features) and (store.lengths(slots) > 1).any())
+            return appearance_cost(params, store, slots, features, *args, **kwargs)
+
+        cfg = TrackerConfig(K=3, propagator="bboxavg", **ASSOCIATION["twostep"], **lifecycle)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvtrack.association, "appearance_cost", cost)
+            track(scenario, OracleDetector(scenario, det), cfg, models)
+        return any(met)
+
+    # find the flag, not the case, whose repr is large
+    find(cases().map(meets), bool, settings=settings(max_examples=15, derandomize=True, database=None, phases=[Phase.generate]))
 
 
 def _prefix(scenario: Scenario, n: int) -> Scenario:
