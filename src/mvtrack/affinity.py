@@ -17,7 +17,8 @@ head is monotone in it) and runs the head once per live cell. Given a gate,
 it scores a gallery entry only where the triangle inequality, from the
 statistic of the row's newest entry, cannot rule out a cost at or under the
 gate: cells that pass keep their bits, and the others stay over the gate.
-The per-pair oracles are in tests/oracles.py.
+Asked for newest entries only, it scores each live cell on that entry, a
+cost never below the full one. The per-pair oracles are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -101,10 +102,12 @@ class GalleryStore:
 
     def take(self, n: int) -> np.ndarray:
         """n free slots, each with an empty gallery."""
-        if n > len(self.taken) - np.count_nonzero(self.taken):
+        free = np.flatnonzero(~self.taken)
+        if n > len(free):
             grow = max(len(self.taken), n)
             self.ring, self.writes, self.taken = (_padded(a, grow) for a in (self.ring, self.writes, self.taken))
-        slots = np.flatnonzero(~self.taken)[:n]
+            free = np.flatnonzero(~self.taken)
+        slots = free[:n]
         self.taken[slots] = True
         self.writes[slots] = 0
         return slots
@@ -133,7 +136,8 @@ class GalleryStore:
         self.writes[slots] = writes + 1
 
     def _allocate(self, n: int) -> np.ndarray:
-        if n > len(self.used) - np.count_nonzero(self.used):
+        free = np.flatnonzero(~self.used)
+        if n > len(free):
             # room for a full gallery in every taken slot and half as many
             # again, so that later births seldom force another copy
             size = max(2 * len(self.used), len(self.used) + n, self.capacity * np.count_nonzero(self.taken) * 3 // 2)
@@ -141,7 +145,8 @@ class GalleryStore:
             bins[:len(self.bins)] = self.bins
             self.bins = bins
             self.normalized, self.used = (_padded(a, size - len(a)) for a in (self.normalized, self.used))
-        entries = np.flatnonzero(~self.used)[:n]
+            free = np.flatnonzero(~self.used)
+        entries = free[:n]
         self.used[entries] = True
         return entries
 
@@ -191,7 +196,7 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None, gate=None) -> np.ndarray:
+def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None, gate=None, newest_only=False) -> np.ndarray:
     """(n, d) matrix: 1 - the best affinity between the gallery of store
     slot slots[i] and detection patch j. Every slot holds at least one
     entry, and `features` is the (d, m, m, c) array of finite detection
@@ -210,7 +215,11 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     or max of bins moves by at most the mean or max of its bins' moves. A
     skipped entry costs more than the gate, so it is never the best entry
     of a cell at or under the gate, and a cell over the gate stays over it,
-    because the head is monotone in the statistic."""
+    because the head is monotone in the statistic.
+
+    With `newest_only`, each live cell is scored on its row's newest entry
+    alone (`gate` is ignored), never below its full cost, which takes the
+    best entry's statistic through the same monotone head."""
     cost = np.zeros((len(slots), len(features)))
     if not cost.size:
         return cost
@@ -231,7 +240,7 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     _, bins, c = store.bins.shape
     chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()))
     best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
-    if gate is None:
+    if gate is None and not newest_only:
         # every (entry, detection) pair of every live cell, cell after cell
         counts = lengths[obj]
         pair_entry = store.entries(slots[obj])
@@ -241,35 +250,36 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
         newest = store.newest(slots[live_rows])
         cell_row = (np.cumsum(live_rows) - 1)[obj]  # each live cell's row of `newest`
         stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det, min(chunk, len(obj)))
-        # every live row's older entries, row after row, and each one's radius
-        # around its row's newest entry, in chunks of a quarter of CHUNK_BYTES
-        # of bins (larger ones raised the peak resident memory)
-        older = store.entries(slots[live_rows])
-        anchor = np.repeat(newest, lengths[live_rows])
-        is_older = older != anchor
-        older, anchor = older[is_older], anchor[is_older]
-        radius = np.empty(len(older))
-        step = CHUNK_BYTES // (32 * bins * c) or 1
-        for lo in range(0, len(older), step):
-            moved = store.bins[older[lo:lo + step]]
-            moved -= store.bins[anchor[lo:lo + step]]
-            norms = np.sqrt(np.einsum("kpc,kpc->kp", moved, moved))
-            radius[lo:lo + step] = norms.mean(axis=1) if params.mode == "nops" else (norms.mean(axis=1) + norms.max(axis=1)) / 2
-        # each live cell against its row's older entries, cell after cell; an
-        # entry is scored unless its bound costs more than the gate. The
-        # margins lie far above the rounding of the statistics and the radii
-        # (about 1e-15) and of `expit` against `_logistic`
-        row_older = lengths[live_rows] - 1
-        pair_cell, k = np.nonzero(np.arange(row_older.max()) < row_older[cell_row][:, None])
-        pair_older = (np.cumsum(row_older) - row_older)[cell_row[pair_cell]] + k
-        bound = stat[pair_cell] + np.copysign(radius[pair_older] + 1e-9, params.w)
-        scored = ~(1.0 - expit(params.w * bound + params.b) > gate + 1e-12)
-        pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
-        if len(pair_cell):
-            stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
-            starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
-            cells = pair_cell[starts]
-            stat[cells] = best(stat[cells], best.reduceat(stats, starts))
+        if not newest_only:
+            # every live row's older entries, row after row, and each one's
+            # radius around its row's newest entry, in chunks of a quarter of
+            # CHUNK_BYTES of bins (larger ones raised the peak resident memory)
+            older = store.entries(slots[live_rows])
+            anchor = np.repeat(newest, lengths[live_rows])
+            is_older = older != anchor
+            older, anchor = older[is_older], anchor[is_older]
+            radius = np.empty(len(older))
+            step = CHUNK_BYTES // (32 * bins * c) or 1
+            for lo in range(0, len(older), step):
+                moved = store.bins[older[lo:lo + step]]
+                moved -= store.bins[anchor[lo:lo + step]]
+                norms = np.sqrt(np.einsum("kpc,kpc->kp", moved, moved))
+                radius[lo:lo + step] = norms.mean(axis=1) if params.mode == "nops" else (norms.mean(axis=1) + norms.max(axis=1)) / 2
+            # each live cell against its row's older entries, cell after cell;
+            # an entry is scored unless its bound costs more than the gate. The
+            # margins lie far above the rounding of the statistics and the
+            # radii (about 1e-15) and of `expit` against `_logistic`
+            row_older = lengths[live_rows] - 1
+            pair_cell, k = np.nonzero(np.arange(row_older.max()) < row_older[cell_row][:, None])
+            pair_older = (np.cumsum(row_older) - row_older)[cell_row[pair_cell]] + k
+            bound = stat[pair_cell] + np.copysign(radius[pair_older] + 1e-9, params.w)
+            scored = ~(1.0 - expit(params.w * bound + params.b) > gate + 1e-12)
+            pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
+            if len(pair_cell):
+                stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
+                starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
+                cells = pair_cell[starts]
+                stat[cells] = best(stat[cells], best.reduceat(stats, starts))
     cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in stat.tolist()])
     return cost
 

@@ -4,12 +4,14 @@ Matching runs on cost matrices gated by a threshold: pairs above the gate
 are forbidden (sentinel cost) and any residual sentinel match is discarded,
 so a returned match never exceeds its gate. Both procedures score the
 track table's box array and gallery slots against a `Detections` table's
-columns. One-step association gates first: it scores appearance only for
-the cells whose geometric term alone can still pass the gate. Two-step's
-step 2 hands its gate to the appearance kernel, which skips the gallery
-entries that provably cannot pass it. Matches are two index arrays (rows,
-cols), track-table rows in ascending order and the detection row each one
-takes.
+columns. One-step association gates first, on geometry, then matches a
+live cell alone in its row and column outright if its newest gallery entry
+passes the gate (its exact cost is never higher, and nothing competes for
+its row or column); Hungarian gets only the other cells' rows and columns.
+Two-step's step 2 hands its gate to the appearance kernel, which skips the
+gallery entries that provably cannot pass it. Matches are two index arrays
+(rows, cols), track-table rows in ascending order and the detection row
+each one takes.
 """
 from __future__ import annotations
 
@@ -74,18 +76,36 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     appearance-only.
 
     Appearance costs are never negative, so a cell whose geometric term
-    alone exceeds the gate is forbidden whatever its appearance: only the
-    other cells are scored, and the forbidden ones keep the geometric term,
-    which `gated_assign` forbids the same way.
+    alone exceeds the gate is forbidden whatever its appearance; the others
+    are live. A live cell alone in its row and column (isolated) is scored
+    on its row's newest gallery entry: its exact cost is never higher, so if
+    that passes, so does the exact cost, and with every other cell of its
+    row and column forbidden the cell is in every optimum, so it is matched
+    outright. The other live cells, and the isolated ones that fail, are
+    scored exactly, and one `gated_assign` runs on their rows and columns.
+    The optimum splits over connected components of live cells, so this
+    gives the matches of scoring every cell, up to ties between optima.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     cost = alpha * _iou_cost(tracks.boxes, detections.boxes)
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
-    if alpha < 1.0:
-        live = ~(cost > threshold)
-        cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, live)
-    return gated_assign(cost, threshold)
+    if alpha == 1.0:
+        return gated_assign(cost, threshold)
+    live = ~(cost > threshold)
+    isolated = live & (np.count_nonzero(live, axis=1) == 1)[:, None] & (np.count_nonzero(live, axis=0) == 1)
+    newest = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, isolated, newest_only=True)
+    direct = isolated & ~(newest > threshold)
+    rest = live & ~direct
+    rows, cols = np.nonzero(direct)
+    rest_rows, rest_cols = np.flatnonzero(rest.any(axis=1)), np.flatnonzero(rest.any(axis=0))
+    if not len(rest_rows):
+        return rows, cols
+    cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, rest)
+    r, c = gated_assign(cost[np.ix_(rest_rows, rest_cols)], threshold)
+    rows, cols = np.concatenate([rows, rest_rows[r]]), np.concatenate([cols, rest_cols[c]])
+    order = np.argsort(rows)
+    return rows[order], cols[order]
 
 
 def associate(tracks: TrackTable, detections: Detections, params: AffinityHeadParams, cfg: TrackerConfig) -> tuple:

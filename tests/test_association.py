@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mvtrack.association import (
 )
 from mvtrack.model import BBox, Detections, TrackTable, TrackerConfig, box_array
 from oracles import appearance_cost, iou_cost
-from tables import track_table
+from tables import gallery, track_table
 
 
 def pairs(matches):
@@ -341,16 +342,18 @@ def test_permutation_changes_only_ties(head):
 def one_step_cases(draw):
     """Random track tables and detections close enough to overlap, small
     patches, a head of either sign, and gates that sometimes sit exactly on
-    a cell's geometric term."""
+    a cell's geometric term. In the tied branch (the last item) some rows
+    copy another row's box and gallery, so equal-cost optima abound."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     boxes = np.column_stack([rng.uniform(0, 60, (n + d, 2)), rng.uniform(4, 40, (n + d, 2))])
-    tracks = track_table(
-        [rng.standard_normal((rng.integers(1, 5), m, m, c)) for _ in range(n)],
-        confirmed=rng.random(n) < 0.5,
-        boxes=boxes[:n],
-    )
+    galleries = [rng.standard_normal((rng.integers(1, 5), m, m, c)) for _ in range(n)]
+    tied = draw(st.booleans())
+    if tied:
+        source = np.where(rng.random(n) < 0.5, rng.integers(0, max(n, 1), n), np.arange(n))
+        boxes[:n], galleries = boxes[source], [galleries[i] for i in source.tolist()]
+    tracks = track_table(galleries, confirmed=rng.random(n) < 0.5, boxes=boxes[:n])
     detections = Detections(boxes[n:], np.full(d, 0.96), rng.standard_normal((d, m, m, c)))
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
     params = AffinityHeadParams(
@@ -364,13 +367,26 @@ def one_step_cases(draw):
         cfg = TrackerConfig(tau_iou=float(geometric[rng.integers(n), rng.integers(d)]), tau_app=0.0)
     else:
         cfg = TrackerConfig(tau_iou=draw(st.floats(0.0, 1.0)), tau_app=draw(st.floats(0.0, 1.0)))
-    return tracks, detections, params, alpha, cfg
+    return tracks, detections, params, alpha, cfg, tied
 
 
 @settings(max_examples=200, deadline=None)
 @given(one_step_cases())
 def test_gated_one_step_matches_dense_scoring(case):
-    tracks, detections, params, alpha, cfg = case
+    # isolated cells (alone in their row and column of the live mask) that
+    # pass on their newest entry are matched without Hungarian, which gets
+    # the densely scored, gated matrix restricted to the other live cells'
+    # rows and columns, bit for bit, or is not called when none are left
+    tracks, detections, params, alpha, cfg, tied = case
+    threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
+    geometric = alpha * _iou_cost(tracks.boxes, detections.boxes)
+    live = ~(geometric > threshold)
+    rest = live.copy()
+    if alpha < 1.0:
+        isolated = live & (live.sum(axis=1) == 1)[:, None] & (live.sum(axis=0) == 1)
+        for i, j in zip(*np.nonzero(isolated)):
+            newest = appearance_cost(params, [gallery(tracks, i)[-1]], detections.features[j])
+            rest[i, j] = geometric[i, j] + (1.0 - alpha) * newest > threshold
     handed = []
 
     def recording(cost):
@@ -380,10 +396,18 @@ def test_gated_one_step_matches_dense_scoring(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(association, "hungarian", recording)
         rows, cols = associate_one_step(tracks, detections, params, alpha, cfg)
-        dense = alpha * _iou_cost(tracks.boxes, detections.boxes)
-        if alpha < 1.0:
-            dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.gallery, tracks.slots, detections.features)
-        want_rows, want_cols = gated_assign(dense, alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app)
-    gated, dense = handed
-    assert gated.tobytes() == dense.tobytes()
-    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+    dense = geometric
+    if alpha < 1.0:
+        dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.gallery, tracks.slots, detections.features)
+    want_rows, want_cols = gated_assign(dense, threshold)
+    gated = np.where(dense > threshold, association.FORBIDDEN, dense)
+    if alpha < 1.0:
+        gated = gated[np.ix_(rest.any(axis=1), rest.any(axis=0))] if rest.any() else None
+    assert [h.tobytes() for h in handed] == ([] if gated is None else [gated.tobytes()])
+    assert rows.tolist() == sorted(rows.tolist())
+    if tied:
+        # equal-cost optima may split differently once the matrix is cut
+        assert len(rows) == len(want_rows)
+        assert math.fsum(dense[rows, cols]) == pytest.approx(math.fsum(dense[want_rows, want_cols]), rel=1e-12, abs=1e-12)
+    else:
+        assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()

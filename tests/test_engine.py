@@ -40,6 +40,8 @@ from mvtrack.stream import (
     generate_scenario,
     write_motchallenge,
 )
+import oracles
+from tables import gallery
 
 HEADER = StreamHeader(width=480, height=360, block=16, gop=12)
 
@@ -400,8 +402,10 @@ def test_box_step_is_total_on_finite_velocities(rows):
 
 def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, monkeypatch):
     # two pairs of objects cross in adjacent lanes; most (object, detection)
-    # cells lie too far apart for IoU alone to pass the blended gate, and the
-    # appearance kernel must score exactly the gallery entries of the others
+    # cells lie too far apart for IoU alone to pass the blended gate. Of the
+    # others, a cell alone in its row and column is scored on its newest
+    # gallery entry, and on its whole gallery only if that fails the gate;
+    # every other live cell is scored on its whole gallery
     frames = 36
     script = MotionScript(
         frames=frames,
@@ -415,7 +419,7 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
     sc = generate_scenario(script, HEADER, seed=4)
     cfg = TrackerConfig(K=3, propagator="pixelshift", association_mode="onestep", alpha=0.5)
     threshold = cfg.alpha * cfg.tau_iou + (1.0 - cfg.alpha) * cfg.tau_app
-    counts = {"scored": 0, "live": 0, "all": 0}
+    counts = Counter()
 
     statistics = mvtrack.affinity._statistics
 
@@ -427,16 +431,29 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
 
     def counting_associate(tracks, detections, params, cfg):
         geometric = cfg.alpha * (1.0 - iou_matrix(box_corners(tracks.boxes), box_corners(detections.boxes)))
+        live = ~(geometric > threshold)
+        isolated = live & (live.sum(axis=1) == 1)[:, None] & (live.sum(axis=0) == 1)
         lengths = tracks.gallery.lengths(tracks.slots)
-        counts["live"] += int(lengths @ (~(geometric > threshold)).sum(axis=1))
-        counts["all"] += int(lengths.sum()) * len(detections.conf)
+        counts["expected"] += int(lengths @ (live & ~isolated).sum(axis=1)) + np.count_nonzero(isolated)
+        for i, j in zip(*np.nonzero(isolated)):
+            newest = oracles.appearance_cost(params, [gallery(tracks, i)[-1]], detections.features[j])
+            if geometric[i, j] + (1.0 - cfg.alpha) * newest > threshold:
+                counts["expected"] += int(lengths[i])
+                counts["fallbacks"] += 1
+        counts["live"] += int(lengths @ live.sum(axis=1))
         return associate(tracks, detections, params, cfg)
 
     monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
     monkeypatch.setattr(mvtrack.engine, "associate", counting_associate)
-    rows, _ = track(sc, OracleDetector(sc, DetectorConfig(feature_noise=0.1, rng_seed=3)), cfg, TrackerModels(affinity=head7))
-    assert rows
-    assert 0 < counts["scored"] == counts["live"] < counts["all"] / 2
+    # clean detections leave every live cell isolated; noisy ones, with
+    # misses and false positives, leave cells that share a row or a column
+    # and isolated cells that fail on their newest entry
+    for det_cfg in (DetectorConfig(feature_noise=0.1, rng_seed=3), DetectorConfig(feature_noise=0.5, miss_rate=0.2, fp_rate=1.0, rng_seed=3)):
+        counts.clear()
+        rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(affinity=head7))
+        assert rows
+        assert 0 < counts["scored"] == counts["expected"] < counts["live"]
+    assert counts["fallbacks"] > 0
 
 
 def test_two_step_gate_skips_entries_that_cannot_pass(head7, monkeypatch):

@@ -1,13 +1,15 @@
 """The benchmark's seed-1 inputs, tracked at its K and at K=1, must give the
 output files it recorded, so that a change to tracker output shows up here
-rather than as a failed benchmark gate. Reads perfbench/ and changes nothing
-in it."""
+rather than as a failed benchmark gate, and must cost the appearance work
+pinned here, a count that does not drift with the machine's speed. Reads
+perfbench/ and changes nothing in it."""
 import hashlib
 import sys
 from pathlib import Path
 
 import pytest
 
+import mvtrack.affinity
 from mvtrack.engine import OracleDetector, track
 from mvtrack.modelio import read_models
 from mvtrack.stream import read_scenario, write_motchallenge
@@ -57,3 +59,27 @@ def test_benchmark_seed_1_outputs_match_recorded_digests(tmp_path, perfbench, na
         out = tmp_path / f"k{k}.txt"
         write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[name][k], f"K={k}"
+
+
+def test_crowd_onestep_seed_1_scores_few_appearance_pairs(tmp_path, perfbench, monkeypatch):
+    # the (gallery entry, detection) pairs the appearance kernel scores in
+    # one track; scoring every gallery entry of every cell the geometric
+    # gate leaves open took 2,232 pairs at K=3 and 11,568 at K=1. At K=3,
+    # 182 isolated cells take one pair each and 4 others their 48 entries
+    prepare, workloads = perfbench
+    wl = workloads.WORKLOADS["crowd-onestep"]
+    prepare.prepare(wl, 1, tmp_path)
+    scenario, models = read_scenario(tmp_path / "scenario.scn"), read_models(tmp_path / "models.txt")
+    statistics, scored = mvtrack.affinity._statistics, []
+
+    def counting_statistics(entries, dets, mode, pair_entry, *args):
+        scored[-1] += len(pair_entry)
+        return statistics(entries, dets, mode, pair_entry, *args)
+
+    monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
+    for k in (workloads.K, 1):
+        scored.append(0)
+        track(scenario, OracleDetector(scenario, wl.detector_config(1)), wl.tracker_config(k), models)
+    assert workloads.K == 3
+    assert scored == [230, 896]
+    assert scored[0] < 2232 / 9 and scored[1] < 11568 / 10
