@@ -18,7 +18,7 @@ it scores a gallery entry only where the triangle inequality, from the
 statistic of the row's newest entry, cannot rule out a cost at or under the
 gate: cells that pass keep their bits, and the others stay over the gate.
 Asked for newest entries only, it scores each live cell on that entry, a
-cost never below the full one. The per-pair oracles are in tests/oracles.py.
+cost never below the full one but for rounding. The per-pair oracles are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -102,12 +102,10 @@ class GalleryStore:
 
     def take(self, n: int) -> np.ndarray:
         """n free slots, each with an empty gallery."""
-        free = np.flatnonzero(~self.taken)
-        if n > len(free):
+        if n > len(self.taken) - np.count_nonzero(self.taken):
             grow = max(len(self.taken), n)
             self.ring, self.writes, self.taken = (_padded(a, grow) for a in (self.ring, self.writes, self.taken))
-            free = np.flatnonzero(~self.taken)
-        slots = free[:n]
+        slots = np.flatnonzero(~self.taken)[:n]
         self.taken[slots] = True
         self.writes[slots] = 0
         return slots
@@ -136,8 +134,7 @@ class GalleryStore:
         self.writes[slots] = writes + 1
 
     def _allocate(self, n: int) -> np.ndarray:
-        free = np.flatnonzero(~self.used)
-        if n > len(free):
+        if n > len(self.used) - np.count_nonzero(self.used):
             # room for a full gallery in every taken slot and half as many
             # again, so that later births seldom force another copy
             size = max(2 * len(self.used), len(self.used) + n, self.capacity * np.count_nonzero(self.taken) * 3 // 2)
@@ -145,8 +142,7 @@ class GalleryStore:
             bins[:len(self.bins)] = self.bins
             self.bins = bins
             self.normalized, self.used = (_padded(a, size - len(a)) for a in (self.normalized, self.used))
-            free = np.flatnonzero(~self.used)
-        entries = free[:n]
+        entries = np.flatnonzero(~self.used)[:n]
         self.used[entries] = True
         return entries
 
@@ -218,8 +214,9 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     because the head is monotone in the statistic.
 
     With `newest_only`, each live cell is scored on its row's newest entry
-    alone (`gate` is ignored), never below its full cost, which takes the
-    best entry's statistic through the same monotone head."""
+    alone (`gate` is ignored). That is never below its full cost, which
+    takes the best entry's statistic through the same monotone head, but
+    for rounding: `_logistic` can step back by an ulp of 1."""
     cost = np.zeros((len(slots), len(features)))
     if not cost.size:
         return cost

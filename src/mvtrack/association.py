@@ -6,8 +6,9 @@ so a returned match never exceeds its gate. Both procedures score the
 track table's box array and gallery slots against a `Detections` table's
 columns. One-step association gates first, on geometry, then matches a
 live cell alone in its row and column outright if its newest gallery entry
-passes the gate (its exact cost is never higher, and nothing competes for
-its row or column); Hungarian gets only the other cells' rows and columns.
+passes the gate with a margin (its exact cost is never higher but for
+rounding, and nothing competes for its row or column); Hungarian gets only
+the other cells' rows and columns.
 Two-step's step 2 hands its gate to the appearance kernel, which skips the
 gallery entries that provably cannot pass it. Matches are two index arrays
 (rows, cols), track-table rows in ascending order and the detection row
@@ -78,8 +79,10 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     Appearance costs are never negative, so a cell whose geometric term
     alone exceeds the gate is forbidden whatever its appearance; the others
     are live. A live cell alone in its row and column (isolated) is scored
-    on its row's newest gallery entry: its exact cost is never higher, so if
-    that passes, so does the exact cost, and with every other cell of its
+    on its row's newest gallery entry. Its exact cost is never higher but
+    for rounding: `_logistic` can step back by an ulp of 1 as its argument
+    rises. So if the newest entry's cost passes the gate with a margin far
+    above that, so does the exact cost, and with every other cell of its
     row and column forbidden the cell is in every optimum, so it is matched
     outright. The other live cells, and the isolated ones that fail, are
     scored exactly, and one `gated_assign` runs on their rows and columns.
@@ -95,7 +98,7 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     live = ~(cost > threshold)
     isolated = live & (np.count_nonzero(live, axis=1) == 1)[:, None] & (np.count_nonzero(live, axis=0) == 1)
     newest = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, isolated, newest_only=True)
-    direct = isolated & ~(newest > threshold)
+    direct = isolated & ~(newest > threshold - 1e-12)
     rest = live & ~direct
     rows, cols = np.nonzero(direct)
     rest_rows, rest_cols = np.flatnonzero(rest.any(axis=1)), np.flatnonzero(rest.any(axis=0))

@@ -437,10 +437,11 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
         counts["expected"] += int(lengths @ (live & ~isolated).sum(axis=1)) + np.count_nonzero(isolated)
         for i, j in zip(*np.nonzero(isolated)):
             newest = oracles.appearance_cost(params, [gallery(tracks, i)[-1]], detections.features[j])
-            if geometric[i, j] + (1.0 - cfg.alpha) * newest > threshold:
+            if geometric[i, j] + (1.0 - cfg.alpha) * newest > threshold - 1e-12:
                 counts["expected"] += int(lengths[i])
                 counts["fallbacks"] += 1
         counts["live"] += int(lengths @ live.sum(axis=1))
+        counts["all"] += int(lengths.sum()) * len(detections.conf)
         return associate(tracks, detections, params, cfg)
 
     monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
@@ -452,7 +453,7 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
         counts.clear()
         rows, _ = track(sc, OracleDetector(sc, det_cfg), cfg, TrackerModels(affinity=head7))
         assert rows
-        assert 0 < counts["scored"] == counts["expected"] < counts["live"]
+        assert 0 < counts["scored"] == counts["expected"] < counts["live"] < counts["all"] / 2
     assert counts["fallbacks"] > 0
 
 

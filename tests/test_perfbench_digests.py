@@ -82,4 +82,4 @@ def test_crowd_onestep_seed_1_scores_few_appearance_pairs(tmp_path, perfbench, m
         track(scenario, OracleDetector(scenario, wl.detector_config(1)), wl.tracker_config(k), models)
     assert workloads.K == 3
     assert scored == [230, 896]
-    assert scored[0] < 2232 / 9 and scored[1] < 11568 / 10
+    assert scored[1] < 11568 / 10
