@@ -8,17 +8,12 @@ maps that statistic to a same-object probability.
 The track table's galleries live in one `GalleryStore`: each row holds a
 slot, a ring of entries in one array of (m*m, c) bins that does not move
 when the table is rebuilt. An entry is normalized in place the first time an
-appearance call reads it, and never again. `appearance_cost` scores only
-the (object, detection) cells a mask leaves live: it normalizes the live
-detections, gathers the (entry, detection) pair of every live cell straight
-from the store and scores the pairs in stacked products, each pair its own
-matrix product; it then picks each cell's best entry on the statistic (the
-head is monotone in it) and runs the head once per live cell. Given a gate,
-it scores a gallery entry only where the triangle inequality, from the
-statistic of the row's newest entry, cannot rule out a cost at or under the
-gate: cells that pass keep their bits, and the others stay over the gate.
-Asked for newest entries only, it scores each live cell on that entry, a
-cost never below the full one but for rounding. The per-pair oracles are in tests/oracles.py.
+appearance call reads it, and never again. `appearance_cost` is the one
+appearance kernel: it scores the (object, detection) cells a mask leaves
+live, each under its own gate, from the newest gallery entry of the row
+first and then from the older entries a triangle-inequality bound leaves
+able to pass (its docstring states the contract). The per-pair oracles are
+in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -192,26 +187,27 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None, gate=None, newest_only=False) -> np.ndarray:
+def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, features, live=None, gate=math.inf, newest_only=False) -> np.ndarray:
     """(n, d) matrix: 1 - the best affinity between the gallery of store
-    slot slots[i] and detection patch j. Every slot holds at least one
-    entry, and `features` is the (d, m, m, c) array of finite detection
-    patches. Only the cells of the (n, d) boolean mask `live` (default: all)
-    are scored; the others are 0. The live rows' raw entries are normalized
-    in the store first.
+    slot slots[i] and detection patch j, under `gate`, a scalar or an (n, d)
+    array of per-cell gates. Every slot holds at least one entry, and
+    `features` is the (d, m, m, c) array of finite detection patches. Only
+    the cells of the (n, d) boolean mask `live` (default: all) are scored;
+    the others are 0. The live rows' raw entries are normalized in the store
+    first.
 
-    With a `gate`, a cell whose cost is at most the gate has the same bits
-    as without one, and any other cell only comes out above the gate. Each
-    live cell is scored against its row's newest entry `a` first, and
-    another entry `e` only if `s_a + r_e` (`s_a - r_e` when w < 0) could
-    still give a cost at or under the gate, where
-    `r_e = (mean_i |e_i - a_i| + max_i |e_i - a_i|) / 2` over the bins
-    ("nops": the mean alone). The bound is exact: a detection bin has norm
-    at most 1, so each map value moves by at most `|e_i - a_i|`, and a mean
-    or max of bins moves by at most the mean or max of its bins' moves. A
-    skipped entry costs more than the gate, so it is never the best entry
-    of a cell at or under the gate, and a cell over the gate stays over it,
-    because the head is monotone in the statistic.
+    A cell whose full cost is at or under its gate has the bits of its full
+    cost, and any other cell only comes out above its gate; the default
+    gate, +inf, gives every cell its full cost. Each live cell is scored
+    against its row's newest entry `a` first, and another entry `e` only if
+    `s_a + r_e` (`s_a - r_e` when w < 0) could still give a cost at or under
+    the cell's gate, where `r_e = (mean_i |e_i - a_i| + max_i |e_i - a_i|) / 2`
+    over the bins ("nops": the mean alone). The bound is exact: a detection
+    bin has norm at most 1, so each map value moves by at most `|e_i - a_i|`,
+    and a mean or max of bins moves by at most the mean or max of its bins'
+    moves. A skipped entry costs more than the gate, so it is never the best
+    entry of a cell at or under the gate, and a cell over the gate stays over
+    it, because the head is monotone in the statistic.
 
     With `newest_only`, each live cell is scored on its row's newest entry
     alone (`gate` is ignored). That is never below its full cost, which
@@ -236,47 +232,41 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     # against every entry
     _, bins, c = store.bins.shape
     chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()))
-    best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
-    if gate is None and not newest_only:
-        # every (entry, detection) pair of every live cell, cell after cell
-        counts = lengths[obj]
-        pair_entry = store.entries(slots[obj])
-        stats = _statistics(store.bins, patches, params.mode, pair_entry, np.repeat(cell_det, counts), min(chunk, len(pair_entry)))
-        stat = best.reduceat(stats, np.cumsum(counts) - counts)
-    else:
-        newest = store.newest(slots[live_rows])
-        cell_row = (np.cumsum(live_rows) - 1)[obj]  # each live cell's row of `newest`
-        stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det, min(chunk, len(obj)))
-        if not newest_only:
-            # every live row's older entries, row after row, and each one's
-            # radius around its row's newest entry, in chunks of a quarter of
-            # CHUNK_BYTES of bins (larger ones raised the peak resident memory)
-            older = store.entries(slots[live_rows])
-            anchor = np.repeat(newest, lengths[live_rows])
-            is_older = older != anchor
-            older, anchor = older[is_older], anchor[is_older]
-            radius = np.empty(len(older))
-            step = CHUNK_BYTES // (32 * bins * c) or 1
-            for lo in range(0, len(older), step):
-                moved = store.bins[older[lo:lo + step]]
-                moved -= store.bins[anchor[lo:lo + step]]
-                norms = np.sqrt(np.einsum("kpc,kpc->kp", moved, moved))
-                radius[lo:lo + step] = norms.mean(axis=1) if params.mode == "nops" else (norms.mean(axis=1) + norms.max(axis=1)) / 2
-            # each live cell against its row's older entries, cell after cell;
-            # an entry is scored unless its bound costs more than the gate. The
-            # margins lie far above the rounding of the statistics and the
-            # radii (about 1e-15) and of `expit` against `_logistic`
-            row_older = lengths[live_rows] - 1
-            pair_cell, k = np.nonzero(np.arange(row_older.max()) < row_older[cell_row][:, None])
-            pair_older = (np.cumsum(row_older) - row_older)[cell_row[pair_cell]] + k
-            bound = stat[pair_cell] + np.copysign(radius[pair_older] + 1e-9, params.w)
-            scored = ~(1.0 - expit(params.w * bound + params.b) > gate + 1e-12)
-            pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
-            if len(pair_cell):
-                stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
-                starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
-                cells = pair_cell[starts]
-                stat[cells] = best(stat[cells], best.reduceat(stats, starts))
+    newest = store.newest(slots[live_rows])
+    cell_row = (np.cumsum(live_rows) - 1)[obj]  # each live cell's row of `newest`
+    stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det, min(chunk, len(obj)))
+    if not newest_only:
+        # every live row's older entries, row after row, and each one's
+        # radius around its row's newest entry, in chunks of a quarter of
+        # CHUNK_BYTES of bins (larger ones raised the peak resident memory)
+        older = store.entries(slots[live_rows])
+        anchor = np.repeat(newest, lengths[live_rows])
+        is_older = older != anchor
+        older, anchor = older[is_older], anchor[is_older]
+        radius = np.empty(len(older))
+        step = CHUNK_BYTES // (32 * bins * c) or 1
+        for lo in range(0, len(older), step):
+            moved = store.bins[older[lo:lo + step]]
+            moved -= store.bins[anchor[lo:lo + step]]
+            norms = np.sqrt(np.einsum("kpc,kpc->kp", moved, moved))
+            radius[lo:lo + step] = norms.mean(axis=1) if params.mode == "nops" else (norms.mean(axis=1) + norms.max(axis=1)) / 2
+        # each live cell against its row's older entries, cell after cell;
+        # an entry is scored unless its bound costs more than the cell's
+        # gate. The margins lie far above the rounding of the statistics and
+        # the radii (about 1e-15) and of `expit` against `_logistic`
+        row_older = lengths[live_rows] - 1
+        pair_cell, k = np.nonzero(np.arange(row_older.max()) < row_older[cell_row][:, None])
+        pair_older = (np.cumsum(row_older) - row_older)[cell_row[pair_cell]] + k
+        bound = stat[pair_cell] + np.copysign(radius[pair_older] + 1e-9, params.w)
+        cell_gate = np.broadcast_to(gate, cost.shape)[obj, det]
+        scored = ~(1.0 - expit(params.w * bound + params.b) > cell_gate[pair_cell] + 1e-12)
+        pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
+        if len(pair_cell):
+            stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
+            starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
+            cells = pair_cell[starts]
+            best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
+            stat[cells] = best(stat[cells], best.reduceat(stats, starts))
     cost[obj, det] = 1.0 - np.array([_logistic(params.w * s + params.b) for s in stat.tolist()])
     return cost
 

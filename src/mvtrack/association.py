@@ -8,11 +8,11 @@ columns. One-step association gates first, on geometry, then matches a
 live cell alone in its row and column outright if its newest gallery entry
 passes the gate with a margin (its exact cost is never higher but for
 rounding, and nothing competes for its row or column); Hungarian gets only
-the other cells' rows and columns.
-Two-step's step 2 hands its gate to the appearance kernel, which skips the
-gallery entries that provably cannot pass it. Matches are two index arrays
-(rows, cols), track-table rows in ascending order and the detection row
-each one takes.
+the other cells' rows and columns. Every appearance score is taken under a
+gate, which lets the kernel skip the gallery entries that provably cannot
+pass it: two-step's step 2 hands it tau_app, one-step each cell's share of
+the blended gate. Matches are two index arrays (rows, cols), track-table
+rows in ascending order and the detection row each one takes.
 """
 from __future__ import annotations
 
@@ -79,15 +79,18 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     Appearance costs are never negative, so a cell whose geometric term
     alone exceeds the gate is forbidden whatever its appearance; the others
     are live. A live cell alone in its row and column (isolated) is scored
-    on its row's newest gallery entry. Its exact cost is never higher but
-    for rounding: `_logistic` can step back by an ulp of 1 as its argument
-    rises. So if the newest entry's cost passes the gate with a margin far
-    above that, so does the exact cost, and with every other cell of its
-    row and column forbidden the cell is in every optimum, so it is matched
-    outright. The other live cells, and the isolated ones that fail, are
-    scored exactly, and one `gated_assign` runs on their rows and columns.
-    The optimum splits over connected components of live cells, so this
-    gives the matches of scoring every cell, up to ties between optima.
+    on its row's newest gallery entry; its exact cost is never higher but
+    for rounding (`_logistic` can step back by an ulp of 1). If that passes
+    the gate with a margin far above the rounding, so does the exact cost,
+    and with no other live cell in its row or column the cell is in every
+    optimum, so it is matched outright. The other live cells are scored
+    under their share of the blended gate,
+    `(threshold + eps - alpha*(1 - IoU)) / (1 - alpha)`, so a cell that
+    passes gets its exact cost and any other stays over the threshold: one
+    `gated_assign` on their rows and columns sees the matrix of full
+    scoring, bit for bit. The optimum splits over connected components of
+    live cells, so this gives the matches of scoring every cell, up to ties
+    between optima.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
@@ -104,7 +107,9 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     rest_rows, rest_cols = np.flatnonzero(rest.any(axis=1)), np.flatnonzero(rest.any(axis=0))
     if not len(rest_rows):
         return rows, cols
-    cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, rest)
+    # the margin sits in blended cost: added after the division it vanishes as alpha nears 1
+    gate = (threshold + 1e-12 - cost) / (1.0 - alpha)
+    cost = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, rest, gate)
     r, c = gated_assign(cost[np.ix_(rest_rows, rest_cols)], threshold)
     rows, cols = np.concatenate([rows, rest_rows[r]]), np.concatenate([cols, rest_cols[c]])
     order = np.argsort(rows)

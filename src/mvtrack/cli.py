@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .affinity import AffinityFitHyper, affinity_accuracy, fit_affinity_head
+from .affinity import MODES, AffinityFitHyper, AffinityHeadParams, affinity_accuracy, fit_affinity_head
 from .engine import FileDetector, TrackerModels, make_propagator, speedup_model, track, write_timing_report
-from .metrics import clear_mot, idf1
+from .metrics import check_iou_min, clear_mot, idf1
 from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig
 from .modelio import read_models, write_models
 from .motion import FitHyper, fit_regressor
@@ -35,18 +35,16 @@ from .stream import (
 METRIC_COLUMNS = ["MOTA", "MOTP", "IDF1", "MT", "ML", "FP", "FN", "IDS", "Frag", "Rcll", "Prcn", "MODA"]
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_generate(args) -> int:
+    _check_seed(args)
     if args.check_K is not None and (args.check_K < 1 or args.gop % args.check_K != 0):
         raise ConfigError(f"key-frame period {args.check_K} must be a positive divisor of gop {args.gop}")
-    header = StreamHeader(
-        width=args.width,
-        height=args.height,
-        block=args.block,
-        gop=args.gop,
-        fps=args.fps,
-        feature_channels=args.channels,
-        feature_bins=args.bins,
-    )
+    header = StreamHeader(args.width, args.height, **{field: getattr(args, flag) for flag, field in HEADER_FLAGS.items()})
     script = load_script(args.script)
     scenario = generate_scenario(script, header, args.seed)
     write_scenario(scenario, args.out)
@@ -86,6 +84,9 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"--holdout must lie in (0, 1), got {args.holdout}")
     if args.pairs_per_id < 1:
         raise ConfigError(f"--pairs-per-id must be >= 1, got {args.pairs_per_id}")
+    if not (math.isfinite(args.feature_noise) and args.feature_noise >= 0):
+        raise ConfigError(f"--feature-noise must be non-negative and finite, got {args.feature_noise}")
+    _check_seed(args)
     scenarios = [read_scenario(p) for p in args.scenarios]
     try:
         models = read_models(args.out)
@@ -118,9 +119,11 @@ def _cmd_fit(args) -> int:
 
 
 # TrackerConfig fields with a flag of the same name (--tau-iou for tau_iou),
-# and DetectorConfig fields with a --det- flag (--det-miss-rate).
+# DetectorConfig fields with a --det- flag (--det-miss-rate), and generate's
+# flags for the StreamHeader fields that have defaults.
 TRACKER_FLAGS = ("K", "alpha", "tau_iou", "tau_app", "conf_min", "c_confirm", "l_confirm", "l_demote", "l_delete", "l_f")
 DETECTOR_FLAGS = ("noise_center", "noise_size", "miss_rate", "fp_rate", "feature_noise")
+HEADER_FLAGS = {"block": "block", "gop": "gop", "fps": "fps", "channels": "feature_channels", "bins": "feature_bins"}
 
 
 def _tracker_config(args) -> TrackerConfig:
@@ -183,6 +186,7 @@ def _metric_row(scores, idf1_value: float) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    check_iou_min(args.iou_min)
     gt, results = read_mot_table(args.gt), read_mot_table(args.results)
     scores = clear_mot(gt, results, iou_min=args.iou_min)
     idf1_value = idf1(gt, results, iou_min=args.iou_min)
@@ -267,11 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=960)
     p.add_argument("--height", type=int, default=540)
-    p.add_argument("--block", type=int, default=16)
-    p.add_argument("--gop", type=int, default=12)
-    p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--bins", type=int, default=7)
+    for flag, field in HEADER_FLAGS.items():
+        default = getattr(StreamHeader, field)
+        p.add_argument("--" + flag, type=type(default), default=default)
     p.add_argument("--check-K", type=int, default=None, help="verify this key-frame period divides the GOP")
     p.set_defaults(func=_cmd_generate)
 
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["withps", "nops"], default="withps")
+    p.add_argument("--mode", choices=MODES, default=AffinityHeadParams.mode)
     p.add_argument("--feature-noise", type=float, default=0.1)
     p.add_argument("--pairs-per-id", type=int, default=8)
     p.add_argument("--holdout", type=float, default=0.25)

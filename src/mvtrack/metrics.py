@@ -74,14 +74,14 @@ def frame_index(gt, results):
         yield frame, gt_ids[g], hyp_ids[h], iou_matrix(gt_corners[g], hyp_corners[h])
 
 
-def _check_iou_min(iou_min: float) -> None:
+def check_iou_min(iou_min: float) -> None:
     if not 0 < iou_min <= 1:  # also rejects nan
         raise ConfigError(f"iou_min must be finite and lie in (0, 1], got {iou_min}")
 
 
 def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
     """CLEAR-MOT scores for hypotheses against ground truth; iou_min in (0, 1]."""
-    _check_iou_min(iou_min)
+    check_iou_min(iou_min)
     fp = fn = ids = tp = 0
     iou_sum = 0.0
     prev_pairs = {}  # gt id -> hyp id matched in the previous frame
@@ -151,7 +151,7 @@ def idf1(gt, results, iou_min: float = 0.5) -> float:
     maximum-overlap bipartite matching gives IDTP, and
     IDF1 = 2*IDTP / max(1, gt frames + hypothesis frames).
     """
-    _check_iou_min(iou_min)
+    check_iou_min(iou_min)
     empty = np.zeros(0, int)
     gt_ids, hyp_ids, hits = [empty], [empty], [(empty, empty)]  # hits: (gt ids, hyp ids) reaching iou_min
     for _, gts, hyps, iou in frame_index(gt, results):

@@ -264,13 +264,14 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
     b=st.floats(-20.0, 20.0),
     spread=st.sampled_from([0.02, 0.3, 1.0]),
     zero_share=st.sampled_from([0.0, 0.3]),
-    gate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.just("on a cell")),
+    gate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.just("on a cell"), st.just("per cell")),
 )
 def test_gated_appearance_cost_keeps_the_cells_that_pass(seed, n, d, l_f, shape, mode, w, b, spread, zero_share, gate):
     # galleries of noisy copies of one identity each, up to twice as long as
     # the ring holds; detections copy a row's identity or a new one. A cell
-    # at or under the gate has the ungated bits, any other stays above it;
-    # a gate on a cell's cost keeps that cell exactly
+    # at or under its gate has the bits of its full cost (the default
+    # gate's), any other stays above its gate; a gate on a cell's cost keeps
+    # that cell exactly
     rng = np.random.default_rng(seed)
     m, c = shape
     identities = rng.standard_normal((n + d, m, m, c))
@@ -282,13 +283,22 @@ def test_gated_appearance_cost_keeps_the_cells_that_pass(seed, n, d, l_f, shape,
     features = np.array([patch(rng.integers(n + d)) for _ in range(d)])
     params = AffinityHeadParams(w, b, mode)
     store, slots = gallery_store(galleries, l_f)
-    ungated = appearance_cost_matrix(params, store, slots, features)
+    full = appearance_cost_matrix(params, store, slots, features)
     if gate == "on a cell":
-        gate = float(rng.choice(ungated.ravel()))
+        gate = float(rng.choice(full.ravel()))
+    elif gate == "per cell":
+        # each cell's gate on its cost, at 0, at +inf or anywhere in [0, 1]
+        pick = rng.integers(4, size=full.shape)
+        gate = np.choose(pick, [full, np.zeros(full.shape), np.full(full.shape, np.inf), rng.random(full.shape)])
     gated = appearance_cost_matrix(params, store, slots, features, gate=gate)
-    same = gated.view(np.int64) == ungated.view(np.int64)
-    assert np.all(same | ((gated > gate) & (ungated > gate)))
-    assert [a.tolist() for a in gated_assign(gated, gate)] == [a.tolist() for a in gated_assign(ungated, gate)]
+    same = gated.view(np.int64) == full.view(np.int64)
+    assert np.all(same | ((gated > gate) & (full > gate)))
+
+    def assign(cost):
+        # a cell over its gate is forbidden: costs lie in [0, 1]
+        return [a.tolist() for a in gated_assign(np.where(cost > gate, 2.0, cost), 1.0)]
+
+    assert assign(gated) == assign(full)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -307,10 +317,10 @@ def test_gate_keeps_an_entry_whose_bound_is_tight(mode, w):
     detection = np.tile(np.array([1.0, -1.0]) / np.sqrt(2), (1, 2, 2, 1))
     params = AffinityHeadParams(w, 0.0, mode)
     store, slots = gallery_store([[older, newest]])
-    ungated = appearance_cost_matrix(params, store, slots, detection)
-    assert ungated.tobytes() == appearance_cost_matrix(params, *gallery_store([[older]]), detection).tobytes()
-    gated = appearance_cost_matrix(params, store, slots, detection, gate=float(ungated[0, 0]))
-    assert gated.tobytes() == ungated.tobytes()
+    full = appearance_cost_matrix(params, store, slots, detection)
+    assert full.tobytes() == appearance_cost_matrix(params, *gallery_store([[older]]), detection).tobytes()
+    gated = appearance_cost_matrix(params, store, slots, detection, gate=float(full[0, 0]))
+    assert gated.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -355,7 +355,8 @@ def one_step_cases(draw):
         boxes[:n], galleries = boxes[source], [galleries[i] for i in source.tolist()]
     tracks = track_table(galleries, confirmed=rng.random(n) < 0.5, boxes=boxes[:n])
     detections = Detections(boxes[n:], np.full(d, 0.96), rng.standard_normal((d, m, m, c)))
-    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    # 1 - 2**-30 blows each cell's appearance gate up by 2**30
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0 - 2**-30, 1.0]))
     params = AffinityHeadParams(
         draw(st.one_of(st.floats(-30.0, -0.01), st.just(0.0), st.floats(0.01, 30.0))),
         draw(st.one_of(st.floats(-20.0, 20.0), st.just(40.0))),  # b = 40 makes appearance costs exactly 0

@@ -137,12 +137,20 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["fit", "--target", "affinity", "--out", "m.txt", "--holdout", "1.5"], "--holdout must lie in (0, 1), got 1.5"),
         (["fit", "--target", "affinity", "--out", "m.txt", "--holdout", "0"], "--holdout must lie in (0, 1), got 0.0"),
         (["fit", "--target", "affinity", "--out", "m.txt", "--pairs-per-id", "0"], "--pairs-per-id must be >= 1, got 0"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--feature-noise", "-0.1"], "--feature-noise must be non-negative and finite, got -0.1"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--feature-noise", "nan"], "--feature-noise must be non-negative and finite, got nan"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--feature-noise", "inf"], "--feature-noise must be non-negative and finite, got inf"),
+        (["fit", "--target", "affinity", "--out", "m.txt", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["generate", "--out", "x.scn", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["evaluate", "--iou-min", "0"], "iou_min must be finite and lie in (0, 1], got 0.0"),
+        (["evaluate", "--iou-min", "nan"], "iou_min must be finite and lie in (0, 1], got nan"),
     ],
 )
 def test_nonpositive_check_K_and_repeat_exit_2_before_reading(tmp_path, capsys, argv, message):
     # the input paths do not exist: the flag is rejected before any file is read
     missing = str(tmp_path / "missing")
-    inputs = ["--" + {"generate": "script", "fit": "scenarios"}.get(argv[0], "scenario"), missing]
+    flags = {"generate": ["script"], "fit": ["scenarios"], "evaluate": ["gt", "results"]}.get(argv[0], ["scenario"])
+    inputs = [arg for flag in flags for arg in ("--" + flag, missing)]
     assert main([*argv, *inputs]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 

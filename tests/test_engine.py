@@ -404,8 +404,9 @@ def test_one_step_scores_only_the_cells_the_geometric_gate_leaves_open(head7, mo
     # two pairs of objects cross in adjacent lanes; most (object, detection)
     # cells lie too far apart for IoU alone to pass the blended gate. Of the
     # others, a cell alone in its row and column is scored on its newest
-    # gallery entry, and on its whole gallery only if that fails the gate;
-    # every other live cell is scored on its whole gallery
+    # gallery entry, and on the rest of its gallery only if that fails the
+    # gate; every other live cell is scored on its newest entry and on the
+    # older ones its gate leaves able to pass, which here are all of them
     frames = 36
     script = MotionScript(
         frames=frames,
@@ -478,7 +479,10 @@ def test_two_step_gate_skips_entries_that_cannot_pass(head7, monkeypatch):
             lengths = store.lengths(slots)
             counts["pairs"] += int(lengths.sum()) * len(features)
             counts["multi-entry cells"] += int(np.count_nonzero(lengths > 1)) * len(features)
-            return appearance_cost(params, store, slots, features, live, gate if gated else None)
+            if gated:
+                return appearance_cost(params, store, slots, features, live, gate)
+            # the reference run leaves the kernel its default gate
+            return appearance_cost(params, store, slots, features, live)
 
         monkeypatch.setattr(mvtrack.affinity, "_statistics", counting_statistics)
         monkeypatch.setattr(mvtrack.association, "appearance_cost", counting_cost)
