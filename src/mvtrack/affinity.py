@@ -150,14 +150,16 @@ class GalleryStore:
             self.normalized[raw] = True
 
 
-def _statistics(entries: np.ndarray, dets: np.ndarray, mode: str, pair_entry, pair_det, chunk: int) -> np.ndarray:
+def _statistics(entries: np.ndarray, dets: np.ndarray, mode: str, pair_entry, pair_det) -> np.ndarray:
     """Statistic of each pair (entries[pair_entry[i]], dets[pair_det[i]]) of
-    normalized (., m*m, c) bin stacks, `chunk` pairs at a time. Each pair's
-    map is its own matrix product, the same BLAS call a single pair makes,
-    so a pair's statistic does not depend on the others scored with it."""
+    normalized (., m*m, c) bin stacks, in chunks of about CHUNK_BYTES of
+    scratch and never more pairs than the call scores. Each pair's map is
+    its own matrix product, the same BLAS call a single pair makes, so a
+    pair's statistic does not depend on the others scored with it."""
     _, bins, c = entries.shape
     if dets.shape[1:] != (bins, c):
         raise ValueError(f"patch shapes differ: {(bins, c)} vs {dets.shape[1:]} (bins, channels)")
+    chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)), len(pair_entry)) or 1
     # per pair and bin: each entry bin's best match, then each detection
     # bin's ("withps"); the aligned bins' products ("nops")
     scores = np.empty((2, len(pair_entry), bins))
@@ -227,14 +229,9 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
     store.normalize(slots[live_rows])
     patches = _bins(np.asarray(features)[live_dets])
     cell_det = (np.cumsum(live_dets) - 1)[det]  # each live cell's row of `patches`
-    # chunks of about CHUNK_BYTES of scratch, and never more pairs than the
-    # call has entries, so the maps never outgrow those of one detection
-    # against every entry
-    _, bins, c = store.bins.shape
-    chunk = min(CHUNK_BYTES // (8 * bins * (bins + 2 * c)) or 1, int(lengths.sum()))
     newest = store.newest(slots[live_rows])
     cell_row = (np.cumsum(live_rows) - 1)[obj]  # each live cell's row of `newest`
-    stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det, min(chunk, len(obj)))
+    stat = _statistics(store.bins, patches, params.mode, newest[cell_row], cell_det)
     if not newest_only:
         # every live row's older entries, row after row, and each one's
         # radius around its row's newest entry, in chunks of a quarter of
@@ -244,7 +241,7 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
         is_older = older != anchor
         older, anchor = older[is_older], anchor[is_older]
         radius = np.empty(len(older))
-        step = CHUNK_BYTES // (32 * bins * c) or 1
+        step = CHUNK_BYTES // (4 * store.bins[0].nbytes) or 1
         for lo in range(0, len(older), step):
             moved = store.bins[older[lo:lo + step]]
             moved -= store.bins[anchor[lo:lo + step]]
@@ -262,7 +259,7 @@ def appearance_cost(params: AffinityHeadParams, store: GalleryStore, slots, feat
         scored = ~(1.0 - expit(params.w * bound + params.b) > cell_gate[pair_cell] + 1e-12)
         pair_cell, pair_entry = pair_cell[scored], older[pair_older[scored]]
         if len(pair_cell):
-            stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell], min(chunk, len(pair_cell)))
+            stats = _statistics(store.bins, patches, params.mode, pair_entry, cell_det[pair_cell])
             starts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
             cells = pair_cell[starts]
             best = np.maximum if params.w >= 0 else np.minimum  # the head is monotone in the statistic
@@ -278,7 +275,7 @@ def _pair_statistics(pairs, mode: str) -> np.ndarray:
     for lo in range(0, len(pairs), 256):
         chunk = pairs[lo:lo + 256]
         rows = np.arange(len(chunk))
-        stats.append(_statistics(_bins([p[0] for p in chunk]), _bins([p[1] for p in chunk]), mode, rows, rows, len(chunk)))
+        stats.append(_statistics(_bins([p[0] for p in chunk]), _bins([p[1] for p in chunk]), mode, rows, rows))
     return np.concatenate(stats)
 
 

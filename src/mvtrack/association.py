@@ -71,10 +71,10 @@ def associate_two_step(tracks: TrackTable, detections: Detections, params: Affin
     return rows[order], cols[order]
 
 
-def associate_one_step(tracks: TrackTable, detections: Detections, params: AffinityHeadParams, alpha: float, cfg: TrackerConfig) -> tuple:
+def associate_one_step(tracks: TrackTable, detections: Detections, params: AffinityHeadParams, cfg: TrackerConfig) -> tuple:
     """Single assignment on the blended cost alpha*iou + (1-alpha)*appearance,
-    gated at the equally blended threshold. alpha=1 is IoU-only, alpha=0 is
-    appearance-only.
+    alpha = cfg.alpha, gated at the equally blended threshold. alpha=1 is
+    IoU-only, alpha=0 is appearance-only.
 
     Appearance costs are never negative, so a cell whose geometric term
     alone exceeds the gate is forbidden whatever its appearance; the others
@@ -92,8 +92,7 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     live cells, so this gives the matches of scoring every cell, up to ties
     between optima.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = cfg.alpha
     cost = alpha * _iou_cost(tracks.boxes, detections.boxes)
     threshold = alpha * cfg.tau_iou + (1.0 - alpha) * cfg.tau_app
     if alpha == 1.0:
@@ -119,6 +118,5 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
 def associate(tracks: TrackTable, detections: Detections, params: AffinityHeadParams, cfg: TrackerConfig) -> tuple:
     """The configured association as (rows, cols): two-step, or one-step at
     cfg.alpha."""
-    if cfg.association_mode == "twostep":
-        return associate_two_step(tracks, detections, params, cfg)
-    return associate_one_step(tracks, detections, params, cfg.alpha, cfg)
+    procedure = associate_two_step if cfg.association_mode == "twostep" else associate_one_step
+    return procedure(tracks, detections, params, cfg)

@@ -2,14 +2,14 @@
 trajectory output, and per-stage timings.
 
 Frames are numbered 1-based; frame t is a key frame when (t-1) mod K == 0.
-Key frames run detection, association, and object management; non-key
-frames only propagate boxes, leaving states, galleries, and counters
-untouched. Only confirmed objects are emitted, never retroactively. The
-loop is strictly online: output for frame t depends only on frames <= t.
-The state is one `TrackTable`, whose box array moves and clips whole; a key
-frame's detections are one `Detections` table, and its matches (rows, cols)
-index arrays. The detector and the propagator are callables `track` takes;
-`make_propagator` builds the configured propagator.
+Key frames run detection, association, and object management; non-key frames
+only propagate boxes, leaving states, galleries, and counters untouched. Only
+confirmed objects are emitted, never retroactively, nor any the frame clips
+to a side under 0.005. The loop is strictly online: output for frame t
+depends only on frames <= t. The state is one `TrackTable`, whose box array
+moves and clips whole; a key frame's detections are one `Detections` table,
+and its matches (rows, cols) index arrays. The detector and the propagator
+are callables `track` takes; `make_propagator` builds the configured one.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from .affinity import AffinityHeadParams, GalleryStore
 from .association import associate
 from .lifecycle import update
-from .model import BBox, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
+from .model import ENVELOPE, BBox, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
 from .motion import (
     FieldReadout,
     RegressorParams,
@@ -163,14 +163,15 @@ def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
 
 
 def _rows(t: int, tracks: TrackTable, width: int, height: int) -> list:
-    """(t, id, BBox) for each confirmed row, its box clipped to the frame;
-    a box left with no area is not emitted."""
+    """(t, id, BBox) for each confirmed row, its box clipped to the frame; a
+    box left with a side under 0.005 ('%.2f' writes 0.00) is not emitted."""
     corners = box_corners(tracks.boxes[tracks.confirmed])
     corners[:, :2] = np.maximum(corners[:, :2], 0.0)
     corners[:, 2:] = np.minimum(corners[:, 2:], (float(width), float(height)))
-    keep = ~((corners[:, 2] <= corners[:, 0]) | (corners[:, 3] <= corners[:, 1]))
+    boxes = corner_boxes(corners)
+    keep = (boxes[:, 2:] >= 0.005).all(axis=1)
     ids = tracks.ids[tracks.confirmed][keep].tolist()
-    return [(t, i, BBox(*b)) for i, b in zip(ids, corner_boxes(corners[keep]).tolist())]
+    return [(t, i, BBox(*b)) for i, b in zip(ids, boxes[keep].tolist())]
 
 
 def track(
@@ -187,7 +188,7 @@ def track(
     box and one patch of the stream header's shape per row), a non-finite
     patch value, a confidence outside [0, 1], a non-finite box coordinate or
     a box without positive width and height raise ValueError naming the
-    frame.
+    frame; the boxes are then clipped into `model.ENVELOPE`.
     `propagate` is the non-key-frame step, called once per non-key frame
     with tracked rows (see `make_propagator`, its default).
     Returns (rows, timings) where rows are (frame, id, BBox) for confirmed
@@ -212,6 +213,7 @@ def track(
             keep = detections.conf >= cfg.conf_min
             if not keep.all():
                 detections = Detections(*(column[keep] for column in detections))
+            detections = detections._replace(boxes=np.clip(detections.boxes, *ENVELOPE))
             t1 = time.perf_counter()
             matches = associate(tracks, detections, models.affinity, cfg)
             t2 = time.perf_counter()
@@ -230,9 +232,9 @@ def track(
     return rows, tm
 
 
-def write_timing_report(timings: FrameTimings, K: int, path, measured_speedup: float | None = None) -> None:
-    """Delimited-text timing report: stage totals, per-frame-kind means,
-    modeled (and optionally measured) speedup."""
+def write_timing_report(timings: FrameTimings, K: int, path) -> None:
+    """Delimited-text timing report: stage totals, per-frame-kind means and
+    the modeled speedup."""
     t_det, t_ass, t_man = timings.mean_key()
     lines = [
         "stage\ttotal_s\tmean_s",
@@ -243,7 +245,5 @@ def write_timing_report(timings: FrameTimings, K: int, path, measured_speedup: f
         f"frames\tkey={timings.key_frames}\tnonkey={timings.nonkey_frames}",
         f"speedup_modeled\tK={K}\t{speedup_model(timings, K):.4f}",
     ]
-    if measured_speedup is not None:
-        lines.append(f"speedup_measured\tK={K}\t{measured_speedup:.4f}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -249,33 +249,36 @@ def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarra
 
 
 # One step's normalized velocity is clamped to these bounds, far past any real
-# frame-to-frame motion, so that any finite velocity gives a finite box of
-# positive size: no exp overflow, no side flushed to zero, no centre at infinity.
+# frame-to-frame motion, and the stepped boxes to an envelope, so that any run
+# of finite steps keeps boxes finite, of positive size and within the int cast
+# of `motion.pool`; the engine clips detection boxes into it as they enter.
 MAX_STEP = 1e4  # box sides the centre may move in one step
 MAX_LOG_SCALE = math.log(1e4)  # a side grows or shrinks at most 1e4-fold in one step
+ENVELOPE = np.array([[-1e9, -1e9, 1e-3, 1e-3], [1e9, 1e9, 1e9, 1e9]])  # least and greatest x, y, w, h
 
 
 def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Advance (n, 4) x, y, w, h boxes by (n, 4) normalized velocities.
 
     The center moves by (w*vx, h*vy) and the size scales by exp(vw), exp(vh),
-    each component first clamped to +-MAX_STEP and +-MAX_LOG_SCALE. Raises
-    ValueError for a non-finite velocity or a size that is not positive.
+    each component first clamped to +-MAX_STEP and +-MAX_LOG_SCALE, and the
+    result is clipped into ENVELOPE. Raises ValueError for a non-finite
+    velocity or a box size that is not positive.
     """
     bad = np.argwhere(~np.isfinite(v))
     if len(bad):
         raise ValueError(f"velocity component {('vx', 'vy', 'vw', 'vh')[bad[0, 1]]} must be finite")
+    bad = np.flatnonzero(~(boxes[:, 2:] > 0).all(axis=1))
+    if len(bad):
+        w, h = boxes[bad[0], 2:].tolist()
+        raise ValueError(f"box size must be positive, got w={w} h={h}")
     limit = np.array([MAX_STEP, MAX_STEP, MAX_LOG_SCALE, MAX_LOG_SCALE])
     v = np.minimum(np.maximum(v, -limit), limit)
     size = boxes[:, 2:]
     # math.exp, not np.exp: the two round some inputs differently
     scale = np.array([math.exp(c) for c in v[:, 2:].ravel().tolist()]).reshape(-1, 2)
     out = np.concatenate([size * v[:, :2] + boxes[:, :2], size * scale], axis=1)
-    bad = np.flatnonzero(~(out[:, 2:] > 0).all(axis=1))
-    if len(bad):
-        w, h = out[bad[0], 2:].tolist()
-        raise ValueError(f"box size must be positive, got w={w} h={h}")
-    return out
+    return np.clip(out, *ENVELOPE, out=out)
 
 
 def box_velocities(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:

@@ -206,10 +206,9 @@ def propagate_pixel_shift(boxes: np.ndarray, frame: MotionFrame, block: int) -> 
 
 
 def smooth_l1(x):
-    """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise; elementwise on arrays."""
+    """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise, elementwise, as an ndarray."""
     ax = np.abs(x)
-    out = np.where(ax < 1.0, 0.5 * np.square(x), ax - 0.5)
-    return out.item() if np.ndim(x) == 0 else out
+    return np.where(ax < 1.0, 0.5 * np.square(x), ax - 0.5)
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,9 @@ class FieldReadout:
         return np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
 
 
-def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None):
-    """Fit the affine head by full-batch gradient descent.
+def fit_regressor(scenarios, hyper: FitHyper = FitHyper()):
+    """Fit the affine head, at m = the first scenario's feature_bins, by
+    full-batch gradient descent.
 
     The model is affine in its parameters, so gradients are exact closed
     forms and the objective is convex. Returns (params, final_loss).
@@ -276,8 +276,7 @@ def fit_regressor(scenarios, hyper: FitHyper = FitHyper(), m: int | None = None)
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("no training scenarios")
-    if m is None:
-        m = scenarios[0].header.feature_bins
+    m = scenarios[0].header.feature_bins
     A, E, V = (np.concatenate(parts) for parts in zip(*(training_matrices(sc, m) for sc in scenarios)))
     n = len(V)
     if not n:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from mvtrack.association import (
     hungarian,
     _iou_cost,
 )
-from mvtrack.model import BBox, Detections, TrackTable, TrackerConfig, box_array
+from mvtrack.model import BBox, ConfigError, Detections, TrackTable, TrackerConfig, box_array
 from oracles import appearance_cost, iou_cost
 from tables import gallery, track_table
 
@@ -284,7 +285,7 @@ def test_one_step_alpha_one_is_gated_iou(head):
         (BBox(52, 50, 20, 20), make_patch()),
         (BBox(91, 50, 20, 20), make_patch()),
     )
-    res = associate_one_step(make_tracks(objects), detections, head, 1.0, CFG)
+    res = associate_one_step(make_tracks(objects), detections, head, dataclasses.replace(CFG, alpha=1.0))
     expected = gated_assign(_iou_cost(box_array([o[1] for o in objects]), detections.boxes), CFG.tau_iou)
     assert pairs(res) == pairs(expected)
 
@@ -300,7 +301,7 @@ def test_one_step_alpha_zero_is_gated_appearance(head):
         (BBox(300, 300, 20, 20), make_patch(bases[0])),
     )
     tracks = make_tracks(objects)
-    res = associate_one_step(tracks, detections, head, 0.0, CFG)
+    res = associate_one_step(tracks, detections, head, dataclasses.replace(CFG, alpha=0.0))
     expected = gated_assign(appearance_matrix(head, tracks.gallery, tracks.slots, detections.features), CFG.tau_app)
     assert pairs(res) == pairs(expected)
     assert pairs(res) == [(0, 1), (1, 0)]  # appearance crosses the geometry
@@ -314,9 +315,11 @@ def test_one_step_blended_gate_example(head):
     assert pairs(gated_assign(np.array([[cost]]), gate)) == []
 
 
-def test_one_step_rejects_bad_alpha(head):
-    with pytest.raises(ValueError):
-        associate_one_step(TrackTable.empty(GalleryStore(CFG.l_f)), make_detections(), head, 1.5, CFG)
+def test_one_step_rejects_bad_alpha():
+    # one-step reads alpha from its config, which admits only [0, 1]
+    for alpha in (1.5, -0.5, math.nan):
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            dataclasses.replace(CFG, alpha=alpha)
 
 
 def test_permutation_changes_only_ties(head):
@@ -397,7 +400,7 @@ def test_gated_one_step_matches_dense_scoring(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(association, "hungarian", recording)
-        rows, cols = associate_one_step(tracks, detections, params, alpha, cfg)
+        rows, cols = associate_one_step(tracks, detections, params, dataclasses.replace(cfg, alpha=alpha))
     dense = geometric
     if alpha < 1.0:
         dense = dense + (1.0 - alpha) * appearance_matrix(params, tracks.gallery, tracks.slots, detections.features)

@@ -129,6 +129,7 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["bench", "--repeat", "-1"], "--repeat must be >= 1, got -1"),
         (["generate", "--out", "x.scn", "--width", "0"], "frame dimensions must be positive, got 0x540"),
         (["track", "--out", "x.txt", "--det-miss-rate", "1.5"], "miss_rate must lie in [0,1], got 1.5"),
+        (["track", "--out", "x.txt", "--alpha", "1.5"], "alpha must lie in [0,1], got 1.5"),
         (["track", "--out", "x.txt", "--det-fp-rate", "-1"], "fp_rate must be non-negative and finite, got -1.0"),
         (["bench", "--det-noise-center", "inf"], "noise_center must be non-negative and finite, got inf"),
         (["fit", "--target", "regressor", "--out", "m.txt", "--lr", "nan"], "--lr must be positive and finite, got nan"),
