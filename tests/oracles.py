@@ -70,7 +70,7 @@ The tracking loop: `track` keeps one `TrackedObject` record per object,
 its gallery a `deque` of raw patches, associates, updates and propagates
 them one at a time (appearance with the per-pair `appearance_cost`, pixel
 shift with a scalar double loop per box) and clips each emitted box on its
-own. The package keeps the tracker's state in one table of columns
+own, dropping one left with a side under 0.005. The package keeps the tracker's state in one table of columns
 (`mvtrack.model.TrackTable`) and its galleries in one store, and moves,
 updates and clips all rows at once; the tests require equal rows, bit for
 bit.
@@ -1043,7 +1043,9 @@ def _clip_to_frame(bbox: BBox, width: int, height: int):
     bottom = min(bbox.bottom, float(height))
     if right <= left or bottom <= top:
         return None
-    return BBox.from_corners(left, top, right, bottom)
+    clipped = BBox.from_corners(left, top, right, bottom)
+    # a side under 0.005 would print as 0.00 in a MOTChallenge file
+    return clipped if clipped.w >= 0.005 and clipped.h >= 0.005 else None
 
 
 def track(scenario: Scenario, detector, cfg: TrackerConfig, models) -> list:

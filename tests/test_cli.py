@@ -129,7 +129,6 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["bench", "--repeat", "-1"], "--repeat must be >= 1, got -1"),
         (["generate", "--out", "x.scn", "--width", "0"], "frame dimensions must be positive, got 0x540"),
         (["track", "--out", "x.txt", "--det-miss-rate", "1.5"], "miss_rate must lie in [0,1], got 1.5"),
-        (["track", "--out", "x.txt", "--alpha", "1.5"], "alpha must lie in [0,1], got 1.5"),
         (["track", "--out", "x.txt", "--det-fp-rate", "-1"], "fp_rate must be non-negative and finite, got -1.0"),
         (["bench", "--det-noise-center", "inf"], "noise_center must be non-negative and finite, got inf"),
         (["fit", "--target", "regressor", "--out", "m.txt", "--lr", "nan"], "--lr must be positive and finite, got nan"),
@@ -145,6 +144,7 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["generate", "--out", "x.scn", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["evaluate", "--iou-min", "0"], "iou_min must be finite and lie in (0, 1], got 0.0"),
         (["evaluate", "--iou-min", "nan"], "iou_min must be finite and lie in (0, 1], got nan"),
+        (["track", "--out", "x.txt", "--alpha", "1.5"], "alpha must lie in [0,1], got 1.5"),
     ],
 )
 def test_nonpositive_check_K_and_repeat_exit_2_before_reading(tmp_path, capsys, argv, message):
