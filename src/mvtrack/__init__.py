@@ -8,7 +8,6 @@ bench).
 """
 
 from .model import (
-    BBox,
     ConfigError,
     Detections,
     MotionFrame,
@@ -33,7 +32,6 @@ from .metrics import MotScores, clear_mot, idf1
 from .modelio import read_models, write_models
 
 __all__ = [
-    "BBox",
     "ConfigError",
     "Detections",
     "DetectorConfig",

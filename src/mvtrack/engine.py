@@ -8,8 +8,9 @@ confirmed objects are emitted, never retroactively, nor any the frame clips
 to a side under 0.005. The loop is strictly online: output for frame t
 depends only on frames <= t. The state is one `TrackTable`, whose box array
 moves and clips whole; a key frame's detections are one `Detections` table,
-and its matches (rows, cols) index arrays. The detector and the propagator
-are callables `track` takes; `make_propagator` builds the configured one.
+and its matches (rows, cols) index arrays; each emitted row is (frame, id,
+(x, y, w, h)). The detector and the propagator are callables `track` takes;
+`make_propagator` builds the configured one.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from .affinity import AffinityHeadParams, GalleryStore
 from .association import associate
 from .lifecycle import update
-from .model import ENVELOPE, BBox, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
+from .model import ENVELOPE, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
 from .motion import (
     FieldReadout,
     RegressorParams,
@@ -163,15 +164,16 @@ def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
 
 
 def _rows(t: int, tracks: TrackTable, width: int, height: int) -> list:
-    """(t, id, BBox) for each confirmed row, its box clipped to the frame; a
-    box left with a side under 0.005 ('%.2f' writes 0.00) is not emitted."""
+    """(t, id, (x, y, w, h)) for each confirmed row, its box clipped to the
+    frame; a box left with a side under 0.005 ('%.2f' writes 0.00) is not
+    emitted."""
     corners = box_corners(tracks.boxes[tracks.confirmed])
     corners[:, :2] = np.maximum(corners[:, :2], 0.0)
     corners[:, 2:] = np.minimum(corners[:, 2:], (float(width), float(height)))
     boxes = corner_boxes(corners)
     keep = (boxes[:, 2:] >= 0.005).all(axis=1)
     ids = tracks.ids[tracks.confirmed][keep].tolist()
-    return [(t, i, BBox(*b)) for i, b in zip(ids, boxes[keep].tolist())]
+    return [(t, i, b) for i, b in zip(ids, map(tuple, boxes[keep].tolist()))]
 
 
 def track(
@@ -191,8 +193,8 @@ def track(
     frame; the boxes are then clipped into `model.ENVELOPE`.
     `propagate` is the non-key-frame step, called once per non-key frame
     with tracked rows (see `make_propagator`, its default).
-    Returns (rows, timings) where rows are (frame, id, BBox) for confirmed
-    objects, boxes clipped to the frame.
+    Returns (rows, timings) where rows are (frame, id, (x, y, w, h)) for
+    confirmed objects, boxes clipped to the frame.
     """
     _validate(scenario, cfg, models)
     header = scenario.header

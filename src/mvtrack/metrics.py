@@ -6,7 +6,7 @@ gated Hungarian assignment on 1 - IoU. Ground-truth rows flagged invisible
 are ignored entirely (neither matchable nor counted), so occluded spans are
 "don't care" regions. Each side is a `MotTable` of columns, ground truth
 counting the rows whose conf exceeds 0.5, or rows: `GroundTruthEntry` for
-the ground truth, (frame, id, BBox) for the hypotheses, which `mot_table`
+the ground truth, (frame, id, (x, y, w, h)) for the hypotheses, which `mot_table`
 turns into one.
 
 Conventions (MOTChallenge): MOTP is the mean IoU over matches; MT/ML count
@@ -47,7 +47,7 @@ def _frame_groups(rows, gt: bool) -> tuple:
     """The ids and box corners of the counted rows, stable-sorted by frame,
     and {frame: slice} of each frame's group in them; a (frame, id) in two
     rows, counted or not, is an error naming the first repeat."""
-    if not isinstance(rows, MotTable):  # GroundTruthEntry or (frame, id, BBox) rows
+    if not isinstance(rows, MotTable):  # GroundTruthEntry or (frame, id, box) rows
         rows = mot_table(gt_to_rows(rows) if gt else [(f, i, b, 1.0) for f, i, b in rows])
     frame, ids = rows.frame, rows.id
     row = first_repeat(frame, ids)

@@ -1,12 +1,13 @@
 """Core domain types shared by every stage of the tracker.
 
-Boxes are center-parameterized and kept in continuous (sub-pixel)
-coordinates; discretization happens only at file I/O. Object ids are
-monotonically increasing and never reused, even after deletion. The
-tracker's state is one `TrackTable` of columns, boxes an (n, 4) array; a
-key frame's detections arrive as one `Detections` table and a MOTChallenge
-file reads as one `MotTable`, both of columns; `mot_table` is the one place
-where (frame, id, BBox, conf) rows become a `MotTable`.
+A box is four numbers, center (x, y) plus width and height in pixels, kept
+in continuous (sub-pixel) coordinates; discretization happens only at file
+I/O. A row carries one as an (x, y, w, h) tuple of floats, and a table as
+one row of an (n, 4) array. Object ids are monotonically increasing and
+never reused, even after deletion. The tracker's state is one `TrackTable`
+of columns; a key frame's detections arrive as one `Detections` table and a
+MOTChallenge file reads as one `MotTable`, both of columns; `mot_table` is
+the one place where (frame, id, box, conf) rows become a `MotTable`.
 """
 from __future__ import annotations
 
@@ -25,51 +26,10 @@ class ConfigError(ValueError):
     """Invalid configuration (maps to CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box: center (x, y) plus width/height, all in pixels."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box size must be positive, got w={self.w} h={self.h}")
-
-    @property
-    def left(self) -> float:
-        return self.x - self.w / 2
-
-    @property
-    def top(self) -> float:
-        return self.y - self.h / 2
-
-    @property
-    def right(self) -> float:
-        return self.x + self.w / 2
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h / 2
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def corners(self) -> tuple[float, float, float, float]:
-        return self.left, self.top, self.right, self.bottom
-
-    @classmethod
-    def from_corners(cls, left: float, top: float, right: float, bottom: float) -> "BBox":
-        return cls((left + right) / 2, (top + bottom) / 2, right - left, bottom - top)
-
-
 class Detections(NamedTuple):
     """A key frame's detections, one row each; a detector maps a 1-based frame to one."""
 
-    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    boxes: np.ndarray  # (n, 4) x, y, w, h
     conf: np.ndarray  # (n,) float in [0, 1]
     features: np.ndarray  # (n, m, m, c) appearance patches
 
@@ -89,7 +49,7 @@ class TrackTable:
     confirmed: np.ndarray  # (n,) bool
     hits: np.ndarray  # (n,) int
     misses: np.ndarray  # (n,) int
-    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    boxes: np.ndarray  # (n, 4) x, y, w, h
     slots: np.ndarray  # (n,) int, each row's slot in `gallery`
     gallery: object  # the GalleryStore, capacity l_f
 
@@ -107,7 +67,7 @@ class MotTable(NamedTuple):
 
     frame: np.ndarray  # (n,) int, 1-based
     id: np.ndarray  # (n,) int
-    boxes: np.ndarray  # (n, 4) x, y, w, h in BBox field order
+    boxes: np.ndarray  # (n, 4) x, y, w, h
     conf: np.ndarray  # (n,) float
 
 
@@ -118,7 +78,8 @@ class MotionFrame:
     `mv` has shape (2, gw, gh) indexed [component, bx, by] with component 0 =
     horizontal and 1 = vertical displacement in whole pixels, describing how
     each block moved from the previous frame to this one. `residual` has
-    shape (gw, gh). Intra frames carry no motion: both tensors are all-zero.
+    shape (gw, gh), each value finite and at most MAX_INPUT in magnitude.
+    Intra frames carry no motion: both tensors are all-zero.
     """
 
     index: int
@@ -133,6 +94,9 @@ class MotionFrame:
             raise ValueError(f"mv must have shape (2, gw, gh), got {self.mv.shape}")
         if self.residual.shape != self.mv.shape[1:]:
             raise ValueError("residual grid does not match mv grid")
+        bad = out_of_bounds(self.residual)
+        if bad is not None:
+            raise ValueError(f"frame {self.index}: residual must be finite and at most {MAX_INPUT:g} in magnitude, got {bad}")
         if self.kind == "I" and (np.any(self.mv) or np.any(self.residual)):
             raise ValueError(f"I-frame {self.index} must carry all-zero motion data")
 
@@ -194,20 +158,21 @@ def first_repeat(frame: np.ndarray, ids: np.ndarray):
 
 
 def box_array(boxes) -> np.ndarray:
-    """x, y, w, h of each BBox as an (n, 4) float array."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+    """(x, y, w, h) boxes, or an (n, 4) array of them, as an (n, 4) float
+    array; a float array comes back uncopied."""
+    return np.asarray(boxes, dtype=float).reshape(-1, 4)
 
 
 def mot_table(rows) -> MotTable:
-    """(frame, id, BBox, conf) rows as one MotTable, in row order."""
+    """(frame, id, box, conf) rows as one MotTable, in row order."""
     frame, ids, boxes, conf = zip(*rows) if rows else ((),) * 4
     return MotTable(np.array(frame, np.int64), np.array(ids, np.int64), box_array(boxes), np.array(conf, float))
 
 
 def box_corners(boxes) -> np.ndarray:
-    """Left, top, right, bottom of each box as an (n, 4) float array; takes
-    BBoxes or an (n, 4) x, y, w, h array."""
-    b = boxes if isinstance(boxes, np.ndarray) else box_array(boxes)
+    """Left, top, right, bottom of each (x, y, w, h) box as an (n, 4) float
+    array; takes what `box_array` takes."""
+    b = box_array(boxes)
     half = b[:, 2:] / 2
     return np.concatenate([b[:, :2] - half, b[:, :2] + half], axis=1)
 
@@ -255,6 +220,22 @@ def center_cells(corners: np.ndarray, block: int, gw: int, gh: int) -> np.ndarra
 MAX_STEP = 1e4  # box sides the centre may move in one step
 MAX_LOG_SCALE = math.log(1e4)  # a side grows or shrinks at most 1e4-fold in one step
 ENVELOPE = np.array([[-1e9, -1e9, 1e-3, 1e-3], [1e9, 1e9, 1e9, 1e9]])  # least and greatest x, y, w, h
+# Regressor weights and biases and stream residuals are bounded by MAX_INPUT
+# in magnitude, so that the regressor's readout, a velocity, stays finite.
+# Of its F_IN = 7 pooled statistics, dx and dy are int32 motion vectors and
+# their differences at most 2**32, and the residual's bin mean is at most
+# B = MAX_INPUT; the pooled bin weights of a box sum to at most 1, so each
+# velocity component is at most 7 * max(2**32, B) * B + B, which B = 1e100
+# keeps far below the float maximum of about 1.8e308.
+MAX_INPUT = 1e100
+
+
+def out_of_bounds(values: np.ndarray):
+    """The first value that is not finite or exceeds MAX_INPUT in magnitude,
+    or None; the common case reads the array twice and copies nothing."""
+    if -MAX_INPUT <= values.min(initial=0.0) and values.max(initial=0.0) <= MAX_INPUT:  # nan fails
+        return None
+    return values[~(np.abs(values) <= MAX_INPUT)][0]
 
 
 def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:

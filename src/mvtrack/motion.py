@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MotionFrame, box_corners, box_velocities, center_cells, corner_boxes, frame_spans, mot_table
+from .model import MAX_INPUT, MotionFrame, box_corners, box_velocities, center_cells, corner_boxes, frame_spans, mot_table, out_of_bounds
 from .stream import gt_to_rows
 
 # Per-cell motion statistics fed to the regressor, in order: dx, dy, residual
@@ -44,8 +44,9 @@ class RegressorParams:
             raise ValueError(f"W must have shape {expected}, got {self.W.shape}")
         if self.bias.shape != (expected[0],):
             raise ValueError(f"bias must have shape ({expected[0]},), got {self.bias.shape}")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("regressor parameters must be finite")
+        bad = out_of_bounds(np.concatenate([self.W.ravel(), self.bias]))
+        if bad is not None:
+            raise ValueError(f"regressor parameters must be finite and at most {MAX_INPUT:g} in magnitude, got {bad}")
 
     @classmethod
     def zeros(cls, m: int) -> "RegressorParams":
@@ -259,8 +260,8 @@ class FieldReadout:
         self.table = motion_table(frame)
 
     def velocities(self, boxes, block: int) -> np.ndarray:
-        """The (n, 4) normalized velocities vx, vy, vw, vh of the boxes
-        (BBoxes or an (n, 4) x, y, w, h array), in order."""
+        """The (n, 4) normalized velocities vx, vy, vw, vh of the (x, y, w, h)
+        boxes (a sequence or an (n, 4) array), in order."""
         A, e = pool(self.table, box_corners(boxes), block, self.m)
         return np.einsum("nuf,kuf->nk", A, self.W4) + e @ self.b4.T
 

@@ -11,6 +11,8 @@ center (the latest-entering object wins ties), foreground blocks carry the
 object's integer-rounded displacement, background blocks carry the global
 camera displacement. Blocks of an occluded object carry background motion
 plus an elevated residual, so occlusion genuinely interrupts propagation.
+A box goes in and comes out as an (x, y, w, h) tuple of floats: the
+scripts' `box_at`, the ground truth's `bbox` and the MOTChallenge rows.
 
 `OracleDetector` indexes the visible ground truth by frame once, in the
 columns of `mot_table(gt_to_rows(gt))`, and returns each key frame's
@@ -35,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BBox, ConfigError, Detections, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
-from .model import first_repeat, frame_spans, mot_table
+from .model import MAX_INPUT, ConfigError, Detections, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
+from .model import first_repeat, frame_spans, mot_table, out_of_bounds
 
 
 class ScenarioFormatError(ValueError):
@@ -78,7 +80,7 @@ class StreamHeader:
 class GroundTruthEntry:
     frame: int  # 1-based
     id: int
-    bbox: BBox
+    bbox: tuple  # (x, y, w, h)
     visible: bool = True
 
 
@@ -146,10 +148,11 @@ class ObjectScript:
             return False
         return not any(a <= t <= b for a, b in self.occlusions)
 
-    def box_at(self, t: int) -> BBox:
+    def box_at(self, t: int) -> tuple:
+        """The (x, y, w, h) box on frame t."""
         dt = t - self.enter
         s = self.zoom**dt
-        return BBox(self.x + self.vx * dt, self.y + self.vy * dt, self.w * s, self.h * s)
+        return (self.x + self.vx * dt, self.y + self.vy * dt, self.w * s, self.h * s)
 
 
 @dataclass(frozen=True)
@@ -208,9 +211,11 @@ def _validate_script(script: MotionScript, header: StreamHeader) -> None:
             raise ValueError(f"object {obj.id}: lifetime [{obj.enter},{obj.exit}] outside 1..{script.frames}")
         if obj.w <= 0 or obj.h <= 0 or obj.zoom <= 0:
             raise ValueError(f"object {obj.id}: size and zoom must be positive")
-        for t in (obj.enter, obj.exit):
-            b = obj.box_at(t)
-            if b.w > header.width or b.h > header.height:
+        for t in (obj.enter, obj.exit):  # sizes are monotone in t
+            _, _, w, h = obj.box_at(t)
+            if not (w > 0 and h > 0):
+                raise ValueError(f"object {obj.id}: box size must be positive, got w={w} h={h}")
+            if w > header.width or h > header.height:
                 raise ValueError(f"object {obj.id}: larger than the frame at frame {t}")
 
 
@@ -250,16 +255,16 @@ def generate_scenario(script: MotionScript, header: StreamHeader, seed: int) -> 
         moving = [obj for obj in paint_order if obj.alive_at(t_prev) and obj.alive_at(t_cur)]
         prevs = [obj.box_at(t_prev) for obj in moving]
         cells = center_cells(box_corners(prevs), block, gw, gh)
-        for obj, prev, (x0, y0, x1, y1) in zip(moving, prevs, cells):
+        for obj, (px, py, pw, ph), (x0, y0, x1, y1) in zip(moving, prevs, cells):
             if x0 >= x1 or y0 >= y1:
                 continue
             sel = np.s_[x0:x1, y0:y1]
             if obj.visible_at(t_prev) and obj.visible_at(t_cur):
-                cur = obj.box_at(t_cur)
-                sx = cur.w / prev.w
-                sy = cur.h / prev.h
-                dx = (cur.x - prev.x) + (xs[x0:x1, None] - prev.x) * (sx - 1)
-                dy = (cur.y - prev.y) + (ys[None, y0:y1] - prev.y) * (sy - 1)
+                cx, cy, cw, ch = obj.box_at(t_cur)
+                sx = cw / pw
+                sy = ch / ph
+                dx = (cx - px) + (xs[x0:x1, None] - px) * (sx - 1)
+                dy = (cy - py) + (ys[None, y0:y1] - py) * (sy - 1)
                 dx = np.broadcast_to(dx, (x1 - x0, y1 - y0))
                 dy = np.broadcast_to(dy, (x1 - x0, y1 - y0))
                 rx = np.rint(dx)
@@ -382,11 +387,7 @@ def write_scenario(scenario: Scenario, path) -> None:
     for obj_id in sorted(scenario.feature_seeds):
         lines.append("seed %d %d" % (obj_id, scenario.feature_seeds[obj_id]))
     for row in scenario.gt:
-        b = row.bbox
-        lines.append(
-            "gt %d %d %s %s %s %s %d"
-            % (row.frame, row.id, _fmt(b.x), _fmt(b.y), _fmt(b.w), _fmt(b.h), 1 if row.visible else 0)
-        )
+        lines.append("gt %d %d %s %s %s %s %d" % (row.frame, row.id, *map(_fmt, row.bbox), 1 if row.visible else 0))
     for fr in scenario.frames:
         lines.append("frame %d %s" % (fr.index, fr.kind))
         if fr.kind == "P":
@@ -548,8 +549,9 @@ def read_scenario(path) -> Scenario:
         def check(t):
             if t.shape[1] != size:
                 raise ValueError(f"grid size mismatch: {t.shape[1]} values, header grid {gw}x{gh} needs {size}")
-            if not np.isfinite(t).all():
-                raise ValueError("malformed res record: non-finite residual")
+            bad = out_of_bounds(t)
+            if bad is not None:
+                raise ValueError(f"malformed res record: non-finite residual or one above {MAX_INPUT:g} in magnitude, got {bad}")
 
         return check
 
@@ -566,7 +568,7 @@ def read_scenario(path) -> Scenario:
         )
 
     gt = [
-        GroundTruthEntry(frame, obj_id, BBox(*box), visible == 1)
+        GroundTruthEntry(frame, obj_id, tuple(box), visible == 1)
         for frame, obj_id, box, visible in zip(
             table["frame"].tolist(), table["id"].tolist(), table["box"].tolist(), table["visible"].tolist()
         )
@@ -584,14 +586,16 @@ def read_scenario(path) -> Scenario:
 # 2-decimal fixed point.
 
 def write_motchallenge(rows, path) -> None:
-    """Write (frame, id, BBox, confidence) rows in MOTChallenge format."""
+    """Write (frame, id, (x, y, w, h), confidence) rows in MOTChallenge
+    format, each box as its left, top, w and h; a frame below 1 or a box
+    without positive width and height raises ValueError."""
     lines = []
-    for frame, obj_id, bbox, conf in rows:
+    for frame, obj_id, (x, y, w, h), conf in rows:
         if frame < 1:
             raise ValueError(f"MOTChallenge frames are 1-based, got {frame}")
-        lines.append(
-            "%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1" % (frame, obj_id, bbox.left, bbox.top, bbox.w, bbox.h, conf)
-        )
+        if not (w > 0 and h > 0):
+            raise ValueError(f"box size must be positive, got w={w} h={h}")
+        lines.append("%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1" % (frame, obj_id, x - w / 2, y - h / 2, w, h, conf))
     with open(path, "w") as fh:
         if lines:
             fh.write("\n".join(lines) + "\n")
@@ -616,7 +620,7 @@ def _check_mot(t) -> None:
 def read_mot_table(path) -> MotTable:
     """Read a MOTChallenge file as one MotTable, parsing the first seven
     columns of the non-blank lines as one numpy table; the centre is
-    left + w/2, as BBox stores it.
+    left + w/2.
 
     A malformed line, a frame below 1, a non-finite number or a box without
     positive width and height raises ValueError naming the line."""
@@ -629,12 +633,9 @@ def read_mot_table(path) -> MotTable:
 
 
 def read_motchallenge(path) -> list:
-    """The rows of `read_mot_table` as (frame, id, BBox, confidence) tuples."""
+    """The rows of `read_mot_table` as (frame, id, (x, y, w, h), confidence) tuples."""
     t = read_mot_table(path)
-    return [
-        (frame, obj_id, BBox(*box), c)
-        for frame, obj_id, box, c in zip(t.frame.tolist(), t.id.tolist(), t.boxes.tolist(), t.conf.tolist())
-    ]
+    return list(zip(t.frame.tolist(), t.id.tolist(), map(tuple, t.boxes.tolist()), t.conf.tolist()))
 
 
 def gt_to_rows(gt) -> list:

@@ -1,5 +1,9 @@
 """Reference implementations the tests check production code against.
 
+Boxes: the package takes and emits a box as a plain (x, y, w, h) tuple.
+`BBox` is such a tuple with its sides named and its sizes checked, which
+the tests and oracles build boxes with and read emitted boxes through.
+
 Box algebra: `Velocity`, `predict_bbox` and `inverse_velocity` move one
 box at a time with scalar arithmetic. The package moves (n, 4) box arrays
 (`mvtrack.model.predict_boxes` and its inverse `box_velocities`); the
@@ -88,7 +92,7 @@ import numpy as np
 from mvtrack.affinity import AffinityHeadParams, _logistic, normalize_channels
 from mvtrack.association import gated_assign, hungarian
 from mvtrack.metrics import MotScores
-from mvtrack.model import BBox, FeaturePatch, MotionFrame, TrackerConfig, box_array, box_velocities, center_cells, iou_matrix
+from mvtrack.model import FeaturePatch, MotionFrame, TrackerConfig, box_array, box_velocities, center_cells, iou_matrix
 from mvtrack.model import box_corners as box_corners_array
 from mvtrack.motion import F_IN, RegressorParams, motion_table, smooth_l1
 from mvtrack.motion import pool as pool_cells
@@ -99,6 +103,53 @@ VelocityField = np.ndarray  # shape (4*m*m, gw, gh)
 
 # ---------------------------------------------------------------------------
 # Scalar box algebra
+
+
+class BBox(tuple):
+    """Axis-aligned box: center (x, y) plus width/height, all in pixels.
+
+    The package takes and emits a box as a plain (x, y, w, h) tuple; this one
+    is such a tuple, so it passes into the package unchanged, with the sides
+    named and its sizes checked to be positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, w, h):
+        if not (w > 0 and h > 0):
+            raise ValueError(f"box size must be positive, got w={w} h={h}")
+        return super().__new__(cls, (x, y, w, h))
+
+    x = property(lambda self: self[0])
+    y = property(lambda self: self[1])
+    w = property(lambda self: self[2])
+    h = property(lambda self: self[3])
+
+    @property
+    def left(self) -> float:
+        return self.x - self.w / 2
+
+    @property
+    def top(self) -> float:
+        return self.y - self.h / 2
+
+    @property
+    def right(self) -> float:
+        return self.x + self.w / 2
+
+    @property
+    def bottom(self) -> float:
+        return self.y + self.h / 2
+
+    @property
+    def area(self) -> float:
+        return self.w * self.h
+
+    def corners(self) -> tuple:
+        return self.left, self.top, self.right, self.bottom
+
+    @classmethod
+    def from_corners(cls, left: float, top: float, right: float, bottom: float) -> "BBox":
+        return cls((left + right) / 2, (top + bottom) / 2, right - left, bottom - top)
 
 
 @dataclass(frozen=True)
@@ -304,7 +355,7 @@ def propagation_samples(scenario) -> list:
             b = by_key.get((t_cur, obj_id))
             if a is None or b is None or not (a.visible and b.visible):
                 continue
-            out.append((fr, a.bbox, b.bbox))
+            out.append((fr, BBox(*a.bbox), BBox(*b.bbox)))
     return out
 
 
@@ -404,12 +455,14 @@ def appearance_cost(params: AffinityHeadParams, gallery, f: FeaturePatch) -> flo
     return 1.0 - max(affinity(params, g, f) for g in gallery)
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes; 0 for disjoint or touching.
+def bbox_iou(a, b) -> float:
+    """Intersection-over-union of two (x, y, w, h) boxes; 0 for disjoint or
+    touching.
 
     Areas are computed in corner space so the ratio stays in [0, 1] even when
     corner rounding at large coordinates makes w*h inconsistent.
     """
+    a, b = BBox(*a), BBox(*b)
     iw = min(a.right, b.right) - max(a.left, b.left)
     ih = min(a.bottom, b.bottom) - max(a.top, b.top)
     if iw <= 0 or ih <= 0:
@@ -800,7 +853,7 @@ def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig) -> list:
             continue
         if rng.random() < cfg.miss_rate:
             continue
-        b = row.bbox
+        b = BBox(*row.bbox)
         g = rng.standard_normal(4).tolist()
         bbox = BBox(
             b.x + cfg.noise_center * b.w * g[0],
@@ -877,8 +930,8 @@ class TrackedObject:
 
 
 def box_corners(boxes) -> np.ndarray:
-    """Left, top, right, bottom of each box as an (n, 4) float array."""
-    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
+    """Left, top, right, bottom of each (x, y, w, h) box as an (n, 4) float array."""
+    return np.array([BBox(*b).corners() for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def velocities(params: RegressorParams, frame: MotionFrame, boxes, block: int) -> list:

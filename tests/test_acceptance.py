@@ -14,7 +14,7 @@ from mvtrack.association import hungarian
 from mvtrack.cli import delayed
 from mvtrack.engine import OracleDetector, TrackerModels, make_propagator, speedup_model, track
 from mvtrack.metrics import clear_mot, idf1
-from mvtrack.model import BBox, MotionFrame, TrackerConfig, box_velocities, predict_boxes
+from mvtrack.model import MotionFrame, TrackerConfig, box_velocities, predict_boxes
 from mvtrack.motion import (
     F_IN,
     FitHyper,
@@ -32,7 +32,7 @@ from mvtrack.stream import (
     write_motchallenge,
 )
 import oracles
-from oracles import bbox_iou, exhaustive_idf1, ps_maps, regressor_grad, regressor_loss
+from oracles import BBox, bbox_iou, exhaustive_idf1, ps_maps, regressor_grad, regressor_loss
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -15,8 +15,7 @@ from mvtrack.affinity import (
 )
 from mvtrack.affinity import appearance_cost as appearance_cost_matrix
 from mvtrack.association import gated_assign
-from mvtrack.model import BBox
-from oracles import _statistic, affinity, appearance_cost, iou_cost, ps_maps
+from oracles import BBox, _statistic, affinity, appearance_cost, iou_cost, ps_maps
 from tables import gallery_store
 
 

@@ -15,8 +15,8 @@ from mvtrack.association import (
     hungarian,
     _iou_cost,
 )
-from mvtrack.model import BBox, ConfigError, Detections, TrackTable, TrackerConfig, box_array
-from oracles import appearance_cost, iou_cost
+from mvtrack.model import ConfigError, Detections, TrackTable, TrackerConfig, box_array
+from oracles import BBox, appearance_cost, iou_cost
 from tables import gallery, track_table
 
 

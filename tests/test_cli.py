@@ -69,6 +69,9 @@ def test_models_file_malformed(tmp_path):
         (4, lambda l: l.rsplit(" ", 1)[0], "line 4: malformed model file: 'w' record has 6 fields, expected 7"),
         (4, lambda l: l.replace(" 1.0", " x", 1), "line 4: malformed model file: could not convert string to float: 'x'"),
         (4, lambda l: l.replace(" 1.0", " nan", 1), "line 2: malformed model file: regressor parameters must be finite"),
+        (4, lambda l: l.replace(" 1.0", " 1e308", 1),
+         r"line 2: malformed model file: regressor parameters must be finite and at most 1e\+100 in magnitude, got 1e\+308"),
+        (7, lambda l: l.replace(" 0.0", " -1e101", 1), r"line 2: malformed model file: .* at most 1e\+100 in magnitude, got -1e\+101"),
         (7, lambda l: "w" + l[1:], "line 7: malformed model file: missing 'b' record"),
         (7, lambda l: l + " 0.0", "line 7: malformed model file: 'b' record has 5 fields, expected 4"),
         (8, lambda l: "affinity withps 1.0", "line 8: malformed model file: 'affinity' record has 2 fields, expected 3"),

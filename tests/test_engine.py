@@ -24,7 +24,7 @@ from mvtrack.engine import (
 )
 from mvtrack.metrics import clear_mot
 from mvtrack.model import (
-    BBox,
+    MAX_INPUT,
     ConfigError,
     Detections,
     MotionFrame,
@@ -47,6 +47,7 @@ from mvtrack.stream import (
     write_motchallenge,
 )
 import oracles
+from oracles import BBox
 from tables import gallery
 
 HEADER = StreamHeader(width=480, height=360, block=16, gop=12)
@@ -101,12 +102,12 @@ def test_noiseless_k1_ids_constant_boxes_exact(head7):
     gt = {(r.frame, r.id): r.bbox for r in sc.gt}
     by_track = {}
     for frame, obj_id, bbox in rows:
-        by_track.setdefault(obj_id, []).append((frame, bbox))
+        by_track.setdefault(obj_id, []).append((frame, BBox(*bbox)))
     assert len(by_track) == 2  # one output identity per object, constant
     # boxes equal GT from the confirmation frame onward
     for obj_id, entries in by_track.items():
         for frame, bbox in entries:
-            match = [g for (f, gid), g in gt.items() if f == frame and abs(g.x - bbox.x) < 1e-9]
+            match = [g for (f, gid), g in gt.items() if f == frame and abs(g[0] - bbox.x) < 1e-9]
             assert match, f"frame {frame} box does not sit on any GT box"
 
 
@@ -115,12 +116,11 @@ def test_k3_bboxavg_translation_exact(head7):
     cfg = TrackerConfig(K=3, propagator="bboxavg")
     rows, tm = track(sc, OracleDetector(sc, DetectorConfig(rng_seed=0)), cfg, TrackerModels(affinity=head7))
     assert tm.key_frames == 12 and tm.nonkey_frames == 24
-    gt_xs = {(r.frame, round(r.bbox.y, 3)): r.bbox for r in sc.gt}
+    gt_xs = {(r.frame, round(r.bbox[1], 3)): r.bbox for r in sc.gt}
     for frame, obj_id, bbox in rows:
-        key = (frame, round(bbox.y, 3))
+        key = (frame, round(bbox[1], 3))
         assert key in gt_xs
-        g = gt_xs[key]
-        assert (bbox.x, bbox.y, bbox.w, bbox.h) == (g.x, g.y, g.w, g.h)
+        assert bbox == gt_xs[key]
 
 
 def test_tentative_objects_never_emitted(head7):
@@ -240,8 +240,8 @@ def test_boxes_clipped_at_output(head7):
     rows, _ = track(sc, OracleDetector(sc), cfg, TrackerModels(affinity=head7))
     assert rows
     for _, _, bbox in rows:
-        assert bbox.right <= HEADER.width + 1e-9
-        assert bbox.left >= -1e-9
+        assert BBox(*bbox).right <= HEADER.width + 1e-9
+        assert BBox(*bbox).left >= -1e-9
 
 
 def test_file_detector(tmp_path, head7):
@@ -396,10 +396,11 @@ def test_box_step_is_total_on_finite_velocities(rows):
     assert np.isfinite(out).all() and (out[:, 2:] > 0).all()
 
     # the regressor's step: a bias-only head at m = 1 reads its bias out as
-    # the velocity of every box that covers a cell center
+    # the velocity of every box that covers a cell center; a head holds
+    # values up to MAX_INPUT, still far past the step's own bounds
     frame = MotionFrame(1, "P", np.zeros((2, *HEADER.grid), dtype=np.int32), np.zeros(HEADER.grid))
     cfg = TrackerConfig(propagator="regressor")
-    for vel in v:
+    for vel in np.clip(v, -MAX_INPUT, MAX_INPUT):
         step = make_propagator(cfg, TrackerModels(regressor=RegressorParams(np.zeros((4, F_IN)), vel, 1)))
         out = step(boxes, frame, HEADER.block)
         assert np.isfinite(out).all() and (out[:, 2:] > 0).all()
@@ -432,15 +433,15 @@ GRID = (4, 3)  # of a 64 x 48 frame in 16-pixel blocks
 def extreme_runs(draw):
     """Three motion grids of extreme vectors and residuals, up to four
     detection tables of extreme boxes, an association, a propagator, and a
-    regressor head of large weights."""
+    regressor head of large weights; residuals and weights reach MAX_INPUT."""
     gw, gh = GRID
     mv = [np.array(draw(st.lists(INT32, min_size=2 * gw * gh, max_size=2 * gw * gh)), dtype=np.int32).reshape(2, gw, gh) for _ in range(3)]
-    residual = [np.array(draw(st.lists(st.floats(0, 1e9), min_size=gw * gh, max_size=gw * gh))).reshape(gw, gh) for _ in range(3)]
+    value = st.one_of(st.sampled_from([0.0, 10.0, MAX_INPUT, -MAX_INPUT]), st.floats(-MAX_INPUT, MAX_INPUT))
+    residual = [np.array(draw(st.lists(value, min_size=gw * gh, max_size=gw * gh))).reshape(gw, gh) for _ in range(3)]
     coord = st.one_of(st.sampled_from([32.0, -1e308, 1e308, 1e9]), st.floats(-1e308, 1e308))
     side = st.one_of(st.sampled_from([5e-324, 1e308, 20.0]), st.floats(5e-324, 1e308))
     tables = draw(st.lists(st.lists(st.tuples(coord, coord, side, side), max_size=3), min_size=1, max_size=4))
-    weight = st.one_of(st.sampled_from([0.0, 50.0, -50.0, 1e6, -1e6]), st.floats(-1e6, 1e6))
-    head = draw(st.lists(weight, min_size=16 * (F_IN + 1), max_size=16 * (F_IN + 1)))
+    head = draw(st.lists(value | st.sampled_from([50.0, -50.0]), min_size=16 * (F_IN + 1), max_size=16 * (F_IN + 1)))
     return dict(
         mv=mv, residual=residual, tables=tables, head=head, K=draw(st.sampled_from([3, 12])),
         assoc=draw(st.sampled_from([("onestep", 1.0), ("onestep", 0.5), ("twostep", 0.5)])),
@@ -457,8 +458,26 @@ RUNAWAY = dict(
 )
 
 
+# the head that once read a residual of 10 per cell as an infinite vx, at
+# the bound: the largest weight a head may hold, on the residual channel
+READOUT_AT_BOUND = dict(
+    RUNAWAY, residual=[np.full(GRID, 10.0)] * 3, head=[MAX_INPUT if i == 2 else 0.0 for i in range(16 * (F_IN + 1))],
+)
+
+
+def test_regressor_rejects_parameters_past_the_bound():
+    W = np.zeros((4, F_IN))
+    W[0, 2] = 1e308  # past the bound, this head's readout overflowed mid-run
+    with pytest.raises(ValueError, match=r"regressor parameters must be finite and at most 1e\+100 in magnitude, got 1e\+308"):
+        RegressorParams(W, np.zeros(4), 1)
+    with pytest.raises(ValueError, match="got nan"):
+        RegressorParams(np.zeros((4, F_IN)), np.array([0.0, np.nan, 0.0, 0.0]), 1)
+    RegressorParams(np.full((4, F_IN), -MAX_INPUT), np.full(4, MAX_INPUT), 1)
+
+
 @settings(max_examples=40, deadline=None)
 @example(RUNAWAY)
+@example(READOUT_AT_BOUND)
 @given(extreme_runs())
 def test_track_is_total_over_many_steps(run):
     # 120 frames run to the end and every emitted row reads back; P frame t

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtrack.metrics import clear_mot, idf1
-from mvtrack.model import BBox
 from mvtrack.stream import GroundTruthEntry, MotionScript, ObjectScript, StreamHeader, generate_scenario
 import oracles
-from oracles import exhaustive_idf1
+from oracles import BBox, exhaustive_idf1
 
 
 def gt_row(frame, obj_id, x=50.0, y=50.0, w=20.0, h=20.0, visible=True):

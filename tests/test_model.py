@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mvtrack.model import (
-    BBox,
+    MAX_INPUT,
     MotionFrame,
     TrackerConfig,
     box_array,
@@ -16,7 +16,7 @@ from mvtrack.model import (
     iou_matrix,
     predict_boxes,
 )
-from oracles import bbox_iou
+from oracles import BBox, bbox_iou
 
 
 def boxes(min_size=0.1, max_size=500.0):
@@ -30,16 +30,9 @@ def iou(a, b):
     return float(iou_matrix(box_corners([a]), box_corners([b]))[0, 0])
 
 
-def test_bbox_rejects_degenerate_sizes():
-    with pytest.raises(ValueError):
-        BBox(0, 0, 0, 10)
-    with pytest.raises(ValueError):
-        BBox(0, 0, 10, -1)
-
-
 def test_corner_round_trip_exact():
-    b = BBox(12.5, -3.25, 7.0, 9.5)
-    assert BBox.from_corners(*b.corners()) == b
+    b = (12.5, -3.25, 7.0, 9.5)
+    assert tuple(corner_boxes(box_corners([b]))[0].tolist()) == b
 
 
 def test_iou_identical_boxes():
@@ -223,6 +216,14 @@ def test_motion_frame_intra_must_be_empty():
     with pytest.raises(ValueError):
         MotionFrame(0, "I", mv, np.zeros((4, 3)))
     MotionFrame(0, "I", np.zeros((2, 4, 3), np.int32), np.zeros((4, 3)))  # ok
+
+
+def test_motion_frame_rejects_residual_past_the_bound():
+    mv = np.zeros((2, 2, 2), dtype=np.int32)
+    for value, shown in ((1e308, r"1e\+308"), (-np.inf, "-inf"), (np.nan, "nan")):
+        with pytest.raises(ValueError, match=rf"frame 3: residual must be finite and at most 1e\+100 in magnitude, got {shown}"):
+            MotionFrame(3, "P", mv, np.array([[0.0, value], [1.0, 2.0]]))
+    assert MotionFrame(3, "P", mv, np.full((2, 2), -MAX_INPUT)).residual[0, 0] == -MAX_INPUT
 
 
 def test_tracker_config_defaults_and_validation():

@@ -7,6 +7,22 @@ import inspect
 from pathlib import Path
 
 import mvtrack.engine
+from mvtrack.engine import OracleDetector, track
+from mvtrack.metrics import clear_mot
+from mvtrack.model import TrackerConfig
+from mvtrack.stream import (
+    DetectorConfig,
+    MotionScript,
+    ObjectScript,
+    Scenario,
+    StreamHeader,
+    generate_scenario,
+    gt_to_rows,
+    read_mot_table,
+    read_motchallenge,
+    rows_to_gt,
+    write_motchallenge,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # run.py reads MOTA, IDS and IDF1 by wrapping these two names in mvtrack.cli
@@ -105,3 +121,28 @@ def test_tracer_plan_names_resolve_except_the_unhooked():
 def test_field_readout_stays_a_class_the_tracer_can_subclass():
     assert inspect.isclass(mvtrack.engine.FieldReadout)
     assert {"__init__", "velocities"} <= set(vars(mvtrack.engine.FieldReadout))
+
+
+def test_benchmark_row_calls_score_as_evaluate_does(tmp_path):
+    # the row calls of perfbench/prepare.py and perfbench/run.py, which the
+    # benchmark's own tests make only under perfbench/, on a tiny scenario
+    objs = (ObjectScript(id=1, enter=1, exit=24, x=60, y=60, w=40, h=32, vx=2),
+            ObjectScript(id=2, enter=3, exit=24, x=180, y=120, w=48, h=48, vx=-1.5, occlusions=((9, 11),)))
+    scenario = generate_scenario(MotionScript(frames=24, objects=objs), StreamHeader(width=256, height=192), seed=1)
+    cfg = TrackerConfig(K=3, propagator="bboxavg", association_mode="onestep", alpha=1.0)
+    detector = OracleDetector(scenario, DetectorConfig(noise_center=0.02, miss_rate=0.2, fp_rate=1.0, rng_seed=1))
+    gt_path, out = tmp_path / "gt.txt", tmp_path / "out.txt"
+    write_motchallenge(gt_to_rows(scenario.gt), gt_path)  # prepare
+    rows, _ = track(scenario, detector, cfg)
+    write_motchallenge([(f, i, b, 1.0) for f, i, b in rows], out)  # Session.track
+    # the warm-up tracks the prefix of a Scenario rebuilt from its parts
+    n = 12
+    prefix = Scenario(scenario.header, scenario.frames[:n], [r for r in scenario.gt if r.frame <= n], scenario.feature_seeds)
+    assert track(prefix, detector, cfg)[0] == [r for r in rows if r[0] <= n]
+    # run() scores rows read back; `mvtrack evaluate` scores the tables
+    gt = rows_to_gt(read_motchallenge(gt_path))
+    assert gt == scenario.gt
+    got = clear_mot(gt, [(f, i, b) for f, i, b, _ in read_motchallenge(out)])
+    want = clear_mot(read_mot_table(gt_path), read_mot_table(out))
+    assert rows and (got.mota, got.ids) == (want.mota, want.ids)
+    assert got.fp + got.fn > 0  # the detector's misses and clutter reach the scores

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from mvtrack.model import BBox, MotionFrame, box_corners
+from oracles import BBox
+from mvtrack.model import MAX_INPUT, MotionFrame, box_corners
 from mvtrack.stream import (
     DetectorConfig,
     GroundTruthEntry,
@@ -53,7 +54,7 @@ def test_static_object_all_zero_motion():
 
 def test_translation_blocks_carry_exact_mv():
     sc = generate_scenario(one_object(x=40, y=64, vx=4), HEADER, seed=0)
-    gt = {r.frame: r.bbox for r in sc.gt}
+    gt = {r.frame: BBox(*r.bbox) for r in sc.gt}
     for fr in sc.frames:
         if fr.kind != "P":
             continue
@@ -71,7 +72,7 @@ def test_translation_blocks_carry_exact_mv():
 def test_zoom_field_has_positive_divergence():
     sc = generate_scenario(one_object(w=60, h=60, zoom=1.05), HEADER, seed=0)
     fr = sc.frames[5]
-    gt = {r.frame: r.bbox for r in sc.gt}
+    gt = {r.frame: BBox(*r.bbox) for r in sc.gt}
     prev = gt[5]
     bx0 = math.ceil(prev.left / 16 - 0.5)
     bx1 = math.ceil(prev.right / 16 - 0.5) - 1
@@ -92,12 +93,19 @@ def test_rejects_oversized_object():
         generate_scenario(one_object(w=500), HEADER, seed=0)
 
 
+def test_rejects_object_that_shrinks_to_nothing():
+    # the size at exit underflows to 0; sizes are monotone, so the
+    # endpoints are the frames to check
+    with pytest.raises(ValueError, match=r"^object 1: box size must be positive, got w=0.0 h=0.0$"):
+        generate_scenario(one_object(frames=60, zoom=1e-10), HEADER, seed=0)
+
+
 def test_occluded_blocks_lose_motion_and_gain_residual():
     sc = generate_scenario(one_object(x=40, y=64, vx=4, occlusions=((5, 8),)), HEADER, seed=0)
     gt = {r.frame: r for r in sc.gt}
     assert not gt[6].visible and gt[4].visible
     fr = sc.frames[5]  # bridges engine frames 5 -> 6, both occluded or entering occlusion
-    prev = gt[5].bbox
+    prev = BBox(*gt[5].bbox)
     bx = int(prev.x // 16)
     by = int(prev.y // 16)
     assert fr.mv[0, bx, by] == 0  # background motion, not the object's
@@ -179,7 +187,7 @@ def test_oracle_noiseless_matches_gt():
     dets = OracleDetector(sc, DetectorConfig(rng_seed=0))(4)
     gt4 = [r for r in sc.gt if r.frame == 4]
     assert len(dets.conf) == 1
-    assert dets.boxes[0, :2].tolist() == [gt4[0].bbox.x, gt4[0].bbox.y]
+    assert dets.boxes[0, :2].tolist() == list(gt4[0].bbox[:2])
     assert 0.95 <= dets.conf[0] <= 1.0
 
 
@@ -408,6 +416,7 @@ def _set_token(k, value):
         ("res ", _set_token(3, "x"), "malformed res record: could not convert string 'x' to float64"),
         ("res ", _set_token(3, "nan"), "malformed res record: non-finite residual"),
         ("res ", _set_token(3, "-inf"), "malformed res record: non-finite residual"),
+        ("res ", _set_token(3, "1e308"), r"malformed res record: non-finite residual or one above 1e\+100 in magnitude"),
         ("res ", _set_token(0, "mv"), "frame 1: expected res record, got 'mv 0.0 0.0 "),
         ("end", lambda line: "end 1", "expected 'end' after frame 11, got 'end 1'"),
     ],
@@ -540,18 +549,20 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 
 
 @st.composite
 def hand_built(draw):
-    """A scenario with arbitrary int32 motion vectors, float64 residuals and gt
-    boxes; a (frame, id) appears in at most one gt row, as a file requires."""
+    """A scenario with arbitrary int32 motion vectors, float64 residuals up to
+    MAX_INPUT in magnitude and gt boxes; a (frame, id) appears in at most one
+    gt row, as a file requires."""
     gw, gh, gop = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     header = StreamHeader(width=16 * gw - draw(st.integers(0, 15)), height=16 * gh, block=16, gop=gop)
     floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL)
+    residuals = st.floats(-MAX_INPUT, MAX_INPUT) | st.sampled_from([v for v in _SPECIAL if abs(v) <= 1] + [MAX_INPUT, -MAX_INPUT])
     frames = []
     for j in range(draw(st.integers(1, 7))):
         if j % gop == 0:
             frames.append(MotionFrame.intra(j, gw, gh))
         else:
             mv = draw(arrays(np.int32, (2, gw, gh)))
-            res = draw(arrays(np.float64, (gw, gh), elements=floats))
+            res = draw(arrays(np.float64, (gw, gh), elements=residuals))
             frames.append(MotionFrame(j, "P", mv, res))
     seeds = draw(st.dictionaries(st.integers(-2**62, 2**62), st.integers(0, 2**62), min_size=1, max_size=3))
     sizes = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
@@ -576,7 +587,7 @@ def test_reader_matches_per_token_oracle_bit_for_bit(tmp_path_factory):
         new, old = read_scenario(p), oracles.read_scenario(p)
         assert new.header == old.header == sc.header
         assert new.feature_seeds == old.feature_seeds == sc.feature_seeds
-        boxes = lambda s: [(r.frame, r.id, r.visible, *map(float.hex, (r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h))) for r in s.gt]
+        boxes = lambda s: [(r.frame, r.id, r.visible, *map(float.hex, r.bbox)) for r in s.gt]
         assert boxes(new) == boxes(old) == boxes(sc)
         for a, b, c in zip(new.frames, old.frames, sc.frames, strict=True):
             assert (a.index, a.kind) == (b.index, b.kind) == (c.index, c.kind)
@@ -605,15 +616,24 @@ def test_motchallenge_empty(tmp_path):
 
 def test_motchallenge_round_trip(tmp_path):
     rows = [
-        (1, 1, BBox(10.0, 10.0, 4.0, 8.0), 1.0),
-        (2, 1, BBox(12.5, 9.25, 4.0, 8.5), 0.75),
-        (2, 3, BBox(100.0, 50.0, 20.0, 30.0), 1.0),
+        (1, 1, (10.0, 10.0, 4.0, 8.0), 1.0),
+        (2, 1, (12.5, 9.25, 4.0, 8.5), 0.75),
+        (2, 3, (100.0, 50.0, 20.0, 30.0), 1.0),
     ]
     p = tmp_path / "r.txt"
     write_motchallenge(rows, p)
     back = read_motchallenge(p)
     assert back == rows
-    assert [tuple(map(type, row)) for row in back] == [(int, int, BBox, float)] * 3
+    assert [tuple(map(type, row)) for row in back] == [(int, int, tuple, float)] * 3
+    assert [tuple(map(type, box)) for _, _, box, _ in back] == [(float,) * 4] * 3
+
+
+@pytest.mark.parametrize("box, shown", [((10.0, 10.0, 0.0, 8.0), "w=0.0 h=8.0"), ((10.0, 10.0, 4.0, math.nan), "w=4.0 h=nan")])
+def test_motchallenge_writer_rejects_box_without_positive_size(tmp_path, box, shown):
+    p = tmp_path / "r.txt"
+    with pytest.raises(ValueError, match=f"^box size must be positive, got {shown}$"):
+        write_motchallenge([(1, 1, (10.0, 10.0, 4.0, 8.0), 1.0), (2, 1, box, 1.0)], p)
+    assert not p.exists()
 
 
 def test_motchallenge_rejects_frame_zero(tmp_path):
@@ -687,7 +707,7 @@ def test_motchallenge_reader_matches_per_token_oracle(tmp_path_factory):
             return
         new = read_motchallenge(p)
         assert new == old
-        key = lambda rows: [(f, i, *map(float.hex, (b.x, b.y, b.w, b.h, c))) for f, i, b, c in rows]
+        key = lambda rows: [(f, i, *map(float.hex, (*b, c))) for f, i, b, c in rows]
         assert key(new) == key(old)
         assert box_corners(read_mot_table(p).boxes).tolist() == [list(b.corners()) for _, _, b, _ in old]
 

@@ -4,15 +4,17 @@
 `oracles.track`, bit for bit, under every propagator, association mode and
 key-frame period; and its output must keep the tracker's invariants.
 """
+import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvtrack.association
 import mvtrack.engine
 import oracles
+from oracles import BBox
 from mvtrack.engine import OracleDetector, TrackerModels, track
-from mvtrack.model import PROPAGATORS, BBox, TrackerConfig
+from mvtrack.model import PROPAGATORS, TrackerConfig
 from mvtrack.motion import FitHyper, fit_regressor
 from mvtrack.stream import DetectorConfig, MotionScript, ObjectScript, Scenario, StreamHeader, generate_scenario
 
@@ -36,25 +38,63 @@ def models(head7):
     return TrackerModels(regressor=regressor, affinity=head7)
 
 
-@st.composite
-def free_scripts(draw):
+class HypothesisDraws:
+    """The draws a case builder makes, taken by hypothesis's `draw`."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integers(self, lo, hi):
+        return self.draw(st.integers(lo, hi))
+
+    def floats(self, lo, hi):
+        return self.draw(st.floats(lo, hi))
+
+    def booleans(self):
+        return self.draw(st.booleans())
+
+    def sampled_from(self, values):
+        return self.draw(st.sampled_from(values))
+
+
+class SeededDraws:
+    """The same draws from a seeded generator, so that a fixed list of seeds
+    gives the same cases whatever else is loaded."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, lo, hi):
+        return int(self.rng.integers(lo, hi + 1))
+
+    def floats(self, lo, hi):
+        return float(self.rng.uniform(lo, hi))
+
+    def booleans(self):
+        return bool(self.rng.integers(2))
+
+    def sampled_from(self, values):
+        return values[int(self.rng.integers(len(values)))]
+
+
+def free_script(d) -> MotionScript:
     """Objects anywhere, crossing, zooming, occluded, entering and leaving,
     partly or wholly outside the frame, under a panning camera."""
-    frames = draw(st.integers(4, 24))
+    frames = d.integers(4, 24)
     objects = []
-    for i in range(1, draw(st.integers(1, 6)) + 1):
-        enter = draw(st.integers(1, frames))
-        exit = draw(st.integers(enter, frames))
-        a = draw(st.integers(enter, exit))
-        occlusions = ((a, draw(st.integers(a, exit))),) if draw(st.booleans()) else ()
+    for i in range(1, d.integers(1, 6) + 1):
+        enter = d.integers(1, frames)
+        exit = d.integers(enter, frames)
+        a = d.integers(enter, exit)
+        occlusions = ((a, d.integers(a, exit)),) if d.booleans() else ()
         objects.append(ObjectScript(
             id=i, enter=enter, exit=exit,
-            x=draw(st.floats(-40, 296)), y=draw(st.floats(-40, 232)),
-            w=draw(st.floats(8, 80)), h=draw(st.floats(8, 80)),
-            vx=draw(st.floats(-8, 8)), vy=draw(st.floats(-8, 8)),
-            zoom=draw(st.floats(0.97, 1.03)), occlusions=occlusions,
+            x=d.floats(-40, 296), y=d.floats(-40, 232),
+            w=d.floats(8, 80), h=d.floats(8, 80),
+            vx=d.floats(-8, 8), vy=d.floats(-8, 8),
+            zoom=d.floats(0.97, 1.03), occlusions=occlusions,
         ))
-    camera = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    camera = (d.integers(-2, 2), d.integers(-2, 2))
     return MotionScript(frames=frames, objects=tuple(objects), camera=camera)
 
 
@@ -76,33 +116,38 @@ def lane_scripts(draw):
     return MotionScript(frames=frames, objects=tuple(objects))
 
 
-@st.composite
-def cases(draw):
+def case(d) -> tuple:
     """A scenario, a detector configuration and the lifecycle settings."""
-    scenario = generate_scenario(draw(free_scripts()), HEADER, seed=draw(st.integers(0, 99)))
+    scenario = generate_scenario(free_script(d), HEADER, seed=d.integers(0, 99))
     det = DetectorConfig(
-        noise_center=draw(st.sampled_from([0.0, 0.02, 0.1])),
-        noise_size=draw(st.sampled_from([0.0, 0.05])),
-        miss_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
-        fp_rate=draw(st.sampled_from([0.0, 1.0, 3.0])),
-        feature_noise=draw(st.sampled_from([0.0, 0.1, 0.8])),
-        conf_min=draw(st.sampled_from([0.95, 0.98])),
-        rng_seed=draw(st.integers(0, 999)),
+        noise_center=d.sampled_from([0.0, 0.02, 0.1]),
+        noise_size=d.sampled_from([0.0, 0.05]),
+        miss_rate=d.sampled_from([0.0, 0.2, 0.5]),
+        fp_rate=d.sampled_from([0.0, 1.0, 3.0]),
+        feature_noise=d.sampled_from([0.0, 0.1, 0.8]),
+        conf_min=d.sampled_from([0.95, 0.98]),
+        rng_seed=d.integers(0, 999),
     )
     lifecycle = dict(
         conf_min=det.conf_min,
-        c_confirm=draw(st.sampled_from([0.97, 0.99])),
-        l_confirm=draw(st.integers(1, 3)),
-        l_demote=draw(st.integers(1, 2)),
-        l_delete=draw(st.sampled_from([1, 3, 10])),
-        l_f=draw(st.sampled_from([2, 24])),
-        tau_iou=draw(st.sampled_from([0.3, 0.6])),
+        c_confirm=d.sampled_from([0.97, 0.99]),
+        l_confirm=d.integers(1, 3),
+        l_demote=d.integers(1, 2),
+        l_delete=d.sampled_from([1, 3, 10]),
+        l_f=d.sampled_from([2, 24]),
+        tau_iou=d.sampled_from([0.3, 0.6]),
     )
     return scenario, det, lifecycle
 
 
+@st.composite
+def cases(draw):
+    return case(HypothesisDraws(draw))
+
+
 def bits(rows):
-    return [(f, i, *(float.hex(v) for v in (b.x, b.y, b.w, b.h))) for f, i, b in rows]
+    """Each (frame, id, (x, y, w, h)) row with its box's exact bits."""
+    return [(f, i, *map(float.hex, b)) for f, i, b in rows]
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -121,7 +166,9 @@ def test_engine_matches_object_loop_oracle(models, propagator, assoc, K, case):
 def test_object_loop_differential_meets_multi_entry_rows_in_step_two(models):
     # the differential above tests the gate of two-step's step 2 only where
     # its draws leave rows with more than one gallery entry to that step;
-    # as many draws as it takes per setting must include one
+    # as many draws as it takes per setting must include one. The cases come
+    # from fixed seeds, not from hypothesis, whose draws depend on the
+    # literals of every local module loaded
     appearance_cost = mvtrack.association.appearance_cost
 
     def meets(case):
@@ -138,8 +185,7 @@ def test_object_loop_differential_meets_multi_entry_rows_in_step_two(models):
             track(scenario, OracleDetector(scenario, det), cfg, models)
         return any(met)
 
-    # find the flag, not the case, whose repr is large
-    find(cases().map(meets), bool, settings=settings(max_examples=15, derandomize=True, database=None, phases=[Phase.generate]))
+    assert any(meets(case(SeededDraws(seed))) for seed in range(15))
 
 
 def _prefix(scenario: Scenario, n: int) -> Scenario:
@@ -163,8 +209,8 @@ def test_tracker_invariants(models, case, propagator, assoc, K, cut):
     # every emitted box lies inside the frame and has positive size
     slack = 1e-9 * max(HEADER.width, HEADER.height)
     for _, _, b in rows:
-        assert type(b.x) is type(b.y) is type(b.w) is type(b.h) is float
-        assert b.w > 0 and b.h > 0
+        assert type(b) is tuple and [type(v) for v in b] == [float] * 4
+        b = BBox(*b)  # raises unless both sides are positive
         assert -slack <= b.left and b.right <= HEADER.width + slack
         assert -slack <= b.top and b.bottom <= HEADER.height + slack
     # online: the first n frames alone give exactly the rows up to frame n
@@ -204,7 +250,8 @@ def test_ids_are_never_reused(models, case, propagator, assoc, K):
         live = ids
 
 
-def _clip(b: BBox):
+def _clip(b):
+    b = BBox(*b)
     left, top = max(b.left, 0.0), max(b.top, 0.0)
     right, bottom = min(b.right, float(HEADER.width)), min(b.bottom, float(HEADER.height))
     return BBox.from_corners(left, top, right, bottom) if right > left and bottom > top else None
@@ -243,4 +290,4 @@ def test_detector_boxes_and_rows_hold_float(models):
     for d in tables:
         assert (d.boxes.dtype, d.conf.dtype, d.features.dtype) == (float,) * 3
     for _, _, b in rows:
-        assert [type(v) for v in (b.x, b.y, b.w, b.h)] == [float] * 4, repr(b)
+        assert type(b) is tuple and [type(v) for v in b] == [float] * 4, repr(b)
