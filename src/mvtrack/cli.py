@@ -16,8 +16,8 @@ import numpy as np
 
 from .affinity import MODES, AffinityFitHyper, AffinityHeadParams, affinity_accuracy, fit_affinity_head
 from .engine import FileDetector, TrackerModels, make_propagator, speedup_model, track, write_timing_report
-from .metrics import check_iou_min, clear_mot, idf1
-from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig
+from .metrics import check_iou_min, clear_mot, frame_index, idf1
+from .model import ASSOCIATION_MODES, PROPAGATORS, ConfigError, TrackerConfig, mot_table
 from .modelio import read_models, write_models
 from .motion import FitHyper, fit_regressor
 from .stream import (
@@ -25,6 +25,7 @@ from .stream import (
     OracleDetector,
     StreamHeader,
     generate_scenario,
+    gt_to_rows,
     load_script,
     read_mot_table,
     read_scenario,
@@ -188,8 +189,9 @@ def _metric_row(scores, idf1_value: float) -> str:
 def _cmd_evaluate(args) -> int:
     check_iou_min(args.iou_min)
     gt, results = read_mot_table(args.gt), read_mot_table(args.results)
-    scores = clear_mot(gt, results, iou_min=args.iou_min)
-    idf1_value = idf1(gt, results, iou_min=args.iou_min)
+    frames = frame_index(gt, results)  # one IoU matrix per frame serves both scores
+    scores = clear_mot(gt, results, iou_min=args.iou_min, frames=frames)
+    idf1_value = idf1(gt, results, iou_min=args.iou_min, frames=frames)
     print("\t".join(METRIC_COLUMNS))
     print(_metric_row(scores, idf1_value))
     return 0
@@ -216,10 +218,11 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     base_cfg, det_cfg = _tracker_config(args), _detector_config(args)
+    configs = {K: replace(base_cfg, K=K) for K in dict.fromkeys([1] + args.K_list)}  # checks each K before reading
     scenario = read_scenario(args.scenario)
     models = _load_models(args)
     detector = _make_detector(args, scenario, det_cfg)
-    gt = scenario.gt
+    gt = mot_table(gt_to_rows(scenario.gt))
 
     propagate = None
     if ratio is not None:
@@ -233,12 +236,10 @@ def _cmd_bench(args) -> int:
         detector = delayed(detector, detect_delay)
         propagate = delayed(make_propagator(base_cfg, models), propagate_delay)
 
-    k_values = list(dict.fromkeys([1] + args.K_list))
     walls = {}
     rows_by_k = {}
     timings_by_k = {}
-    for K in k_values:
-        cfg = replace(base_cfg, K=K)
+    for K, cfg in configs.items():
         best = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()

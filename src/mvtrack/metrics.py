@@ -9,6 +9,12 @@ counting the rows whose conf exceeds 0.5, or rows: `GroundTruthEntry` for
 the ground truth, (frame, id, (x, y, w, h)) for the hypotheses, which `mot_table`
 turns into one.
 
+Both scores read one per-frame index of ids and IoU matrices
+(`frame_index`); a caller scoring both passes it as `frames=` so each
+frame's IoU is computed once. In `clear_mot` only the matching runs frame
+by frame; IDS, Frag, MT/ML and the counts are array work over the matches
+afterwards.
+
 Conventions (MOTChallenge): MOTP is the mean IoU over matches; MT/ML count
 ground-truth tracks matched in >= 80% / <= 20% of their visible frames;
 Frag counts resumptions of a track's matched status over its visible frames.
@@ -58,9 +64,9 @@ def _frame_groups(rows, gt: bool) -> tuple:
     return ids[kept], box_corners(rows.boxes[kept]), frame_spans(frame[kept])
 
 
-def frame_index(gt, results):
-    """Yield (frame, gt ids, hyp ids, IoU matrix) for each frame, in order,
-    that has a visible ground-truth row or a hypothesis row.
+def frame_index(gt, results) -> list:
+    """(frame, gt ids, hyp ids, IoU matrix) of each frame, in order, that has
+    a visible ground-truth row or a hypothesis row, as a list.
 
     The id arrays keep their row order and the (gt, hyp) IoU matrix is
     indexed the same way. Invisible ground-truth rows are left out; a
@@ -69,9 +75,17 @@ def frame_index(gt, results):
     """
     gt_ids, gt_corners, gt_spans = _frame_groups(gt, True)
     hyp_ids, hyp_corners, hyp_spans = _frame_groups(results, False)
+    frames = []
     for frame in sorted(gt_spans.keys() | hyp_spans.keys()):
         g, h = gt_spans.get(frame, slice(0)), hyp_spans.get(frame, slice(0))
-        yield frame, gt_ids[g], hyp_ids[h], iou_matrix(gt_corners[g], hyp_corners[h])
+        frames.append((frame, gt_ids[g], hyp_ids[h], iou_matrix(gt_corners[g], hyp_corners[h])))
+    return frames
+
+
+def _index_ids(frames) -> tuple:
+    """Every visible gt id and every hypothesis id in the index, in frame order."""
+    empty = np.zeros(0, int)
+    return np.concatenate([empty] + [f[1] for f in frames]), np.concatenate([empty] + [f[2] for f in frames])
 
 
 def check_iou_min(iou_min: float) -> None:
@@ -79,89 +93,100 @@ def check_iou_min(iou_min: float) -> None:
         raise ConfigError(f"iou_min must be finite and lie in (0, 1], got {iou_min}")
 
 
-def clear_mot(gt, results, iou_min: float = 0.5) -> MotScores:
-    """CLEAR-MOT scores for hypotheses against ground truth; iou_min in (0, 1]."""
+def clear_mot(gt, results, iou_min: float = 0.5, *, frames=None) -> MotScores:
+    """CLEAR-MOT scores for hypotheses against ground truth; iou_min in (0, 1].
+    `frames` is the list `frame_index(gt, results)` returns, if the caller
+    has built it already."""
     check_iou_min(iou_min)
-    fp = fn = ids = tp = 0
-    iou_sum = 0.0
-    prev_pairs = {}  # gt id -> hyp id matched in the previous frame
-    last_match = {}  # gt id -> hyp id at its most recent match, any frame
-    gt_present = {}  # gt id -> number of visible frames
-    gt_matched = {}  # gt id -> number of matched frames
-    was_matched = {}  # gt id -> matched status at its previous visible frame
-    frag = {}
+    if frames is None:
+        frames = frame_index(gt, results)
+    # every visible gt row and every hypothesis row, in frame order, as dense ids
+    (gt_tracks, gt_dense), (hyp_tracks, hyp_dense) = (np.unique(ids, return_inverse=True) for ids in _index_ids(frames))
+    gt_at, hyp_at = np.full(len(gt_tracks), -1), np.full(len(hyp_tracks), -1)  # dense id -> row in the frame
+    matched = np.zeros(len(gt_dense), bool)
+    empty = np.zeros(0, int)
+    match_gt, match_hyp, match_iou = [empty], [empty], [np.zeros(0)]
+    pair_gt = pair_hyp = empty  # the previous frame's matches, in match order
+    g0 = h0 = 0
+    # Only the matching is sequential: a pair carried over from the previous
+    # frame stays while it still reaches iou_min, and Hungarian pairs the rest.
+    for _, gts, hyps, iou in frames:
+        g1, h1 = g0 + len(gts), h0 + len(hyps)
+        gd, hd = gt_dense[g0:g1], hyp_dense[h0:h1]
+        gt_at[gd], hyp_at[hd] = np.arange(len(gd)), np.arange(len(hd))
+        r, c = gt_at[pair_gt], hyp_at[pair_hyp]
+        keep = (r >= 0) & (c >= 0)
+        keep[keep] = iou[r[keep], c[keep]] >= iou_min
+        r, c = r[keep], c[keep]
+        gt_at[gd] = hyp_at[hd] = -1
+        m = matched[g0:g1]  # a view: marks `matched` too
+        m[r] = True
+        used = np.zeros(len(hd), bool)
+        used[c] = True
+        free_gt, free_hyp = np.flatnonzero(~m), np.flatnonzero(~used)
+        if len(free_gt) and len(free_hyp):
+            a, b = gated_assign(1.0 - iou[np.ix_(free_gt, free_hyp)], 1.0 - iou_min)
+            r, c = np.concatenate([r, free_gt[a]]), np.concatenate([c, free_hyp[b]])
+            m[r] = True
+        pair_gt, pair_hyp = gd[r], hd[c]
+        match_gt.append(pair_gt)
+        match_hyp.append(pair_hyp)
+        match_iou.append(iou[r, c])
+        g0, h0 = g1, h1
 
-    for _, gts, hyps, iou in frame_index(gt, results):
-        gt_ids, hyp_ids = gts.tolist(), hyps.tolist()
-        row = {g: i for i, g in enumerate(gt_ids)}
-        col = {h: j for j, h in enumerate(hyp_ids)}
+    match_gt, match_hyp, match_iou = np.concatenate(match_gt), np.concatenate(match_hyp), np.concatenate(match_iou)
+    tp, gt_total = len(match_iou), len(gt_dense)
+    fp, fn = len(hyp_dense) - tp, gt_total - tp
+    # IDS: each gt id's consecutive matches, in frame order, to different hyp ids
+    order = np.argsort(match_gt, kind="stable")
+    g, h = match_gt[order], match_hyp[order]
+    ids = int(np.count_nonzero((g[1:] == g[:-1]) & (h[1:] != h[:-1])))
+    # Frag: each gt id's matched visible frames that follow an unmatched one
+    # and an earlier match; only a track that starts unmatched has an
+    # unmatched-to-matched step without an earlier match, at its first match
+    present = np.bincount(gt_dense, minlength=len(gt_tracks))
+    hits = np.bincount(gt_dense[matched], minlength=len(gt_tracks))
+    order = np.argsort(gt_dense, kind="stable")
+    g, h = gt_dense[order], matched[order]
+    steps = np.count_nonzero((g[1:] == g[:-1]) & h[1:] & ~h[:-1])
+    late_start = ~h[np.cumsum(present) - present] & (hits > 0)
+    frag = int(steps - np.count_nonzero(late_start))
 
-        pairs = {}
-        # Keep surviving pairs from the previous frame first.
-        for g, h in prev_pairs.items():
-            if g in row and h in col and iou[row[g], col[h]] >= iou_min:
-                pairs[g] = h
-        free_gt = [g for g in gt_ids if g not in pairs]
-        used_hyp = set(pairs.values())
-        free_hyp = [h for h in hyp_ids if h not in used_hyp]
-        if free_gt and free_hyp:
-            cost = 1.0 - iou[np.ix_([row[g] for g in free_gt], [col[h] for h in free_hyp])]
-            rows, cols = gated_assign(cost, 1.0 - iou_min)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                pairs[free_gt[r]] = free_hyp[c]
-
-        tp += len(pairs)
-        fp += len(hyp_ids) - len(pairs)
-        fn += len(gt_ids) - len(pairs)
-        for g, h in pairs.items():
-            iou_sum += float(iou[row[g], col[h]])
-            if g in last_match and last_match[g] != h:
-                ids += 1
-            last_match[g] = h
-        for g in gt_ids:
-            gt_present[g] = gt_present.get(g, 0) + 1
-            matched = g in pairs
-            if matched:
-                gt_matched[g] = gt_matched.get(g, 0) + 1
-                if g in was_matched and not was_matched[g] and gt_matched[g] > 1:
-                    frag[g] = frag.get(g, 0) + 1
-            was_matched[g] = matched
-        prev_pairs = pairs
-
-    gt_total = sum(gt_present.values())
     # with no ground truth, TrackEval's max(1, gt_total) denominator makes each FP cost 1
     mota = 1.0 - (fp + fn + ids) / gt_total if gt_total else float(-fp)
     moda = 1.0 - (fp + fn) / gt_total if gt_total else float(-fp)
-    motp = iou_sum / tp if tp else 0.0
+    # cumsum adds the matched IoUs one at a time, in the order they matched
+    motp = float(np.cumsum(match_iou)[-1]) / tp if tp else 0.0
     rcll = tp / gt_total if gt_total else 0.0
     prcn = tp / (tp + fp) if tp + fp else 0.0
-    ratios = [gt_matched.get(g, 0) / present for g, present in gt_present.items()]
-    mt, ml = sum(r >= 0.8 for r in ratios), sum(r <= 0.2 for r in ratios)
+    ratios = hits / present
+    mt, ml = int(np.count_nonzero(ratios >= 0.8)), int(np.count_nonzero(ratios <= 0.2))
     return MotScores(
-        mota=mota, motp=motp, fp=fp, fn=fn, ids=ids, frag=sum(frag.values()), mt=mt, ml=ml,
+        mota=mota, motp=motp, fp=fp, fn=fn, ids=ids, frag=frag, mt=mt, ml=ml,
         rcll=rcll, prcn=prcn, moda=moda, gt_total=gt_total, tp=tp,
     )
 
 
-def idf1(gt, results, iou_min: float = 0.5) -> float:
+def idf1(gt, results, iou_min: float = 0.5, *, frames=None) -> float:
     """Identity F1: the best one-to-one trajectory pairing's frame agreement.
 
     For each (gt track, hypothesis track) pair the overlap count is the
     number of frames where both exist and their boxes reach iou_min; a
     maximum-overlap bipartite matching gives IDTP, and
-    IDF1 = 2*IDTP / max(1, gt frames + hypothesis frames).
+    IDF1 = 2*IDTP / max(1, gt frames + hypothesis frames). `frames` is as
+    in `clear_mot`.
     """
     check_iou_min(iou_min)
-    empty = np.zeros(0, int)
-    gt_ids, hyp_ids, hits = [empty], [empty], [(empty, empty)]  # hits: (gt ids, hyp ids) reaching iou_min
-    for _, gts, hyps, iou in frame_index(gt, results):
-        r, c = np.nonzero(iou >= iou_min)
-        gt_ids.append(gts)
-        hyp_ids.append(hyps)
-        hits.append((gts[r], hyps[c]))
-    gt_ids, hyp_ids = np.concatenate(gt_ids), np.concatenate(hyp_ids)
+    if frames is None:
+        frames = frame_index(gt, results)
+    gt_ids, hyp_ids = _index_ids(frames)
     if not len(gt_ids) or not len(hyp_ids):
         return 0.0
+    empty = np.zeros(0, int)
+    hits = [(empty, empty)]  # (gt ids, hyp ids) of the pairs reaching iou_min
+    for _, gts, hyps, iou in frames:
+        r, c = np.nonzero(iou >= iou_min)
+        hits.append((gts[r], hyps[c]))
     gt_tracks, hyp_tracks = np.unique(gt_ids), np.unique(hyp_ids)
     hit_gt, hit_hyp = np.concatenate(hits, axis=1)
     overlap = np.zeros((len(gt_tracks), len(hyp_tracks)))

@@ -49,8 +49,11 @@ bit.
 
 Metrics: `clear_mot` and `idf1` index the rows their own way and score
 every box pair with `bbox_iou`, IDF1 one (gt track, hypothesis track) pair
-at a time. The package reads both from one per-frame IoU matrix
-(`mvtrack.metrics.frame_index`); the tests require equal scores.
+at a time. The package reads both from one per-frame index of IoU
+matrices (`mvtrack.metrics.frame_index`), which `mvtrack evaluate` builds
+once for both, and counts IDS, Frag and MT/ML with array operations after
+its matching loop; the tests require equal scores, with the index built
+by each scorer and shared.
 `exhaustive_idf1` checks IDF1's matching itself by trying every injective
 trajectory pairing.
 

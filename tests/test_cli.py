@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvtrack.cli
+import mvtrack.metrics
 import oracles
 from mvtrack.affinity import AffinityHeadParams
 from mvtrack.cli import METRIC_COLUMNS, _metric_row, main
@@ -148,6 +149,8 @@ def test_generate_check_K_exit_2(tmp_path, capsys):
         (["evaluate", "--iou-min", "0"], "iou_min must be finite and lie in (0, 1], got 0.0"),
         (["evaluate", "--iou-min", "nan"], "iou_min must be finite and lie in (0, 1], got nan"),
         (["track", "--out", "x.txt", "--alpha", "1.5"], "alpha must lie in [0,1], got 1.5"),
+        (["bench", "--K-list", "0"], "K must be >= 1, got 0"),
+        (["bench", "--K-list", "3", "-2"], "K must be >= 1, got -2"),
     ],
 )
 def test_nonpositive_check_K_and_repeat_exit_2_before_reading(tmp_path, capsys, argv, message):
@@ -305,6 +308,21 @@ def test_evaluate_calls_each_scorer_once_by_its_cli_name(tmp_path, monkeypatch):
     # the invisible gt row is a false positive when the file is scored as results
     assert (code, out.splitlines()[1]) == (0, "0.500\t1.000\t0.800\t1\t0\t1\t0\t0\t0\t1.000\t0.667\t0.500")
     assert sorted(calls) == ["clear_mot", "idf1"]
+
+
+def test_evaluate_computes_each_frame_iou_once(tmp_path, monkeypatch):
+    # both scores read one frame index: one IoU matrix per indexed frame
+    shapes = []
+    iou_matrix = mvtrack.metrics.iou_matrix
+    monkeypatch.setattr(mvtrack.metrics, "iou_matrix", lambda a, b: shapes.append((len(a), len(b))) or iou_matrix(a, b))
+    (tmp_path / "gt.txt").write_text(GT_ROWS + "4,3,40.00,40.00,20.00,20.00,0.00,-1,-1,-1\n")  # frame 4: invisible only
+    (tmp_path / "results.txt").write_text(
+        "2,7,40.00,40.00,20.00,20.00,1.00,-1,-1,-1\n2,8,90.00,40.00,20.00,20.00,1.00,-1,-1,-1\n"
+        "3,7,40.00,40.00,20.00,20.00,1.00,-1,-1,-1\n"
+    )
+    code, _ = evaluate(tmp_path / "gt.txt", tmp_path / "results.txt")
+    assert code == 0
+    assert shapes == [(1, 0), (1, 2), (0, 1)]  # frames 1, 2 and 3, in order
 
 
 def test_track_k_not_dividing_gop_exit_2(tmp_path, capsys):

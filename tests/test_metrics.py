@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mvtrack.metrics import clear_mot, idf1
+import mvtrack.metrics
+from mvtrack.metrics import clear_mot, frame_index, idf1
 from mvtrack.stream import GroundTruthEntry, MotionScript, ObjectScript, StreamHeader, generate_scenario
 import oracles
 from oracles import BBox, exhaustive_idf1
@@ -175,12 +176,47 @@ def scripts(draw):
     return draw(st.permutations(gt)), draw(st.permutations(results))
 
 
+# Fixed cases for the bookkeeping the scorers do after matching. SWITCH:
+# gt 1 matched by 101, unmatched at frame 3, then by 102 (an identity switch
+# and a resumption, 5 of 6 frames: mostly tracked); gt 2 never matched
+# (mostly lost); gt 3 unmatched at first, so its first match resumes nothing.
+# CROSSING: two hypotheses swap boxes at frame 2, so neither pair carries
+# over and both frames hand two free gt rows and two free hypotheses to the
+# gated assignment.
+SWITCH = (
+    track_gt(1, range(1, 7)) + track_gt(2, range(1, 7), x0=200.0) + track_gt(3, range(1, 5), x0=400.0),
+    [result_row(t, 101) for t in (1, 2)] + [result_row(t, 102) for t in (4, 5, 6)]
+    + [result_row(t, 103, x=400.0) for t in (2, 3)],
+)
+CROSSING = (
+    track_gt(1, range(1, 3)) + track_gt(2, range(1, 3), x0=200.0),
+    [result_row(1, 101), result_row(1, 102, x=200.0), result_row(2, 101, x=200.0), result_row(2, 102)],
+)
+
+
+def test_fixed_cases_carry_each_bookkeeping_case(monkeypatch):
+    shapes = []
+    gated_assign = mvtrack.metrics.gated_assign
+    monkeypatch.setattr(mvtrack.metrics, "gated_assign", lambda cost, gate: shapes.append(cost.shape) or gated_assign(cost, gate))
+    switch = clear_mot(*SWITCH)
+    assert (switch.ids, switch.frag, switch.mt, switch.ml) == (1, 1, 1, 1)
+    assert clear_mot(*CROSSING).ids == 2
+    assert (2, 2) in shapes
+
+
 @settings(max_examples=300)
 @given(scripts(), st.sampled_from([0.5, 0.6, 1 / 3]))
+@example(SWITCH, 0.5)
+@example(CROSSING, 0.5)
+@example(CROSSING, 1 / 3)
 def test_metrics_equal_loop_oracles(script, iou_min):
     gt, results = script
-    assert clear_mot(gt, results, iou_min) == oracles.clear_mot(gt, results, iou_min)
-    assert idf1(gt, results, iou_min) == oracles.idf1(gt, results, iou_min)
+    scores, identity = oracles.clear_mot(gt, results, iou_min), oracles.idf1(gt, results, iou_min)
+    assert clear_mot(gt, results, iou_min) == scores
+    assert idf1(gt, results, iou_min) == identity
+    frames = frame_index(gt, results)  # one index, as `mvtrack evaluate` shares it
+    assert clear_mot(gt, results, iou_min, frames=frames) == scores
+    assert idf1(gt, results, iou_min, frames=frames) == identity
 
 
 def test_relabeling_invariance():
