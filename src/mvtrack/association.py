@@ -79,12 +79,12 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
     Appearance costs are never negative, so a cell whose geometric term
     alone exceeds the gate is forbidden whatever its appearance; the others
     are live. A live cell alone in its row and column (isolated) is scored
-    on its row's newest gallery entry; its exact cost is never higher but
-    for rounding (`_logistic` can step back by an ulp of 1). If that passes
-    the gate with a margin far above the rounding, so does the exact cost,
-    and with no other live cell in its row or column the cell is in every
-    optimum, so it is matched outright. The other live cells are scored
-    under their share of the blended gate,
+    on its row's newest gallery entry (a gate of -inf); its exact cost is
+    never higher but for rounding (`_logistic` can step back by an ulp of
+    1). If that passes the gate with a margin far above the rounding, so
+    does the exact cost, and with no other live cell in its row or column
+    the cell is in every optimum, so it is matched outright. The other live
+    cells are scored under their share of the blended gate,
     `(threshold + eps - alpha*(1 - IoU)) / (1 - alpha)`, so a cell that
     passes gets its exact cost and any other stays over the threshold: one
     `gated_assign` on their rows and columns sees the matrix of full
@@ -99,7 +99,7 @@ def associate_one_step(tracks: TrackTable, detections: Detections, params: Affin
         return gated_assign(cost, threshold)
     live = ~(cost > threshold)
     isolated = live & (np.count_nonzero(live, axis=1) == 1)[:, None] & (np.count_nonzero(live, axis=0) == 1)
-    newest = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, isolated, newest_only=True)
+    newest = cost + (1.0 - alpha) * appearance_cost(params, tracks.gallery, tracks.slots, detections.features, isolated, -np.inf)
     direct = isolated & ~(newest > threshold - 1e-12)
     rest = live & ~direct
     rows, cols = np.nonzero(direct)

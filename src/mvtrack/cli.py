@@ -25,7 +25,6 @@ from .stream import (
     OracleDetector,
     StreamHeader,
     generate_scenario,
-    gt_to_rows,
     load_script,
     read_mot_table,
     read_scenario,
@@ -222,7 +221,7 @@ def _cmd_bench(args) -> int:
     scenario = read_scenario(args.scenario)
     models = _load_models(args)
     detector = _make_detector(args, scenario, det_cfg)
-    gt = mot_table(gt_to_rows(scenario.gt))
+    gt = mot_table(scenario.gt)
 
     propagate = None
     if ratio is not None:

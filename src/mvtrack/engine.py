@@ -23,7 +23,7 @@ import numpy as np
 from .affinity import AffinityHeadParams, GalleryStore
 from .association import associate
 from .lifecycle import update
-from .model import ENVELOPE, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, corner_boxes, frame_spans, predict_boxes
+from .model import ENVELOPE, ConfigError, Detections, TrackerConfig, TrackTable, box_corners, check_sizes, corner_boxes, frame_spans, predict_boxes
 from .motion import (
     FieldReadout,
     RegressorParams,
@@ -156,10 +156,7 @@ def _checked(t: int, detections: Detections, shape: tuple) -> Detections:
     if len(bad):
         x, y, w, h = boxes[bad[0]].tolist()
         raise ValueError(f"frame {t}: detection box must be finite, got x={x} y={y} w={w} h={h}")
-    size = boxes[:, 2:]
-    bad = np.flatnonzero(~(size > 0).all(axis=1))
-    if len(bad):
-        raise ValueError(f"frame {t}: detection box size must be positive, got w={size[bad[0], 0]} h={size[bad[0], 1]}")
+    check_sizes(boxes[:, 2:], f"frame {t}: detection box")
     return detections
 
 

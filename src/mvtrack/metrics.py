@@ -5,9 +5,9 @@ while they still overlap at least iou_min, then solves the remainder with a
 gated Hungarian assignment on 1 - IoU. Ground-truth rows flagged invisible
 are ignored entirely (neither matchable nor counted), so occluded spans are
 "don't care" regions. Each side is a `MotTable` of columns, ground truth
-counting the rows whose conf exceeds 0.5, or rows: `GroundTruthEntry` for
-the ground truth, (frame, id, (x, y, w, h)) for the hypotheses, which `mot_table`
-turns into one.
+counting the rows whose conf exceeds 0.5, or rows that `mot_table` turns
+into one: `GroundTruthEntry` tuples as they are, whose visibility reads as
+conf 1.0 or 0.0, and (frame, id, (x, y, w, h)) hypotheses with conf 1.0.
 
 Both scores read one per-frame index of ids and IoU matrices
 (`frame_index`); a caller scoring both passes it as `frames=` so each
@@ -29,7 +29,6 @@ import numpy as np
 
 from .association import gated_assign, hungarian
 from .model import ConfigError, MotTable, box_corners, first_repeat, frame_spans, iou_matrix, mot_table
-from .stream import gt_to_rows
 
 
 @dataclass
@@ -54,7 +53,7 @@ def _frame_groups(rows, gt: bool) -> tuple:
     and {frame: slice} of each frame's group in them; a (frame, id) in two
     rows, counted or not, is an error naming the first repeat."""
     if not isinstance(rows, MotTable):  # GroundTruthEntry or (frame, id, box) rows
-        rows = mot_table(gt_to_rows(rows) if gt else [(f, i, b, 1.0) for f, i, b in rows])
+        rows = mot_table(rows if gt else [(f, i, b, 1.0) for f, i, b in rows])
     frame, ids = rows.frame, rows.id
     row = first_repeat(frame, ids)
     if row is not None:

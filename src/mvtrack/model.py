@@ -238,6 +238,15 @@ def out_of_bounds(values: np.ndarray):
     return values[~(np.abs(values) <= MAX_INPUT)][0]
 
 
+def check_sizes(sizes: np.ndarray, what: str = "box") -> None:
+    """Raise ValueError for the first row of an (n, 2) array of w, h that
+    is not positive in both (nan fails), naming its w and h after `what`."""
+    positive = sizes > 0
+    if not positive.all():
+        w, h = sizes[~positive.all(axis=1)][0].tolist()
+        raise ValueError(f"{what} size must be positive, got w={w} h={h}")
+
+
 def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Advance (n, 4) x, y, w, h boxes by (n, 4) normalized velocities.
 
@@ -249,10 +258,7 @@ def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(v))
     if len(bad):
         raise ValueError(f"velocity component {('vx', 'vy', 'vw', 'vh')[bad[0, 1]]} must be finite")
-    bad = np.flatnonzero(~(boxes[:, 2:] > 0).all(axis=1))
-    if len(bad):
-        w, h = boxes[bad[0], 2:].tolist()
-        raise ValueError(f"box size must be positive, got w={w} h={h}")
+    check_sizes(boxes[:, 2:])
     limit = np.array([MAX_STEP, MAX_STEP, MAX_LOG_SCALE, MAX_LOG_SCALE])
     v = np.minimum(np.maximum(v, -limit), limit)
     size = boxes[:, 2:]

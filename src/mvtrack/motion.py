@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MAX_INPUT, MotionFrame, box_corners, box_velocities, center_cells, corner_boxes, frame_spans, mot_table, out_of_bounds
-from .stream import gt_to_rows
 
 # Per-cell motion statistics fed to the regressor, in order: dx, dy, residual
 # energy, and the Jacobian of the MV field per cell index, d(dx)/dx, d(dy)/dy,
@@ -226,7 +225,7 @@ def training_matrices(scenario, m: int):
     frame t (which bridges the two). Occluded spans carry no usable motion,
     so an id hidden in either frame gives no sample. Each frame's table is
     built once and pools all of its samples' boxes at once."""
-    gt = mot_table(gt_to_rows(scenario.gt))
+    gt = mot_table(scenario.gt)
     seen = gt.conf > 0.5
     frame, ids, boxes = gt.frame[seen], gt.id[seen], gt.boxes[seen]
     # each row next to the same id's row one frame later, in (id, frame)

@@ -13,9 +13,11 @@ camera displacement. Blocks of an occluded object carry background motion
 plus an elevated residual, so occlusion genuinely interrupts propagation.
 A box goes in and comes out as an (x, y, w, h) tuple of floats: the
 scripts' `box_at`, the ground truth's `bbox` and the MOTChallenge rows.
+A `GroundTruthEntry` is a named (frame, id, bbox, visible) tuple, which
+`mot_table` reads as is, its visibility becoming the conf column.
 
 `OracleDetector` indexes the visible ground truth by frame once, in the
-columns of `mot_table(gt_to_rows(gt))`, and returns each key frame's
+columns of `mot_table(scenario.gt)`, and returns each key frame's
 detections as one `Detections` table; the per-row reference it reproduces
 bit for bit lives in `tests/oracles.py`, as does `Scenario.feature_of`
 without its cache of each identity's base pattern.
@@ -34,11 +36,12 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import MAX_INPUT, ConfigError, Detections, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
-from .model import first_repeat, frame_spans, mot_table, out_of_bounds
+from .model import check_sizes, first_repeat, frame_spans, mot_table, out_of_bounds
 
 
 class ScenarioFormatError(ValueError):
@@ -76,8 +79,7 @@ class StreamHeader:
         )
 
 
-@dataclass(frozen=True)
-class GroundTruthEntry:
+class GroundTruthEntry(NamedTuple):
     frame: int  # 1-based
     id: int
     bbox: tuple  # (x, y, w, h)
@@ -324,7 +326,7 @@ class OracleDetector:
 
     def __init__(self, scenario: Scenario, cfg: DetectorConfig = DetectorConfig()):
         self.scenario, self.cfg = scenario, cfg
-        gt = mot_table(gt_to_rows(scenario.gt))
+        gt = mot_table(scenario.gt)
         visible = np.flatnonzero(gt.conf > 0.5)
         order = visible[np.lexsort((gt.id[visible], gt.frame[visible]))]
         self._ids, self._boxes = gt.id[order], gt.boxes[order]
@@ -531,10 +533,7 @@ def read_scenario(path) -> Scenario:
         box, frame, ids, visible = t["box"], t["frame"], t["id"], t["visible"]
         if not np.isfinite(box).all():
             raise ValueError("malformed ground-truth record: non-finite number")
-        bad = ~((box[:, 2] > 0) & (box[:, 3] > 0))
-        if bad.any():
-            w, h = box[bad][0, 2:]
-            raise ValueError(f"malformed ground-truth record: box size must be positive, got w={w} h={h}")
+        check_sizes(box[:, 2:], "malformed ground-truth record: box")
         bad = (visible != 0) & (visible != 1)
         if bad.any():
             raise ValueError(f"malformed ground-truth record: visibility must be 0 or 1, got {visible[bad][0]}")
@@ -545,20 +544,20 @@ def read_scenario(path) -> Scenario:
         if bad.any():
             raise ValueError(f"ground-truth id {ids[bad][0]} has no feature seed")
 
-    def check_grid(size):
-        def check(t):
-            if t.shape[1] != size:
-                raise ValueError(f"grid size mismatch: {t.shape[1]} values, header grid {gw}x{gh} needs {size}")
-            bad = out_of_bounds(t)
-            if bad is not None:
-                raise ValueError(f"malformed res record: non-finite residual or one above {MAX_INPUT:g} in magnitude, got {bad}")
+    def check_grid(t, size):
+        if t.shape[1] != size:
+            raise ValueError(f"grid size mismatch: {t.shape[1]} values, header grid {gw}x{gh} needs {size}")
 
-        return check
+    def check_res(t):  # the int32 mv table needs no bound: a token past int32 fails its parse
+        check_grid(t, gw * gh)
+        bad = out_of_bounds(t)
+        if bad is not None:
+            raise ValueError(f"malformed res record: non-finite residual or one above {MAX_INPUT:g} in magnitude, got {bad}")
 
     try:
         table = _load_table(lines, gt_rows, _GT_ROW, check_gt, "ground-truth record", skip=3)
-        mv = _load_table(lines, mv_rows, np.int32, check_grid(2 * gw * gh), "mv record", skip=3, ndmin=2)
-        res = _load_table(lines, [i + 1 for i in mv_rows], np.float64, check_grid(gw * gh), "res record", skip=4, ndmin=2)
+        mv = _load_table(lines, mv_rows, np.int32, lambda t: check_grid(t, 2 * gw * gh), "mv record", skip=3, ndmin=2)
+        res = _load_table(lines, [i + 1 for i in mv_rows], np.float64, check_res, "res record", skip=4, ndmin=2)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
     row = first_repeat(table["frame"], table["id"])
@@ -567,12 +566,8 @@ def read_scenario(path) -> Scenario:
             f"line {gt_rows.start + row + 1}: duplicate ground-truth id {table['id'][row]} in frame {table['frame'][row]}"
         )
 
-    gt = [
-        GroundTruthEntry(frame, obj_id, tuple(box), visible == 1)
-        for frame, obj_id, box, visible in zip(
-            table["frame"].tolist(), table["id"].tolist(), table["box"].tolist(), table["visible"].tolist()
-        )
-    ]
+    columns = table["frame"].tolist(), table["id"].tolist(), map(tuple, table["box"].tolist()), (table["visible"] == 1).tolist()
+    gt = list(map(GroundTruthEntry._make, zip(*columns)))
     p_frames = iter(zip(mv.reshape(-1, 2, gw, gh), res.reshape(-1, gw, gh)))
     frames = [
         MotionFrame.intra(idx, gw, gh) if idx % header.gop == 0 else MotionFrame(idx, "P", *next(p_frames))
@@ -611,10 +606,7 @@ def _check_mot(t) -> None:
         raise ValueError(f"MOTChallenge frames are 1-based, got {frame[bad][0]}")
     if not np.isfinite(values).all():
         raise ValueError("non-finite number")
-    w, h = values[:, 2], values[:, 3]
-    bad = ~((w > 0) & (h > 0))
-    if bad.any():
-        raise ValueError(f"box size must be positive, got w={w[bad][0]} h={h[bad][0]}")
+    check_sizes(values[:, 2:4])
 
 
 def read_mot_table(path) -> MotTable:

@@ -249,6 +249,12 @@ def test_appearance_cost_matrix_matches_per_pair_oracle(seed, n, d, max_gallery,
     assert cost.shape == (n, d)
     # each pair is its own BLAS product, so a cell has the oracle's bits whatever else is scored
     assert cost.tobytes() == np.where(live, expected, 0.0).tobytes()
+    # no cost passes a gate of -inf, scalar or per cell: each live cell gets
+    # its row's newest entry alone
+    expected = np.array([[appearance_cost(params, g[-1:], f) for f in features] for g in galleries]).reshape(n, d)
+    for gate in (-np.inf, np.full((n, d), -np.inf)):
+        newest = appearance_cost_matrix(params, store, slots, features, live, gate)
+        assert newest.tobytes() == np.where(live, expected, 0.0).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

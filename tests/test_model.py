@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from mvtrack.engine import _checked
 from mvtrack.model import (
     MAX_INPUT,
+    Detections,
     MotionFrame,
     TrackerConfig,
     box_array,
@@ -16,6 +18,7 @@ from mvtrack.model import (
     iou_matrix,
     predict_boxes,
 )
+from mvtrack.stream import read_mot_table, read_scenario
 from oracles import BBox, bbox_iou
 
 
@@ -188,6 +191,47 @@ def test_predict_boxes_rejects_like_velocity_and_bbox():
     flat = np.array([[10.0, 10.0, 0.0, 4.0]])
     with pytest.raises(ValueError, match="box size must be positive, got w=0.0 h=4.0"):
         predict_boxes(np.zeros((1, 4)), flat)
+
+
+def _detection_size(tmp_path, w, h):
+    _checked(4, Detections(np.array([[50.0, 50.0, 20.0, 20.0], [60.0, 50.0, w, h]]), np.ones(2), np.zeros((2, 1, 1, 1))), (1, 1, 1))
+
+
+def _ground_truth_size(tmp_path, w, h):
+    p = tmp_path / "s.scn"
+    p.write_text(f"mvscene 1\nheader 32 32 16 12 30.0 1 1\ncounts 1 1 2\nseed 1 5\ngt 1 1 8.0 8.0 4.0 4.0 1\ngt 2 1 8.0 8.0 {w!r} {h!r} 1\nframe 0 I\nend\n")
+    read_scenario(p)
+
+
+def _motchallenge_size(tmp_path, w, h):
+    p = tmp_path / "r.txt"
+    p.write_text(f"1,1,8.00,6.00,4.00,8.00,0.5,-1,-1,-1\n2,1,8.00,6.00,{w!r},{h!r},0.5,-1,-1,-1\n")
+    read_mot_table(p)
+
+
+def _propagated_size(tmp_path, w, h):
+    predict_boxes(np.zeros((2, 4)), np.array([[10.0, 10.0, 4.0, 4.0], [20.0, 20.0, w, h]]))
+
+
+SIZE_SITES = {  # each caller of `model.check_sizes` and what its message starts with
+    "detections": (_detection_size, "frame 4: detection box"),
+    "ground truth": (_ground_truth_size, "line 6: malformed ground-truth record: box"),
+    "motchallenge": (_motchallenge_size, "line 2: box"),
+    "predict_boxes": (_propagated_size, "box"),
+}
+
+
+# A NaN side reaches the size check only in predict_boxes: the other three
+# reject a non-finite number first, with their own message.
+@pytest.mark.parametrize(
+    "site, w, h",
+    [(site, w, h) for site in SIZE_SITES for w, h in ((0.0, 8.0), (4.0, -2.5))] + [("predict_boxes", math.nan, 8.0)],
+)
+def test_size_check_message_at_each_site(tmp_path, site, w, h):
+    run, what = SIZE_SITES[site]
+    with pytest.raises(ValueError) as exc:
+        run(tmp_path, w, h)
+    assert str(exc.value) == f"{what} size must be positive, got w={w} h={h}"
 
 
 def test_corner_helpers_take_boxes_or_arrays():

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from oracles import BBox
-from mvtrack.model import MAX_INPUT, MotionFrame, box_corners
+from mvtrack.model import MAX_INPUT, MotionFrame, box_corners, mot_table
 from mvtrack.stream import (
     DetectorConfig,
     GroundTruthEntry,
@@ -411,6 +411,9 @@ def _set_token(k, value):
         ("mv ", _set_token(5, "0.5"), "malformed mv record: could not convert string '0.5' to int32"),
         ("mv ", _set_token(5, "#"), "malformed mv record: could not convert string '#' to int32"),
         ("mv ", _set_token(5, "99999999999"), "malformed mv record: could not convert string '99999999999' to int32"),
+        # one past int32 either way fails the parse, so the mv table needs no bound scan
+        ("mv ", _set_token(5, "2147483648"), "malformed mv record: could not convert string '2147483648' to int32"),
+        ("mv ", _set_token(5, "-2147483649"), "malformed mv record: could not convert string '-2147483649' to int32"),
         ("mv ", lambda line: "mv ", "malformed mv record: no values"),
         ("mv ", lambda line: line + " 1 1", "grid size mismatch: 194 values, header grid 12x8 needs 192"),
         ("res ", _set_token(3, "x"), "malformed res record: could not convert string 'x' to float64"),
@@ -720,3 +723,22 @@ def test_gt_rows_round_trip(tmp_path):
     write_motchallenge(gt_to_rows(sc.gt), p)
     back = rows_to_gt(read_motchallenge(p))
     assert [(g.frame, g.id, g.visible) for g in back] == [(g.frame, g.id, g.visible) for g in sc.gt]
+
+
+def test_mot_table_reads_ground_truth_entries_as_they_are(tmp_path):
+    # a GroundTruthEntry is a (frame, id, bbox, visible) tuple, whose visible
+    # flag mot_table turns into the conf that gt_to_rows writes out
+    script = MotionScript(frames=12, objects=(
+        ObjectScript(id=1, enter=1, exit=12, x=48, y=64, w=32, h=32, vx=2, occlusions=((3, 5),)),
+        ObjectScript(id=2, enter=4, exit=10, x=140, y=40, w=24, h=40, vy=1.5, zoom=1.02),
+    ))
+    sc = generate_scenario(script, HEADER, seed=2)
+    p = tmp_path / "s.scn"
+    write_scenario(sc, p)
+    back = read_scenario(p)
+    assert back.gt == sc.gt and sc.gt[0] == tuple(sc.gt[0])
+    for gt in (sc.gt, back.gt):
+        assert {r.visible for r in gt} == {True, False}
+        got, want = mot_table(gt), mot_table(gt_to_rows(gt))
+        for a, b in zip(got, want, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
