@@ -196,18 +196,40 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+PAD_CAP = 1.0  # seconds: the longest target `padded_stages` pads a stage call to
+
+
 def delayed(fn, seconds: float):
-    """`fn` followed by a busy-wait of `seconds` on every call, emulating a
-    heavier stage; the spin is sub-millisecond precise, unlike sleep."""
+    """`fn` padded to a target: each call busy-waits until `seconds` have
+    passed since it began, so it lasts at least that long and drift in
+    `fn`'s own work changes the padding, not the call's length; the spin is
+    sub-millisecond precise, unlike sleep."""
 
     def call(*args):
-        out = fn(*args)
         end = time.perf_counter() + seconds
+        out = fn(*args)
         while time.perf_counter() < end:
             pass
         return out
 
     return call
+
+
+def padded_stages(scenario, detector, cfg: TrackerConfig, models: TrackerModels, ratio: float) -> tuple:
+    """One unpadded probe run of `track` under `cfg` sets two targets so that
+    T_pro / (T_det + T_ass), the paper's ratio, equals `ratio`: a key frame's
+    `key` = max(40 ms, 1.5 (T_det + T_ass), 1.25 T_pro / `ratio`), and
+    `ratio` * `key`. Returns the detector padded to `key` - T_ass, `cfg`'s
+    propagator padded to `ratio` * `key`, and the two targets; a stage target
+    above PAD_CAP raises ConfigError."""
+    _, probe = track(scenario, detector, cfg, models)
+    t_det, t_ass, _ = probe.mean_key()
+    key = max(0.04, 1.5 * (t_det + t_ass), 1.25 * probe.mean_pro() / ratio)
+    det, pro = key - t_ass, ratio * key
+    for stage, target in (("detect", det), ("propagate", pro)):
+        if target > PAD_CAP:
+            raise ConfigError(f"force ratio {ratio:g} needs a {stage} target of {target:g} s, above the {PAD_CAP:g} s cap")
+    return delayed(detector, det), delayed(make_propagator(cfg, models), pro), key, pro
 
 
 def _cmd_bench(args) -> int:
@@ -225,15 +247,9 @@ def _cmd_bench(args) -> int:
 
     propagate = None
     if ratio is not None:
-        _, probe = track(scenario, detector, replace(base_cfg, K=scenario.header.gop), models)
-        a0 = sum(probe.mean_key())
-        p0 = probe.mean_pro()
-        key_target = max(0.03, 1.5 * a0, 1.25 * p0 / ratio)
-        detect_delay = key_target - a0
-        propagate_delay = ratio * key_target - p0
-        print(f"# calibrated delays: detect {detect_delay * 1e3:.2f} ms, propagate {propagate_delay * 1e3:.2f} ms")
-        detector = delayed(detector, detect_delay)
-        propagate = delayed(make_propagator(base_cfg, models), propagate_delay)
+        probe_cfg = replace(base_cfg, K=scenario.header.gop)
+        detector, propagate, key, pro = padded_stages(scenario, detector, probe_cfg, models, ratio)
+        print(f"# padded targets: detect + associate {key * 1e3:.2f} ms, propagate {pro * 1e3:.2f} ms")
 
     walls = {}
     rows_by_k = {}
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--K-list", type=int, nargs="+", default=[1, 2, 3, 4, 6])
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--force-ratio", type=float, default=None, help="calibrate delays to this propagate/detect ratio")
+    p.add_argument("--force-ratio", type=float, default=None, help="pad the detector and propagator to this T_pro/(T_det+T_ass) ratio")
     add_track_flags(p)
     p.set_defaults(func=_cmd_bench)
     return parser

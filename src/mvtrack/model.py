@@ -247,6 +247,17 @@ def check_sizes(sizes: np.ndarray, what: str = "box") -> None:
         raise ValueError(f"{what} size must be positive, got w={w} h={h}")
 
 
+def check_envelope(boxes: np.ndarray, what: str = "box") -> None:
+    """Raise ValueError for the first row of an (n, 4) box array holding a
+    number above ENVELOPE's 1e9 in magnitude (nan fails), naming the row
+    after `what`; the readers and `generate` apply it, so that no box they
+    accept overflows later."""
+    inside = np.abs(boxes) <= ENVELOPE[1]
+    if not inside.all():
+        row = boxes[~inside.all(axis=1)][0].tolist()
+        raise ValueError(f"{what} has a number above {ENVELOPE[1, 0]:g} in magnitude, got {row}")
+
+
 def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Advance (n, 4) x, y, w, h boxes by (n, 4) normalized velocities.
 
@@ -259,13 +270,19 @@ def predict_boxes(v: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     if len(bad):
         raise ValueError(f"velocity component {('vx', 'vy', 'vw', 'vh')[bad[0, 1]]} must be finite")
     check_sizes(boxes[:, 2:])
-    limit = np.array([MAX_STEP, MAX_STEP, MAX_LOG_SCALE, MAX_LOG_SCALE])
-    v = np.minimum(np.maximum(v, -limit), limit)
     size = boxes[:, 2:]
-    # math.exp, not np.exp: the two round some inputs differently
-    scale = np.array([math.exp(c) for c in v[:, 2:].ravel().tolist()]).reshape(-1, 2)
-    out = np.concatenate([size * v[:, :2] + boxes[:, :2], size * scale], axis=1)
+    step = np.minimum(np.maximum(v[:, :2], -MAX_STEP), MAX_STEP)
+    out = np.concatenate([size * step + boxes[:, :2], size * size_scales(v[:, 2:])], axis=1)
     return np.clip(out, *ENVELOPE, out=out)
+
+
+def size_scales(log_scales: np.ndarray) -> np.ndarray:
+    """exp of each entry of an (n, 2) array of log side scales, first clamped
+    to +-MAX_LOG_SCALE, so that any finite input scales a side at most
+    1e4-fold and never overflows."""
+    clamped = np.minimum(np.maximum(log_scales, -MAX_LOG_SCALE), MAX_LOG_SCALE)
+    # math.exp, not np.exp: the two round some inputs differently
+    return np.array([math.exp(c) for c in clamped.ravel().tolist()]).reshape(-1, 2)
 
 
 def box_velocities(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:

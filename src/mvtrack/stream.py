@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import MAX_INPUT, ConfigError, Detections, FeaturePatch, MotionFrame, MotTable, box_corners, center_cells
-from .model import check_sizes, first_repeat, frame_spans, mot_table, out_of_bounds
+from .model import check_envelope, check_sizes, first_repeat, frame_spans, mot_table, out_of_bounds, size_scales
 
 
 class ScenarioFormatError(ValueError):
@@ -213,12 +213,14 @@ def _validate_script(script: MotionScript, header: StreamHeader) -> None:
             raise ValueError(f"object {obj.id}: lifetime [{obj.enter},{obj.exit}] outside 1..{script.frames}")
         if obj.w <= 0 or obj.h <= 0 or obj.zoom <= 0:
             raise ValueError(f"object {obj.id}: size and zoom must be positive")
-        for t in (obj.enter, obj.exit):  # sizes are monotone in t
-            _, _, w, h = obj.box_at(t)
+        for t in (obj.enter, obj.exit):  # positions and sizes are monotone in t
+            box = obj.box_at(t)
+            _, _, w, h = box
             if not (w > 0 and h > 0):
                 raise ValueError(f"object {obj.id}: box size must be positive, got w={w} h={h}")
             if w > header.width or h > header.height:
                 raise ValueError(f"object {obj.id}: larger than the frame at frame {t}")
+            check_envelope(np.array([box]), f"object {obj.id}: box at frame {t}")
 
 
 def generate_scenario(script: MotionScript, header: StreamHeader, seed: int) -> Scenario:
@@ -319,7 +321,8 @@ class OracleDetector:
     deterministic given (rng_seed, frame).
 
     Visible ground-truth objects are emitted in id order with probability
-    1 - miss_rate, with perturbed boxes and confidence in [conf_min, 1);
+    1 - miss_rate, with perturbed boxes (each side scaled by `size_scales`
+    of noise_size times a normal draw) and confidence in [conf_min, 1);
     occluded objects are never emitted; Poisson(fp_rate) false positives
     carry fresh identities.
     """
@@ -346,8 +349,7 @@ class OracleDetector:
             conf.append(rng.uniform(cfg.conf_min, 1.0))
             features.append(self.scenario.feature_of(obj_id, cfg.feature_noise, rng))
         b, g = self._boxes[span][hit], np.array(noise).reshape(-1, 4)
-        # math.exp, not np.exp: the two round some inputs differently
-        scale = np.array([math.exp(v) for v in (cfg.noise_size * g[:, 2:]).ravel().tolist()]).reshape(-1, 2)
+        scale = size_scales(cfg.noise_size * g[:, 2:])
         boxes = [np.concatenate([b[:, :2] + cfg.noise_center * b[:, 2:] * g[:, :2], b[:, 2:] * scale], axis=1)]
         for _ in range(rng.poisson(cfg.fp_rate)):
             w = rng.uniform(8, max(9, header.width / 3))
@@ -534,6 +536,7 @@ def read_scenario(path) -> Scenario:
         if not np.isfinite(box).all():
             raise ValueError("malformed ground-truth record: non-finite number")
         check_sizes(box[:, 2:], "malformed ground-truth record: box")
+        check_envelope(box, "malformed ground-truth record: box")
         bad = (visible != 0) & (visible != 1)
         if bad.any():
             raise ValueError(f"malformed ground-truth record: visibility must be 0 or 1, got {visible[bad][0]}")
@@ -607,6 +610,7 @@ def _check_mot(t) -> None:
     if not np.isfinite(values).all():
         raise ValueError("non-finite number")
     check_sizes(values[:, 2:4])
+    check_envelope(values[:, :4])
 
 
 def read_mot_table(path) -> MotTable:
@@ -614,8 +618,9 @@ def read_mot_table(path) -> MotTable:
     columns of the non-blank lines as one numpy table; the centre is
     left + w/2.
 
-    A malformed line, a frame below 1, a non-finite number or a box without
-    positive width and height raises ValueError naming the line."""
+    A malformed line, a frame below 1, a non-finite number, a box without
+    positive width and height or a box number above 1e9 in magnitude raises
+    ValueError naming the line."""
     with open(path) as fh:
         lines = fh.read().split("\n")
     rows = [i for i, line in enumerate(lines) if line.strip()]

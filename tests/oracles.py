@@ -724,6 +724,8 @@ def read_scenario(path) -> Scenario:
             if not all(map(math.isfinite, box)):
                 raise ValueError("non-finite number")
             row = GroundTruthEntry(int(frame), int(obj_id), BBox(*box), visible == "1")
+            if not all(abs(v) <= 1e9 for v in box):
+                raise ValueError(f"box has a number above 1e+09 in magnitude, got {box}")
         except ValueError as exc:
             raise ScenarioFormatError(f"line {pos}: malformed ground-truth record: {exc}") from exc
         if not 1 <= row.frame <= n_frames:
@@ -775,8 +777,9 @@ def read_scenario(path) -> Scenario:
 def read_motchallenge(path) -> list:
     """Read MOTChallenge rows back as (frame, id, BBox, confidence).
 
-    A malformed line, a frame below 1, a non-finite number or a box without
-    positive width and height raises ValueError naming the line."""
+    A malformed line, a frame below 1, a non-finite number, a box without
+    positive width and height or a box number above 1e9 in magnitude raises
+    ValueError naming the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -796,6 +799,8 @@ def read_motchallenge(path) -> list:
                 raise ValueError(f"line {lineno}: non-finite number in {line!r}")
             if not (w > 0 and h > 0):
                 raise ValueError(f"line {lineno}: box size must be positive, got w={w} h={h}")
+            if not all(abs(v) <= 1e9 for v in values[:4]):
+                raise ValueError(f"line {lineno}: box has a number above 1e+09 in magnitude, got {values[:4]}")
             if frame < 1:
                 raise ValueError(f"line {lineno}: MOTChallenge frames are 1-based, got {frame}")
             out.append((frame, obj_id, BBox(left + w / 2, top + h / 2, w, h), conf))
@@ -858,11 +863,12 @@ def oracle_detect(scenario: Scenario, frame: int, cfg: DetectorConfig) -> list:
             continue
         b = BBox(*row.bbox)
         g = rng.standard_normal(4).tolist()
+        log_max = math.log(1e4)  # a side scales at most 1e4-fold
         bbox = BBox(
             b.x + cfg.noise_center * b.w * g[0],
             b.y + cfg.noise_center * b.h * g[1],
-            b.w * math.exp(cfg.noise_size * g[2]),
-            b.h * math.exp(cfg.noise_size * g[3]),
+            b.w * math.exp(min(max(cfg.noise_size * g[2], -log_max), log_max)),
+            b.h * math.exp(min(max(cfg.noise_size * g[3], -log_max), log_max)),
         )
         conf = float(rng.uniform(cfg.conf_min, 1.0))
         feat = scenario.feature_of(row.id, cfg.feature_noise, rng)

@@ -11,8 +11,8 @@ import pytest
 
 from mvtrack.affinity import normalize_channels
 from mvtrack.association import hungarian
-from mvtrack.cli import delayed
-from mvtrack.engine import OracleDetector, TrackerModels, make_propagator, speedup_model, track
+from mvtrack.cli import padded_stages
+from mvtrack.engine import OracleDetector, TrackerModels, speedup_model, track
 from mvtrack.metrics import clear_mot, idf1
 from mvtrack.model import MotionFrame, TrackerConfig, box_velocities, predict_boxes
 from mvtrack.motion import (
@@ -107,23 +107,8 @@ def test_criterion_1_speedup_model(head7):
     detector = OracleDetector(sc, DetectorConfig(noise_center=0.01, noise_size=0.01, conf_min=0.995, rng_seed=0))
 
     cfg3 = TrackerConfig(K=3, propagator="regressor")
-    propagate = make_propagator(cfg3, models)
-    _, probe = track(sc, detector, cfg3, models)
-    d0, a0, _ = probe.mean_key()
-    p0 = probe.mean_pro()
-    # force T_pro / (T_det + T_ass) = 0.1 with calibrated synthetic delays
-    ratio = 0.1
-    key_da = max(0.04, 1.5 * (d0 + a0), 1.25 * p0 / ratio)
-    detect_delay = key_da - (d0 + a0)
-    propagate_delay = ratio * key_da - p0
-    # Between long delays the stage work itself runs slower than back to back
-    # (a shared host evicts its caches while it waits), so measure the work
-    # again with the delays in place, and time the K=3 run right after that.
-    _, cal = track(sc, delayed(detector, detect_delay), cfg3, models, delayed(propagate, propagate_delay))
-    d1, a1, _ = cal.mean_key()
-    detect_delay = key_da - (d1 + a1 - detect_delay)
-    propagate_delay = ratio * key_da - (cal.mean_pro() - propagate_delay)
-    slow_detector, slow_propagate = delayed(detector, detect_delay), delayed(propagate, propagate_delay)
+    # force T_pro / (T_det + T_ass) = 0.1 by padding each stage call to a target
+    slow_detector, slow_propagate, _, _ = padded_stages(sc, detector, cfg3, models, 0.1)
 
     t3 = time.perf_counter()
     _, tm3 = track(sc, slow_detector, cfg3, models, slow_propagate)

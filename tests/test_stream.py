@@ -100,6 +100,20 @@ def test_rejects_object_that_shrinks_to_nothing():
         generate_scenario(one_object(frames=60, zoom=1e-10), HEADER, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(vx=1e9), r"^object 1: box at frame 12 has a number above 1e\+09 in magnitude, got \[11000000096.0, "),
+        (dict(y=-2e9), r"^object 1: box at frame 1 has a number above 1e\+09 in magnitude, got \[96.0, -2000000000.0, "),
+        (dict(x=math.nan), r"^object 1: box at frame 1 has a number above 1e\+09 in magnitude, got \[nan, "),
+    ],
+)
+def test_rejects_object_outside_envelope(kw, message):
+    # the same bound read_scenario applies, so generate never writes a file it rejects
+    with pytest.raises(ValueError, match=message):
+        generate_scenario(one_object(**kw), HEADER, seed=0)
+
+
 def test_occluded_blocks_lose_motion_and_gain_residual():
     sc = generate_scenario(one_object(x=40, y=64, vx=4, occlusions=((5, 8),)), HEADER, seed=0)
     gt = {r.frame: r for r in sc.gt}
@@ -189,6 +203,15 @@ def test_oracle_noiseless_matches_gt():
     assert len(dets.conf) == 1
     assert dets.boxes[0, :2].tolist() == list(gt4[0].bbox[:2])
     assert 0.95 <= dets.conf[0] <= 1.0
+
+
+def test_oracle_huge_size_noise_keeps_boxes_finite():
+    # exp(1000 * g) would overflow; the log side scales are clamped first
+    sc = generate_scenario(one_object(frames=12), HEADER, seed=1)
+    detector = OracleDetector(sc, DetectorConfig(noise_size=1000))
+    boxes = np.concatenate([detector(t).boxes for t in range(1, 13)])
+    assert len(boxes) == 12
+    assert np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all()
 
 
 def test_oracle_miss_rate_one_empty():
@@ -327,6 +350,9 @@ def test_truncated_file_names_last_complete_frame(tmp_path):
         (4, "seed 1", "line 4: malformed seed record"),
         (6, "gt 2 1 96.0 64.0 0.0 32.0 1", "line 6: malformed ground-truth record: box size must be positive"),
         (6, "gt 2 1 nan 64.0 32.0 32.0 1", "line 6: malformed ground-truth record: non-finite number"),
+        (6, "gt 2 1 96.0 64.0 1e308 1e308 1",
+         r"line 6: malformed ground-truth record: box has a number above 1e\+09 in magnitude, got \[96.0, 64.0, 1e\+308, 1e\+308\]"),
+        (6, "gt 2 1 -2e9 64.0 32.0 32.0 1", r"line 6: malformed ground-truth record: box has a number above 1e\+09 in magnitude"),
         (7, "gt 99 1 96.0 64.0 32.0 32.0 1", "line 7: ground-truth frame 99 outside 1..12"),
         (8, "gt 4 7 96.0 64.0 32.0 32.0 1", "line 8: ground-truth id 7 has no feature seed"),
     ],
@@ -553,11 +579,11 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 
 @st.composite
 def hand_built(draw):
     """A scenario with arbitrary int32 motion vectors, float64 residuals up to
-    MAX_INPUT in magnitude and gt boxes; a (frame, id) appears in at most one
-    gt row, as a file requires."""
+    MAX_INPUT in magnitude and gt boxes up to 1e9 in magnitude; a (frame, id)
+    appears in at most one gt row, as a file requires."""
     gw, gh, gop = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     header = StreamHeader(width=16 * gw - draw(st.integers(0, 15)), height=16 * gh, block=16, gop=gop)
-    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL)
+    coords = st.floats(-1e9, 1e9) | st.sampled_from([v for v in _SPECIAL if abs(v) <= 1e9] + [1e9, -1e9])
     residuals = st.floats(-MAX_INPUT, MAX_INPUT) | st.sampled_from([v for v in _SPECIAL if abs(v) <= 1] + [MAX_INPUT, -MAX_INPUT])
     frames = []
     for j in range(draw(st.integers(1, 7))):
@@ -568,12 +594,12 @@ def hand_built(draw):
             res = draw(arrays(np.float64, (gw, gh), elements=residuals))
             frames.append(MotionFrame(j, "P", mv, res))
     seeds = draw(st.dictionaries(st.integers(-2**62, 2**62), st.integers(0, 2**62), min_size=1, max_size=3))
-    sizes = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    sizes = st.floats(min_value=0, max_value=1e9, exclude_min=True)
     gt = draw(st.lists(st.builds(
         GroundTruthEntry,
         st.integers(1, len(frames)),
         st.sampled_from(sorted(seeds)),
-        st.builds(BBox, floats, floats, sizes, sizes),
+        st.builds(BBox, coords, coords, sizes, sizes),
         st.booleans(),
     ), max_size=6, unique_by=lambda r: (r.frame, r.id)))
     return Scenario(header, frames, gt, seeds)
@@ -658,6 +684,9 @@ def test_motchallenge_malformed_line_number(tmp_path):
         ("1,2,8.00,6.00,inf,8.00,1.00,-1,-1,-1", "line 2: non-finite"),
         ("1,2,8.00,6.00,0.00,8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
         ("1,2,8.00,6.00,4.00,-8.00,1.00,-1,-1,-1", "line 2: box size must be positive"),
+        ("1,2,-1e308,-1e308,1.5e308,1.5e308,1,-1,-1,-1",
+         r"line 2: box has a number above 1e\+09 in magnitude, got \[-1e\+308, -1e\+308, 1.5e\+308, 1.5e\+308\]"),
+        ("1,2,8.00,2e9,4.00,8.00,1.00,-1,-1,-1", r"line 2: box has a number above 1e\+09 in magnitude"),
         ("0,2,8.00,6.00,4.00,8.00,1.00,-1,-1,-1", "line 2: MOTChallenge frames are 1-based, got 0"),
         ("-4,2,8.00,6.00,4.00,8.00,1.00,-1,-1,-1", "line 2: MOTChallenge frames are 1-based, got -4"),
     ],
@@ -669,7 +698,7 @@ def test_motchallenge_rejects_bad_numbers(tmp_path, row, message):
         read_motchallenge(p)
 
 
-_MOT_FIELDS = ["1", "2", "-3", "12", "8.00", "-1", "0", "0.00", "1e308", "5e-324", "-0.0", "nan", "inf", "x", ""]
+_MOT_FIELDS = ["1", "2", "-3", "12", "8.00", "-1", "0", "0.00", "1e9", "1000000001", "1e308", "5e-324", "-0.0", "nan", "inf", "x", ""]
 
 
 @st.composite
@@ -684,7 +713,7 @@ def motchallenge_texts(draw):
             lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
         else:
             ints = [str(draw(st.integers(-5, 2**40))) for _ in range(2)]
-            floats = [repr(draw(st.floats(min_value=1e-300, max_value=1e300))) for _ in range(5)]
+            floats = [repr(draw(st.floats(min_value=1e-300, max_value=1e9))) for _ in range(5)]
             fields = ints + floats + ["-1"] * draw(st.integers(0, 3))
             if kind == "short":
                 fields = fields[: draw(st.integers(1, 6))]
